@@ -7,9 +7,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import islice
-
-import networkx as nx
+from typing import Collection, Iterator
 
 from .catalog import INFO, WARNING
 from .model import Finding, Term, Vocabulary, normalize_label, tokens_of
@@ -185,15 +185,119 @@ def build_definition_graph(vocab: Vocabulary) -> DefinitionGraph:
     return DefinitionGraph(nodes=nodes, edges=frozenset(edges))
 
 
-def _canonical_rotation(cycle: list[str]) -> tuple[str, ...]:
-    pivot = cycle.index(min(cycle))
-    return tuple(cycle[pivot:] + cycle[:pivot])
+def _strong_components(succ: dict[str, list[str]],
+                       nodes: Collection[str]) -> list[set[str]]:
+    """Tarjan (1972) strongly connected components of the subgraph induced by
+    nodes, with an explicit stack so long mention chains cannot overflow the
+    interpreter's recursion limit."""
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    stack: list[str] = []
+    on_stack: set[str] = set()
+    components: list[set[str]] = []
+    for root in nodes:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(succ.get(root, ())))]
+        while work:
+            v, successors = work[-1]
+            for w in successors:
+                if w not in nodes:
+                    continue
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(succ.get(w, ()))))
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    component = set()
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        component.add(w)
+                        if w == v:
+                            break
+                    components.append(component)
+    return components
+
+
+def _circuits_from(start: str, component: set[str],
+                   succ: dict[str, list[str]]) -> Iterator[tuple[str, ...]]:
+    """Johnson (1975) elementary circuits through start, the least node of its
+    strongly connected component. Successors are visited in sorted order, so
+    circuits come out sorted; blocking only prunes branches that close no
+    circuit, so it removes nothing from that order."""
+    adj = {v: [w for w in succ[v] if w in component] for v in component}
+    blocked = {start}
+    blocked_by: dict[str, set[str]] = {v: set() for v in component}
+    path = [start]
+    closed = [False]
+    work = [(start, iter(adj[start]))]
+    while work:
+        v, successors = work[-1]
+        for w in successors:
+            if w == start:
+                yield tuple(path)
+                closed[-1] = True
+            elif w not in blocked:
+                blocked.add(w)
+                path.append(w)
+                closed.append(False)
+                work.append((w, iter(adj[w])))
+                break
+        else:
+            work.pop()
+            path.pop()
+            if closed.pop():
+                if closed:
+                    closed[-1] = True
+                unblock = [v]
+                while unblock:
+                    u = unblock.pop()
+                    if u in blocked:
+                        blocked.discard(u)
+                        unblock.extend(blocked_by[u])
+                        blocked_by[u].clear()
+            else:
+                for w in adj[v]:
+                    blocked_by[w].add(v)
+
+
+def _simple_cycles(edges: frozenset[tuple[str, str]]) -> Iterator[tuple[str, ...]]:
+    """Directed cycles of length >= 2 as rotations starting at their least
+    node, in sorted order. Components wait in a heap keyed by their least
+    node; after its circuits are enumerated that node is removed and only its
+    own component is split again."""
+    succ: dict[str, list[str]] = {}
+    for tail, head in sorted(edges):
+        if tail != head:
+            succ.setdefault(tail, []).append(head)
+    heap = [(min(c), c) for c in _strong_components(succ, succ.keys()) if len(c) > 1]
+    heapify(heap)
+    while heap:
+        start, component = heappop(heap)
+        yield from _circuits_from(start, component, succ)
+        component.discard(start)
+        for sub in _strong_components(succ, component):
+            if len(sub) > 1:
+                heappush(heap, (min(sub), sub))
 
 
 def detect_circular_definitions(vocab: Vocabulary) -> list[Finding]:
     """R07: self-mentions and directed mention cycles. Cycles are reported as
-    canonical rotations starting from the least identity, at most
-    MAX_REPORTED_CYCLES per run."""
+    canonical rotations starting from the least identity, in sorted order:
+    the first MAX_REPORTED_CYCLES of them, whatever the input order."""
     graph = build_definition_graph(vocab)
     findings: list[Finding] = []
     for node_id in sorted(t for t, u in graph.edges if t == u):
@@ -204,16 +308,7 @@ def detect_circular_definitions(vocab: Vocabulary) -> list[Finding]:
             location=term.location,
             message="definition mentions the term's own label; definitions must "
                     "be non-circular"))
-    # Node/edge insertion in sorted order makes cycle enumeration a function
-    # of the graph alone, not of input term order.
-    digraph = nx.DiGraph()
-    digraph.add_nodes_from(sorted(graph.nodes))
-    digraph.add_edges_from(sorted((t, u) for t, u in graph.edges if t != u))
-    cycles = set()
-    for cycle in islice((c for c in nx.simple_cycles(digraph) if len(c) >= 2),
-                        MAX_REPORTED_CYCLES):
-        cycles.add(_canonical_rotation(cycle))
-    for rotation in sorted(cycles):
+    for rotation in islice(_simple_cycles(graph.edges), MAX_REPORTED_CYCLES):
         members = [graph.nodes[node_id] for node_id in rotation]
         chain = " -> ".join(t.label for t in members)
         findings.append(Finding(

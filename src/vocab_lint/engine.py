@@ -315,9 +315,14 @@ def _suppressed(finding: Finding, suppressions: tuple[tuple[str, str], ...],
 
 
 def _sort_key(finding: Finding):
+    """Ties on location, rule and subject are broken by every other field the
+    report prints, so the order never falls back to the order in which the
+    checks produced the findings."""
     loc = finding.location
     return (loc.file if loc else "", loc.line if loc else 0,
-            finding.rule_id, finding.subject_label)
+            finding.rule_id, finding.subject_label, finding.message,
+            finding.suggestion or "", tuple(iri.value for iri in finding.subject_iris),
+            finding.severity)
 
 
 def run_lint(config: RuleConfig, inputs: Sequence[tuple[str, str | None]]) -> Report:

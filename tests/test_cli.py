@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import vocab_lint
 from vocab_lint import __version__
 from vocab_lint.catalog import RULES
 from vocab_lint.cli import main
@@ -292,3 +297,24 @@ class TestRules:
         assert result.exit_code == 0
         assert "vocab-lint" in result.output
         assert __version__ in result.output
+
+
+_IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+import vocab_lint.cli
+print(" ".join(sorted({name.partition(".")[0] for name in set(sys.modules) - before})))
+"""
+
+
+def test_cli_import_loads_only_stdlib_and_click():
+    # Every CLI call pays for what importing the CLI loads; a third-party
+    # import creeping in shows up here before it shows up as start-up time.
+    src = str(Path(vocab_lint.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
+                            capture_output=True, text=True, check=True, timeout=60)
+    loaded = set(result.stdout.split())
+    assert "vocab_lint" in loaded
+    assert loaded - set(sys.stdlib_module_names) - {"click", "vocab_lint"} == set()

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,6 +16,8 @@ from vocab_lint.definitions import (
     parse_genus_differentia,
 )
 from vocab_lint.model import Definition, Iri, SourceLocation, Term, build_vocabulary
+
+from test_acceptance import brute_force_simple_cycles
 
 PREFIXES = {"EX": "https://example.org/EX_"}
 
@@ -248,9 +252,50 @@ class TestCircularDefinitions:
         for i in range(150):
             terms.append(term(f"spoke{i}", f"EX:{i + 1}",
                               definition="Connected to the hub always."))
-        findings = detect_circular_definitions(vocab(*terms))
+        v = vocab(*terms)
+        findings = detect_circular_definitions(v)
         cycles = [f for f in findings if f.rule_id == "R07-CIRCULAR"]
         assert len(cycles) == MAX_REPORTED_CYCLES
+        # The cap keeps the first cycles in sorted order, not whichever the
+        # enumerator happened to find first.
+        g = build_definition_graph(v)
+        by_label = {g.nodes[n].label: n for n in g.nodes}
+        got = [tuple(by_label[lbl] for lbl in f.subject_label.split(" -> "))
+               for f in cycles]
+        expected = sorted(brute_force_simple_cycles(set(g.nodes), g.edges))
+        assert got == expected[:MAX_REPORTED_CYCLES]
+        reversed_findings = detect_circular_definitions(vocab(*reversed(terms)))
+        assert [f.subject_label for f in reversed_findings
+                if f.rule_id == "R07-CIRCULAR"] == [f.subject_label for f in cycles]
+
+    def test_long_ring_is_one_cycle_without_recursion(self):
+        # Single-token labels keep build_definition_graph linear; the ring is
+        # far deeper than the interpreter's recursion limit.
+        n = 20_000
+        terms = [term(f"t{i}", f"EX:{i}", definition=f"Follows t{(i + 1) % n} closely.")
+                 for i in range(n)]
+        v = vocab(*terms)
+        started = time.perf_counter()
+        findings = detect_circular_definitions(v)
+        elapsed = time.perf_counter() - started
+        f, = findings
+        assert f.rule_id == "R07-CIRCULAR"
+        assert f.subject_label.count(" -> ") == n - 1
+        assert elapsed < 5.0
+
+    def test_clique_stops_at_cap_quickly(self):
+        # A 40-clique has astronomically many cycles; enumeration must stop
+        # once the cap is reached.
+        labels = [f"c{i}" for i in range(40)]
+        terms = [term(label, f"EX:{i}", definition="Mentions " + " ".join(
+            other for other in labels if other != label) + " here.")
+            for i, label in enumerate(labels)]
+        v = vocab(*terms)
+        started = time.perf_counter()
+        findings = detect_circular_definitions(v)
+        elapsed = time.perf_counter() - started
+        assert [f.rule_id for f in findings] == ["R07-CIRCULAR"] * MAX_REPORTED_CYCLES
+        assert elapsed < 0.5
 
     def test_input_order_invariance(self):
         a = term("harvest season", "EX:1",

@@ -1,4 +1,5 @@
 import json
+from itertools import permutations
 
 import pytest
 
@@ -7,6 +8,7 @@ from vocab_lint.engine import (
     LintFatalError,
     Report,
     RuleConfig,
+    _sort_key,
     build_lexicons,
     build_prefix_map,
     exit_code,
@@ -347,6 +349,27 @@ class TestRunLint:
         first = run_lint(ex_config, [(a, None), (b, None)])
         second = run_lint(ex_config, [(b, None), (a, None)])
         assert render_report(first, "json") == render_report(second, "json")
+
+
+class TestReportOrder:
+    def test_ties_on_location_rule_and_subject_sort_the_same_from_any_order(self):
+        # All six tie on (file, line, rule_id, subject_label); message,
+        # suggestion, subject IRIs and severity decide between them.
+        shared = dict(rule_id="R06-DUP-IRI", subject_label="plasma",
+                      location=SourceLocation(file="a.obo", line=3))
+        findings = [
+            Finding(severity="error", message="second message", **shared),
+            Finding(severity="error", message="first message", suggestion="z", **shared),
+            Finding(severity="error", message="first message", suggestion="y", **shared),
+            Finding(severity="error", message="first message", suggestion="y",
+                    subject_iris=(Iri("EX:2"),), **shared),
+            Finding(severity="error", message="first message", suggestion="y",
+                    subject_iris=(Iri("EX:1"),), **shared),
+            Finding(severity="warning", message="first message", suggestion="y",
+                    subject_iris=(Iri("EX:1"),), **shared),
+        ]
+        orders = {tuple(sorted(order, key=_sort_key)) for order in permutations(findings)}
+        assert len(orders) == 1
 
 
 class TestExitCode:
