@@ -24,7 +24,8 @@ from .engine import (
     render_report,
     run_lint,
 )
-from .health import SUBSCORE_NAMES, SnapshotProvider, assess_health
+from .health import SUBSCORE_NAMES, assess_health, read_snapshot
+from .model import build_vocabulary
 from .reuse import EmptyQueryError, build_index, suggest_terms
 
 FATAL_EXIT = 2
@@ -127,8 +128,8 @@ def suggest(queries, references, config_path, top_k, output):
         vocabs = []
         for path in paths:
             vocab, _ = parse_input(path, None)
-            vocab.prefix_map.update(prefixes.entries)
-            vocabs.append(vocab)
+            vocabs.append(build_vocabulary(vocab.terms,
+                                           {**vocab.prefix_map, **prefixes.entries}))
     except (ConfigError, LintFatalError) as exc:
         _fail(str(exc))
         raise AssertionError("unreachable")
@@ -180,9 +181,8 @@ def health(metadata_path, config_path, output):
     path = metadata_path or config.metadata_path
     if path is None:
         _fail("no metadata snapshot; pass --metadata or set metadata_path")
-    provider = SnapshotProvider(path)
     try:
-        records = provider.fetch()
+        records, notes = read_snapshot(path)
     except OSError as exc:
         _fail(f"cannot read metadata {path}: {exc}")
         raise AssertionError("unreachable")
@@ -195,7 +195,7 @@ def health(metadata_path, config_path, output):
         import json
 
         payload = {
-            "notes": list(provider.notes),
+            "notes": notes,
             "ontologies": [
                 {"name": r.name, "subscores": r.subscores, "composite": r.composite,
                  "verdict": r.verdict, "notes": list(r.notes)}
@@ -203,7 +203,7 @@ def health(metadata_path, config_path, output):
         }
         click.echo(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False))
         return
-    for note in provider.notes:
+    for note in notes:
         click.echo(f"note: {note}")
     for r in reports:
         click.echo(f"{r.name}: {r.verdict} (composite {r.composite:.2f})")

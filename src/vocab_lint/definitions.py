@@ -12,7 +12,8 @@ from itertools import islice
 from typing import Collection, Iterator
 
 from .catalog import INFO, WARNING
-from .model import Finding, Term, Vocabulary, normalize_label, tokens_of
+from .lexical import contains_phrase
+from .model import Finding, Term, Vocabulary, tokens_of
 
 # Bounded output on pathological inputs.
 MAX_REPORTED_CYCLES = 100
@@ -68,26 +69,17 @@ def parse_genus_differentia(text: str) -> GenusDifferentia | None:
     return GenusDifferentia(tuple(subject), tuple(rest[:connective]), tuple(differentia))
 
 
-def _term_iris(term: Term) -> tuple:
-    return (term.iri,) if term.iri is not None else ()
-
-
 def check_definition_present(term: Term) -> list[Finding]:
     """R07: live terms need definitions; definitions need sources."""
     if term.definition is None:
         if term.obsolete:
             return []
-        return [Finding(
-            rule_id="R07-MISSING-DEF", severity=WARNING,
-            subject_label=term.label, subject_iris=_term_iris(term),
-            location=term.location,
-            message="live term has no definition")]
+        return [Finding.about(term, "R07-MISSING-DEF", WARNING,
+                              "live term has no definition")]
     if not term.definition.sources:
-        return [Finding(
-            rule_id="R07-MISSING-SOURCE", severity=INFO,
-            subject_label=term.label, subject_iris=_term_iris(term),
-            location=term.location,
-            message="definition cites no source; provide sources for definitions")]
+        return [Finding.about(
+            term, "R07-MISSING-SOURCE", INFO,
+            "definition cites no source; provide sources for definitions")]
     return []
 
 
@@ -99,41 +91,26 @@ def check_genus_differentia(term: Term, vocab: Vocabulary) -> list[Finding]:
     assert term.definition is not None, "caller must ensure a definition exists"
     parsed = parse_genus_differentia(term.definition.text)
     if parsed is None:
-        return [Finding(
-            rule_id="R07-FORM", severity=INFO,
-            subject_label=term.label, subject_iris=_term_iris(term),
-            location=term.location,
-            message='definition does not follow the "X is a <parent> that/which '
-                    '<differentia>" form')]
+        return [Finding.about(
+            term, "R07-FORM", INFO,
+            'definition does not follow the "X is a <parent> that/which '
+            '<differentia>" form')]
     if not term.parents:
         return []
     parent_labels = []
     for parent in term.parents:
         target = vocab.term_for(parent)
         if target is not None:
-            parent_labels.append(normalize_label(target.label))
+            parent_labels.append(target.key)
     if not parent_labels:
         return []
-    genus_tokens = list(parsed.genus)
-    for label in parent_labels:
-        ltoks = label.split()
-        if ltoks and any(genus_tokens[i:i + len(ltoks)] == ltoks
-                         for i in range(len(genus_tokens) - len(ltoks) + 1)):
-            return []
+    if any(contains_phrase(parsed.genus, label) for label in parent_labels):
+        return []
     genus_text = " ".join(parsed.genus)
-    return [Finding(
-        rule_id="R07-GENUS-MISMATCH", severity=INFO,
-        subject_label=term.label, subject_iris=_term_iris(term),
-        location=term.location,
-        message=f'definition genus "{genus_text}" does not mention any declared '
-                "parent; the defining sentence should state the parent class")]
-
-
-def _min_location(terms: list[Term]):
-    locations = [t.location for t in terms if t.location is not None]
-    if not locations:
-        return None
-    return min(locations, key=lambda loc: (loc.file, loc.line))
+    return [Finding.about(
+        term, "R07-GENUS-MISMATCH", INFO,
+        f'definition genus "{genus_text}" does not mention any declared '
+        "parent; the defining sentence should state the parent class")]
 
 
 def check_definition_uniqueness(vocab: Vocabulary) -> list[Finding]:
@@ -142,22 +119,18 @@ def check_definition_uniqueness(vocab: Vocabulary) -> list[Finding]:
     for term in vocab.terms:
         if term.obsolete or term.definition is None:
             continue
-        groups.setdefault(normalize_label(term.definition.text), []).append(term)
+        groups.setdefault(" ".join(term.definition.tokens), []).append(term)
     findings: list[Finding] = []
     for key in sorted(groups):
         members = groups[key]
         if len(members) < 2:
             continue
-        ordered = sorted(members, key=lambda t: (normalize_label(t.label),
-                                                 t.identity(vocab.prefix_map)))
+        ordered = sorted(members, key=lambda t: (t.key, t.identity(vocab.prefix_map)))
         labels = "; ".join(t.label for t in ordered)
-        findings.append(Finding(
-            rule_id="R07-DUPLICATE-DEF", severity=WARNING,
-            subject_label=ordered[0].label,
-            subject_iris=tuple(t.iri for t in ordered if t.iri is not None),
-            location=_min_location(ordered),
-            message=f"{len(ordered)} terms share one definition ({labels}); "
-                    "combine them via synonymy or differentiate the definitions"))
+        findings.append(Finding.about_terms(
+            ordered, "R07-DUPLICATE-DEF", WARNING, ordered[0].label,
+            f"{len(ordered)} terms share one definition ({labels}); "
+            "combine them via synonymy or differentiate the definitions"))
     return findings
 
 
@@ -170,17 +143,16 @@ def build_definition_graph(vocab: Vocabulary) -> DefinitionGraph:
         nodes.setdefault(term.identity(vocab.prefix_map), term)
     by_first_token: dict[str, list[tuple[tuple[str, ...], str]]] = {}
     for node_id, term in nodes.items():
-        tokens = tuple(tokens_of(term.label))
-        if tokens:
-            by_first_token.setdefault(tokens[0], []).append((tokens, node_id))
+        if term.tokens:
+            by_first_token.setdefault(term.tokens[0], []).append((term.tokens, node_id))
     edges: set[tuple[str, str]] = set()
     for node_id, term in nodes.items():
         if term.definition is None:
             continue
-        def_tokens = tokens_of(term.definition.text)
+        def_tokens = term.definition.tokens
         for i, token in enumerate(def_tokens):
             for label_tokens, target_id in by_first_token.get(token, ()):
-                if tuple(def_tokens[i:i + len(label_tokens)]) == label_tokens:
+                if def_tokens[i:i + len(label_tokens)] == label_tokens:
                     edges.add((node_id, target_id))
     return DefinitionGraph(nodes=nodes, edges=frozenset(edges))
 
@@ -302,20 +274,15 @@ def detect_circular_definitions(vocab: Vocabulary) -> list[Finding]:
     findings: list[Finding] = []
     for node_id in sorted(t for t, u in graph.edges if t == u):
         term = graph.nodes[node_id]
-        findings.append(Finding(
-            rule_id="R07-SELF-REF", severity=WARNING,
-            subject_label=term.label, subject_iris=_term_iris(term),
-            location=term.location,
-            message="definition mentions the term's own label; definitions must "
-                    "be non-circular"))
+        findings.append(Finding.about(
+            term, "R07-SELF-REF", WARNING,
+            "definition mentions the term's own label; definitions must "
+            "be non-circular"))
     for rotation in islice(_simple_cycles(graph.edges), MAX_REPORTED_CYCLES):
         members = [graph.nodes[node_id] for node_id in rotation]
         chain = " -> ".join(t.label for t in members)
-        findings.append(Finding(
-            rule_id="R07-CIRCULAR", severity=WARNING,
-            subject_label=chain,
-            subject_iris=tuple(t.iri for t in members if t.iri is not None),
-            location=_min_location(members),
-            message=f"definitions mention each other in a cycle ({chain} -> "
-                    f"{members[0].label}); definitions must be non-circular"))
+        findings.append(Finding.about_terms(
+            members, "R07-CIRCULAR", WARNING, chain,
+            f"definitions mention each other in a cycle ({chain} -> "
+            f"{members[0].label}); definitions must be non-circular"))
     return findings

@@ -271,10 +271,10 @@ def _term_scope_findings(unit: Vocabulary, lex: Lexicons, prefixes: PrefixMap,
         if not term.obsolete:
             tag_values = [term.annotations[key] for key in sorted(term.annotations)
                           if key != "comment"]
-            iris = (term.iri,) if term.iri is not None else ()
             for finding in check_tag_style(tag_values, lex):
-                lexical.append(dataclasses.replace(
-                    finding, location=term.location, subject_iris=iris))
+                lexical.append(Finding.about_terms(
+                    (term,), finding.rule_id, finding.severity,
+                    finding.subject_label, finding.message, finding.suggestion))
         if term.obsolete:
             # Phrasing complaints about terms already out of service are
             # informational at most.

@@ -6,8 +6,7 @@ composite and a verdict.
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass, field
-from typing import Protocol
+from dataclasses import dataclass
 
 SUBSCORE_NAMES = ("activity", "responsiveness", "documentation", "reuse", "identifiers")
 
@@ -58,11 +57,6 @@ class HealthReport:
     composite: float
     verdict: str
     notes: tuple[str, ...] = ()
-
-
-class MetadataProvider(Protocol):
-    def fetch(self) -> list[OntologyMetadata]:
-        ...
 
 
 _KNOWN_KEYS = {
@@ -149,27 +143,21 @@ def load_metadata(text: str) -> tuple[list[OntologyMetadata], list[str]]:
     return records, notes
 
 
-class SnapshotProvider:
-    """Metadata provider backed by a snapshot file on disk."""
-
-    def __init__(self, path: str):
-        self.path = path
-        self.notes: list[str] = []
-
-    def fetch(self) -> list[OntologyMetadata]:
-        with open(self.path, encoding="utf-8") as handle:
-            records, notes = load_metadata(handle.read())
-        self.notes = notes
-        return records
+def read_snapshot(path: str) -> tuple[list[OntologyMetadata], list[str]]:
+    """Load the metadata snapshot file at `path`: its usable records and the
+    notes on what was skipped (see load_metadata)."""
+    with open(path, encoding="utf-8") as handle:
+        return load_metadata(handle.read())
 
 
 def months_before(day: dt.date, months: int) -> dt.date:
     """The same calendar day `months` earlier, clamped to month length."""
+    import calendar
+
     total = day.year * 12 + (day.month - 1) - months
     year, month = divmod(total, 12)
     month += 1
-    last_day = [31, 29 if year % 4 == 0 and (year % 100 != 0 or year % 400 == 0) else 28,
-                31, 30, 31, 30, 31, 31, 30, 31, 30, 31][month - 1]
+    last_day = calendar.monthrange(year, month)[1]
     return dt.date(year, month, min(day.day, last_day))
 
 

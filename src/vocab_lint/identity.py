@@ -15,7 +15,6 @@ from .model import (
     Term,
     UnknownIriError,
     Vocabulary,
-    normalize_label,
     resolve_replacement,
 )
 
@@ -94,40 +93,30 @@ def load_prefix_map(text: str, extend_defaults: bool = True) -> PrefixMap:
     return PrefixMap(entries=entries, obo_prefixes=frozenset(obo))
 
 
-def _term_iris(term: Term) -> tuple:
-    return (term.iri,) if term.iri is not None else ()
-
-
 def check_iri(term: Term, prefixes: PrefixMap) -> list[Finding]:
     """R06: every term needs an IRI; compact IRIs must use a registered
     prefix; obo-registered terms should sit behind a persistent URL."""
     if term.iri is None:
-        return [Finding(
-            rule_id="R06-MISSING-IRI", severity=WARNING,
-            subject_label=term.label, location=term.location,
-            message="term has no IRI; mint a resolvable identifier")]
+        return [Finding.about(term, "R06-MISSING-IRI", WARNING,
+                              "term has no IRI; mint a resolvable identifier")]
     value = term.iri.value
     if not term.iri.is_absolute:
         prefix, sep, _ = value.partition(":")
         if not sep or prefix not in prefixes.entries:
-            return [Finding(
-                rule_id="R06-BAD-IRI", severity=ERROR,
-                subject_label=term.label, subject_iris=(term.iri,),
-                location=term.location,
-                message=f'compact identifier "{value}" uses an unregistered prefix')]
+            return [Finding.about(
+                term, "R06-BAD-IRI", ERROR,
+                f'compact identifier "{value}" uses an unregistered prefix')]
         return []
     m = _PURL.match(value)
     if m and m.group("prefix") in prefixes.obo_prefixes:
         return []
     for prefix in sorted(prefixes.obo_prefixes):
         if f"/{prefix}_" in value or f"#{prefix}_" in value or f"/{prefix}/" in value:
-            return [Finding(
-                rule_id="R06-NONPURL", severity=INFO,
-                subject_label=term.label, subject_iris=(term.iri,),
-                location=term.location,
-                message=f'IRI mentions the registered ontology prefix "{prefix}" but '
-                        "is not its persistent URL form "
-                        f"(http://purl.obolibrary.org/obo/{prefix}_...)")]
+            return [Finding.about(
+                term, "R06-NONPURL", INFO,
+                f'IRI mentions the registered ontology prefix "{prefix}" but '
+                "is not its persistent URL form "
+                f"(http://purl.obolibrary.org/obo/{prefix}_...)")]
     return []
 
 
@@ -143,16 +132,11 @@ def check_iri_uniqueness(vocab: Vocabulary) -> list[Finding]:
         members = groups[identity]
         if len(members) < 2:
             continue
-        ordered = sorted(members, key=lambda t: (normalize_label(t.label), t.label))
+        ordered = sorted(members, key=lambda t: (t.key, t.label))
         labels = "; ".join(t.label for t in ordered)
-        location = min((t.location for t in ordered if t.location is not None),
-                       key=lambda loc: (loc.file, loc.line), default=None)
-        findings.append(Finding(
-            rule_id="R06-DUP-IRI", severity=ERROR,
-            subject_label=ordered[0].label,
-            subject_iris=tuple(t.iri for t in ordered if t.iri is not None),
-            location=location,
-            message=f"{len(ordered)} terms share the IRI {identity} ({labels})"))
+        findings.append(Finding.about_terms(
+            ordered, "R06-DUP-IRI", ERROR, ordered[0].label,
+            f"{len(ordered)} terms share the IRI {identity} ({labels})"))
     return findings
 
 
@@ -161,7 +145,7 @@ def check_label_collisions(vocab: Vocabulary) -> list[Finding]:
     groups: dict[str, list[Term]] = {}
     for term in vocab.terms:
         if not term.obsolete:
-            groups.setdefault(normalize_label(term.label), []).append(term)
+            groups.setdefault(term.key, []).append(term)
     findings: list[Finding] = []
     for label in sorted(groups):
         members = groups[label]
@@ -170,16 +154,11 @@ def check_label_collisions(vocab: Vocabulary) -> list[Finding]:
         if len(identities) < 2:
             continue
         ordered = sorted(members, key=lambda t: t.identity(vocab.prefix_map))
-        location = min((t.location for t in ordered if t.location is not None),
-                       key=lambda loc: (loc.file, loc.line), default=None)
-        findings.append(Finding(
-            rule_id="C-SEMANTIC-NOISE", severity=WARNING,
-            subject_label=ordered[0].label,
-            subject_iris=tuple(t.iri for t in ordered if t.iri is not None),
-            location=location,
-            message=f'label "{ordered[0].label}" denotes {len(identities)} distinct '
-                    f"terms ({', '.join(identities)}); a shared spelling hides "
-                    "different meanings"))
+        findings.append(Finding.about_terms(
+            ordered, "C-SEMANTIC-NOISE", WARNING, ordered[0].label,
+            f'label "{ordered[0].label}" denotes {len(identities)} distinct '
+            f"terms ({', '.join(identities)}); a shared spelling hides "
+            "different meanings"))
     return findings
 
 
@@ -191,15 +170,15 @@ def check_synonym_collisions(vocab: Vocabulary) -> list[Finding]:
     for term in vocab.terms:
         if term.obsolete:
             continue
-        label_map.setdefault(normalize_label(term.label), []).append(term)
+        label_map.setdefault(term.key, []).append(term)
         for syn in term.synonyms:
-            syn_map.setdefault(normalize_label(syn.text), []).append(term)
+            syn_map.setdefault(syn.key, []).append(term)
 
     collisions: dict[tuple[str, str, str], tuple[Term, Term]] = {}
     for term in vocab.terms:
         tid = term.identity(vocab.prefix_map)
         for syn in term.synonyms:
-            phrase = normalize_label(syn.text)
+            phrase = syn.key
             for other in label_map.get(phrase, []) + syn_map.get(phrase, []):
                 if other is term:
                     continue
@@ -212,14 +191,10 @@ def check_synonym_collisions(vocab: Vocabulary) -> list[Finding]:
     for key in sorted(collisions):
         a, b = collisions[key]
         phrase = key[2]
-        iris = tuple(t.iri for t in (a, b) if t.iri is not None)
-        location = min((t.location for t in (a, b) if t.location is not None),
-                       key=lambda loc: (loc.file, loc.line), default=None)
-        findings.append(Finding(
-            rule_id="C-SYNONYM-CLASH", severity=INFO,
-            subject_label=a.label, subject_iris=iris, location=location,
-            message=f'phrase "{phrase}" appears on both "{a.label}" and '
-                    f'"{b.label}"; shared synonyms blur term boundaries'))
+        findings.append(Finding.about_terms(
+            (a, b), "C-SYNONYM-CLASH", INFO, a.label,
+            f'phrase "{phrase}" appears on both "{a.label}" and '
+            f'"{b.label}"; shared synonyms blur term boundaries'))
     return findings
 
 
@@ -229,37 +204,27 @@ def check_deprecation(vocab: Vocabulary) -> list[Finding]:
     off live terms; live terms do not sit under obsolete parents."""
     findings: list[Finding] = []
     for term in vocab.terms:
-        iris = _term_iris(term)
         if term.obsolete:
-            tokens = normalize_label(term.label).split()
-            if not tokens or tokens[0] != "obsolete":
-                findings.append(Finding(
-                    rule_id="R08-LABEL", severity=WARNING,
-                    subject_label=term.label, subject_iris=iris,
-                    location=term.location,
-                    message='obsolete term label does not start with "obsolete"'))
+            if not term.tokens or term.tokens[0] != "obsolete":
+                findings.append(Finding.about(
+                    term, "R08-LABEL", WARNING,
+                    'obsolete term label does not start with "obsolete"'))
             if term.replaced_by is None:
-                findings.append(Finding(
-                    rule_id="R08-NO-REPLACEMENT", severity=INFO,
-                    subject_label=term.label, subject_iris=iris,
-                    location=term.location,
-                    message="obsolete term names no replacement"))
+                findings.append(Finding.about(
+                    term, "R08-NO-REPLACEMENT", INFO,
+                    "obsolete term names no replacement"))
         elif term.replaced_by is not None:
-            findings.append(Finding(
-                rule_id="R08-LIVE-REPLACED", severity=WARNING,
-                subject_label=term.label, subject_iris=iris,
-                location=term.location,
-                message="live term carries a replacement pointer; either obsolete "
-                        "the term or drop the pointer"))
+            findings.append(Finding.about(
+                term, "R08-LIVE-REPLACED", WARNING,
+                "live term carries a replacement pointer; either obsolete "
+                "the term or drop the pointer"))
         if term.replaced_by is not None:
             target = vocab.term_for(term.replaced_by)
             if target is None:
-                findings.append(Finding(
-                    rule_id="R08-DANGLING", severity=ERROR,
-                    subject_label=term.label, subject_iris=iris,
-                    location=term.location,
-                    message=f'replacement target "{term.replaced_by.value}" is not '
-                            "in the vocabulary"))
+                findings.append(Finding.about(
+                    term, "R08-DANGLING", ERROR,
+                    f'replacement target "{term.replaced_by.value}" is not '
+                    "in the vocabulary"))
             elif target.obsolete:
                 start = term.iri if (
                     term.iri is not None
@@ -269,21 +234,17 @@ def check_deprecation(vocab: Vocabulary) -> list[Finding]:
                     final = resolve_replacement(vocab, start)
                     final_term = vocab.term_for(final)
                     final_name = final_term.label if final_term is not None else final.value
-                    findings.append(Finding(
-                        rule_id="R08-CHAIN", severity=INFO,
-                        subject_label=term.label, subject_iris=iris,
-                        location=term.location,
-                        message=f'replacement target "{target.label}" is itself '
-                                f'obsolete; the chain resolves to "{final_name}" '
-                                f"({final.value}); point directly at the live term",
+                    findings.append(Finding.about(
+                        term, "R08-CHAIN", INFO,
+                        f'replacement target "{target.label}" is itself '
+                        f'obsolete; the chain resolves to "{final_name}" '
+                        f"({final.value}); point directly at the live term",
                         suggestion=final_term.label if final_term is not None else None))
                 except ReplacementCycleError:
-                    findings.append(Finding(
-                        rule_id="R08-CYCLE", severity=ERROR,
-                        subject_label=term.label, subject_iris=iris,
-                        location=term.location,
-                        message="replacement pointers form a cycle; no live "
-                                "replacement can be reached"))
+                    findings.append(Finding.about(
+                        term, "R08-CYCLE", ERROR,
+                        "replacement pointers form a cycle; no live "
+                        "replacement can be reached"))
                 except UnknownIriError:
                     # The broken link is reported as R08-DANGLING on the term
                     # that owns it.
@@ -292,10 +253,8 @@ def check_deprecation(vocab: Vocabulary) -> list[Finding]:
             for parent in term.parents:
                 parent_term = vocab.term_for(parent)
                 if parent_term is not None and parent_term.obsolete:
-                    findings.append(Finding(
-                        rule_id="R08-OBSOLETE-PARENT", severity=WARNING,
-                        subject_label=term.label, subject_iris=iris,
-                        location=term.location,
-                        message=f'live term lists the obsolete term "{parent_term.label}" '
-                                "as a parent"))
+                    findings.append(Finding.about(
+                        term, "R08-OBSOLETE-PARENT", WARNING,
+                        f'live term lists the obsolete term "{parent_term.label}" '
+                        "as a parent"))
     return findings

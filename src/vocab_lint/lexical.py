@@ -14,15 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
 from .catalog import INFO, WARNING
-from .model import (
-    Finding,
-    SourceLocation,
-    Term,
-    Vocabulary,
-    expand_iri,
-    normalize_label,
-    tokens_of,
-)
+from .model import Finding, Term, Vocabulary, expand_iri, normalize_label
 
 
 class LexiconError(Exception):
@@ -161,21 +153,17 @@ def apply_lexicon_overrides(lex: Lexicons, name: str, text: str) -> Lexicons:
     return replace(lex, **{name: updated})
 
 
-def _term_iris(term: Term) -> tuple:
-    return (term.iri,) if term.iri is not None else ()
-
-
-def _phrase_positions(tokens: list[str], phrase: str) -> list[int]:
+def _phrase_positions(tokens: tuple[str, ...], phrase: str) -> list[int]:
     """Start positions at which `phrase` (already normalized) occurs in
     `tokens` as a contiguous token subsequence."""
-    ptoks = phrase.split()
+    ptoks = tuple(phrase.split())
     if not ptoks or len(ptoks) > len(tokens):
         return []
     return [i for i in range(len(tokens) - len(ptoks) + 1)
             if tokens[i:i + len(ptoks)] == ptoks]
 
 
-def contains_phrase(tokens: list[str], phrase: str) -> bool:
+def contains_phrase(tokens: tuple[str, ...], phrase: str) -> bool:
     return bool(_phrase_positions(tokens, phrase))
 
 
@@ -200,21 +188,17 @@ def check_abbreviation(term: Term, lex: Lexicons) -> list[Finding]:
                  if _is_abbrev_token(tok) and tok.lower() not in lex.accepted_abbreviation_words]
     if offenders:
         listed = ", ".join(f'"{t}"' for t in offenders)
-        findings.append(Finding(
-            rule_id="R05-ABBREV", severity=WARNING,
-            subject_label=term.label, subject_iris=_term_iris(term),
-            location=term.location,
-            message=f"label contains unexpanded abbreviation {listed}; "
-                    "use the fully expanded phrase as the label",
+        findings.append(Finding.about(
+            term, "R05-ABBREV", WARNING,
+            f"label contains unexpanded abbreviation {listed}; "
+            "use the fully expanded phrase as the label",
             suggestion="expand the abbreviation and keep the short form as an "
                        "abbreviation synonym"))
     m = _EXPANSION_STYLE.match(term.label)
     if m and any(ch.isalpha() for ch in m.group("abbr")):
-        findings.append(Finding(
-            rule_id="R05-EXPANSION-STYLE", severity=INFO,
-            subject_label=term.label, subject_iris=_term_iris(term),
-            location=term.location,
-            message=f'label embeds the abbreviation "{m.group("abbr")}" in parentheses',
+        findings.append(Finding.about(
+            term, "R05-EXPANSION-STYLE", INFO,
+            f'label embeds the abbreviation "{m.group("abbr")}" in parentheses',
             suggestion=f'keep the label "{m.group("words").strip()}" and record '
                        f'"{m.group("abbr")}" as a synonym with is_abbreviation=true'))
     return findings
@@ -222,16 +206,14 @@ def check_abbreviation(term: Term, lex: Lexicons) -> list[Finding]:
 
 def check_negative_phrasing(term: Term, lex: Lexicons) -> list[Finding]:
     """R02: negative determiners (warning) and non- prefixes (info) in labels."""
-    tokens = tokens_of(term.label)
+    tokens = term.tokens
     determiners = sorted(set(tok for tok in tokens if tok in lex.negative_determiners))
     if determiners:
         listed = ", ".join(f'"{t}"' for t in determiners)
-        return [Finding(
-            rule_id="R02-NEGATIVE", severity=WARNING,
-            subject_label=term.label, subject_iris=_term_iris(term),
-            location=term.location,
-            message=f"label is phrased negatively (negative determiner {listed}); "
-                    "state what the term is, not what it is not")]
+        return [Finding.about(
+            term, "R02-NEGATIVE", WARNING,
+            f"label is phrased negatively (negative determiner {listed}); "
+            "state what the term is, not what it is not")]
     covered: set[int] = set()
     for phrase in lex.negative_prefix_allowlist:
         width = len(phrase.split())
@@ -242,22 +224,19 @@ def check_negative_phrasing(term: Term, lex: Lexicons) -> list[Finding]:
         if tok.startswith("non") and i not in covered))
     if offenders:
         listed = ", ".join(f'"{t}"' for t in offenders)
-        return [Finding(
-            rule_id="R02-NEGATIVE", severity=INFO,
-            subject_label=term.label, subject_iris=_term_iris(term),
-            location=term.location,
-            message=f"label uses a negative prefix ({listed}); prefer a positive "
-                    "phrasing unless the word is standard technical vocabulary")]
+        return [Finding.about(
+            term, "R02-NEGATIVE", INFO,
+            f"label uses a negative prefix ({listed}); prefer a positive "
+            "phrasing unless the word is standard technical vocabulary")]
     return []
 
 
 def check_conjunction(term: Term, lex: Lexicons) -> list[Finding]:
     """R02: 'and'/'or' in labels, with a proper-noun escape hatch."""
-    tokens = tokens_of(term.label)
-    conjunctions = [tok for tok in tokens if tok in ("and", "or")]
+    conjunctions = [tok for tok in term.tokens if tok in ("and", "or")]
     if not conjunctions:
         return []
-    if normalize_label(term.label) in lex.proper_noun_allowlist:
+    if term.key in lex.proper_noun_allowlist:
         return []
     raw_words = term.label.split()
     conj_positions = [i for i, w in enumerate(raw_words) if normalize_label(w) in ("and", "or")]
@@ -276,53 +255,42 @@ def check_conjunction(term: Term, lex: Lexicons) -> list[Finding]:
     else:
         message = ('label joins concepts with "and"; split the concepts into '
                    "separate terms or fields")
-    return [Finding(
-        rule_id="R02-CONJUNCTION", severity=WARNING,
-        subject_label=term.label, subject_iris=_term_iris(term),
-        location=term.location, message=message)]
+    return [Finding.about(term, "R02-CONJUNCTION", WARNING, message)]
 
 
 def check_plural(term: Term, lex: Lexicons) -> list[Finding]:
     """R02: plural head nouns (suffix heuristic with a plural-by-nature list)."""
-    tokens = tokens_of(term.label)
-    if not tokens:
+    if not term.tokens:
         return []
-    final = tokens[-1]
+    final = term.tokens[-1]
     if not final.endswith("s") or final.endswith(("ss", "us", "is")):
         return []
     if final in lex.plural_by_nature:
         return []
-    return [Finding(
-        rule_id="R02-PLURAL", severity=INFO,
-        subject_label=term.label, subject_iris=_term_iris(term),
-        location=term.location,
-        message=f'label ends in the plural "{final}"; use the singular unless '
-                "the noun is plural by nature")]
+    return [Finding.about(
+        term, "R02-PLURAL", INFO,
+        f'label ends in the plural "{final}"; use the singular unless '
+        "the noun is plural by nature")]
 
 
 def check_colloquial(term: Term, lex: Lexicons) -> list[Finding]:
     """R03: colloquial phrases with standardized equivalents. A hit on the
     label is a warning; a hit on a synonym alone is info."""
-    norm = normalize_label(term.label)
-    preferred = lex.colloquial_map.get(norm)
+    preferred = lex.colloquial_map.get(term.key)
     if preferred is not None:
-        return [Finding(
-            rule_id="R03-COLLOQUIAL", severity=WARNING,
-            subject_label=term.label, subject_iris=_term_iris(term),
-            location=term.location,
-            message=f'label "{term.label}" is colloquial; prefer the standardized '
-                    f'phrase "{preferred}"',
+        return [Finding.about(
+            term, "R03-COLLOQUIAL", WARNING,
+            f'label "{term.label}" is colloquial; prefer the standardized '
+            f'phrase "{preferred}"',
             suggestion=preferred)]
     findings: list[Finding] = []
-    for phrase in sorted({normalize_label(s.text) for s in term.synonyms}):
+    for phrase in sorted({s.key for s in term.synonyms}):
         preferred = lex.colloquial_map.get(phrase)
         if preferred is not None:
-            findings.append(Finding(
-                rule_id="R03-COLLOQUIAL", severity=INFO,
-                subject_label=term.label, subject_iris=_term_iris(term),
-                location=term.location,
-                message=f'synonym "{phrase}" is colloquial; if it must stay, keep '
-                        f'it as a synonym of "{preferred}"',
+            findings.append(Finding.about(
+                term, "R03-COLLOQUIAL", INFO,
+                f'synonym "{phrase}" is colloquial; if it must stay, keep '
+                f'it as a synonym of "{preferred}"',
                 suggestion=preferred))
     return findings
 
@@ -330,27 +298,24 @@ def check_colloquial(term: Term, lex: Lexicons) -> list[Finding]:
 def check_timeline(term: Term, lex: Lexicons) -> list[Finding]:
     """Timeline pathology: relative-time phrases whose meaning moves as data
     accumulates."""
-    tokens = tokens_of(term.label)
     matches = sorted((phrase for phrase in lex.timeline_phrases
-                      if contains_phrase(tokens, phrase)),
+                      if contains_phrase(term.tokens, phrase)),
                      key=lambda p: (-len(p.split()), p))
     if not matches:
         return []
-    return [Finding(
-        rule_id="C-TIMELINE", severity=WARNING,
-        subject_label=term.label, subject_iris=_term_iris(term),
-        location=term.location,
-        message=f'label is anchored to a moving point in time ("{matches[0]}"); '
-                "record an absolute date or interval instead")]
+    return [Finding.about(
+        term, "C-TIMELINE", WARNING,
+        f'label is anchored to a moving point in time ("{matches[0]}"); '
+        "record an absolute date or interval instead")]
 
 
-def _has_timeline_phrase(tokens: list[str], lex: Lexicons) -> bool:
+def _has_timeline_phrase(tokens: tuple[str, ...], lex: Lexicons) -> bool:
     return any(contains_phrase(tokens, phrase) for phrase in lex.timeline_phrases)
 
 
 def check_concept_bomb(term: Term, cfg: ComplexityConfig, lex: Lexicons) -> list[Finding]:
     """Concept-bomb pathology: one label packing several assertions."""
-    tokens = tokens_of(term.label)
+    tokens = term.tokens
     too_long = len(tokens) >= cfg.concept_bomb_token_threshold
     compound_temporal = (any(tok.isdigit() for tok in tokens)
                          and _has_timeline_phrase(tokens, lex))
@@ -361,23 +326,14 @@ def check_concept_bomb(term: Term, cfg: ComplexityConfig, lex: Lexicons) -> list
                   f"{cfg.concept_bomb_token_threshold}")
     else:
         reason = "combines a relative-time phrase with a numeric quantity"
-    return [Finding(
-        rule_id="C-CONCEPT-BOMB", severity=WARNING,
-        subject_label=term.label, subject_iris=_term_iris(term),
-        location=term.location,
-        message=f"label packs multiple assertions into one value ({reason}); "
-                "recommend separation into individual fields")]
-
-
-def _min_location(terms: list[Term]) -> SourceLocation | None:
-    locations = [t.location for t in terms if t.location is not None]
-    if not locations:
-        return None
-    return min(locations, key=lambda loc: (loc.file, loc.line))
+    return [Finding.about(
+        term, "C-CONCEPT-BOMB", WARNING,
+        f"label packs multiple assertions into one value ({reason}); "
+        "recommend separation into individual fields")]
 
 
 def _sorted_members(terms: list[Term], prefix_map: dict[str, str]) -> list[Term]:
-    return sorted(terms, key=lambda t: (normalize_label(t.label), t.identity(prefix_map)))
+    return sorted(terms, key=lambda t: (t.key, t.identity(prefix_map)))
 
 
 def detect_word_bombs(vocab: Vocabulary, cfg: ComplexityConfig) -> list[Finding]:
@@ -389,15 +345,14 @@ def detect_word_bombs(vocab: Vocabulary, cfg: ComplexityConfig) -> list[Finding]
     for term in vocab.terms:
         if term.obsolete:
             continue
-        tokens = tokens_of(term.label)
-        if tokens:
-            groups.setdefault(tokens[-1], []).append(term)
+        if term.tokens:
+            groups.setdefault(term.tokens[-1], []).append(term)
     findings: list[Finding] = []
     for head in sorted(groups):
         members = groups[head]
         if len(members) < cfg.word_bomb_min_group:
             continue
-        token_lists = [tuple(tokens_of(t.label)) for t in members]
+        token_lists = [t.tokens for t in members]
         qualifies = any("and" in toks or "or" in toks for toks in token_lists)
         if not qualifies:
             for base in set(token_lists):
@@ -411,13 +366,10 @@ def detect_word_bombs(vocab: Vocabulary, cfg: ComplexityConfig) -> list[Finding]
             continue
         ordered = _sorted_members(members, vocab.prefix_map)
         labels = "; ".join(t.label for t in ordered)
-        iris = tuple(t.iri for t in ordered if t.iri is not None)
-        findings.append(Finding(
-            rule_id="C-WORD-BOMB", severity=INFO,
-            subject_label=head, subject_iris=iris,
-            location=_min_location(ordered),
-            message=f'{len(ordered)} labels share the head noun "{head}" ({labels}); '
-                    "combinatorial picklist; model the modifiers as separate fields"))
+        findings.append(Finding.about_terms(
+            ordered, "C-WORD-BOMB", INFO, head,
+            f'{len(ordered)} labels share the head noun "{head}" ({labels}); '
+            "combinatorial picklist; model the modifiers as separate fields"))
     return findings
 
 
@@ -427,10 +379,10 @@ def check_redundant_narrowing(vocab: Vocabulary) -> list[Finding]:
     live = [t for t in vocab.terms if not t.obsolete]
     by_norm: dict[str, list[Term]] = {}
     for term in live:
-        by_norm.setdefault(normalize_label(term.label), []).append(term)
+        by_norm.setdefault(term.key, []).append(term)
     results: list[tuple[tuple, Finding]] = []
     for a in live:
-        tokens = tokens_of(a.label)
+        tokens = a.tokens
         if len(tokens) < 2:
             continue
         parent_ids = {expand_iri(p, vocab.prefix_map) for p in a.parents}
@@ -438,7 +390,7 @@ def check_redundant_narrowing(vocab: Vocabulary) -> list[Finding]:
         for p in a.parents:
             parent = vocab.term_for(p)
             if parent is not None:
-                parent_labels.add(normalize_label(parent.label))
+                parent_labels.add(parent.key)
         for cut in range(1, len(tokens)):
             suffix = " ".join(tokens[cut:])
             for b in by_norm.get(suffix, ()):
@@ -448,16 +400,14 @@ def check_redundant_narrowing(vocab: Vocabulary) -> list[Finding]:
                     continue
                 if b.iri is not None and expand_iri(b.iri, vocab.prefix_map) in parent_ids:
                     continue
-                finding = Finding(
-                    rule_id="R04-NARROW", severity=INFO,
-                    subject_label=a.label, subject_iris=_term_iris(a),
-                    location=a.location,
-                    message=f'label narrows "{b.label}" with leading modifiers but '
-                            "declares no relation to it; reuse the broader term or "
-                            "record the modifier in its own field",
+                finding = Finding.about(
+                    a, "R04-NARROW", INFO,
+                    f'label narrows "{b.label}" with leading modifiers but '
+                    "declares no relation to it; reuse the broader term or "
+                    "record the modifier in its own field",
                     suggestion=b.label)
-                results.append(((normalize_label(a.label), a.identity(vocab.prefix_map),
-                                 normalize_label(b.label), b.identity(vocab.prefix_map)),
+                results.append(((a.key, a.identity(vocab.prefix_map),
+                                 b.key, b.identity(vocab.prefix_map)),
                                 finding))
     return [f for _, f in sorted(results, key=lambda pair: pair[0])]
 

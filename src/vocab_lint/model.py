@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .catalog import KNOWN_RULE_IDS, SEVERITIES
 
@@ -56,6 +57,11 @@ class Synonym:
         if self.scope not in SYNONYM_SCOPES:
             raise ValueError(f"unknown synonym scope: {self.scope!r}")
 
+    @cached_property
+    def key(self) -> str:
+        """The normalized text, computed once per synonym."""
+        return normalize_label(self.text)
+
 
 @dataclass(frozen=True)
 class Definition:
@@ -65,6 +71,11 @@ class Definition:
     def __post_init__(self) -> None:
         if not self.text:
             raise ValueError("definition text must be non-empty")
+
+    @cached_property
+    def tokens(self) -> tuple[str, ...]:
+        """The normalized text's tokens, computed once per definition."""
+        return tuple(normalize_label(self.text).split())
 
 
 @dataclass(frozen=True)
@@ -79,7 +90,11 @@ class SourceLocation:
 
 @dataclass(frozen=True)
 class Term:
-    """One vocabulary entry, stored exactly as the input file stated it."""
+    """One vocabulary entry, stored exactly as the input file stated it.
+
+    `key` and `tokens` are the comparison forms every check uses. They are
+    cached on the instance, outside the dataclass fields, so equality,
+    `replace` and `asdict` never see them."""
 
     label: str
     iri: Iri | None = None
@@ -95,6 +110,16 @@ class Term:
         if not self.label:
             raise ValueError("term label must be non-empty")
 
+    @cached_property
+    def key(self) -> str:
+        """The normalized label, computed once per term."""
+        return normalize_label(self.label)
+
+    @cached_property
+    def tokens(self) -> tuple[str, ...]:
+        """The normalized label's tokens."""
+        return tuple(self.key.split())
+
     def identity(self, prefix_map: dict[str, str] | None = None) -> str:
         """Stable identity string: the expanded IRI, or a location-derived
         placeholder for IRI-less terms."""
@@ -102,7 +127,7 @@ class Term:
             return expand_iri(self.iri, prefix_map or {})
         if self.location is not None:
             return f"no-iri:{self.location.file}:{self.location.line}"
-        return f"no-iri::{normalize_label(self.label)}"
+        return f"no-iri::{self.key}"
 
 
 @dataclass(frozen=True)
@@ -122,6 +147,27 @@ class Finding:
             raise ValueError(f"unknown severity: {self.severity!r}")
         if not self.message:
             raise ValueError("finding message must be non-empty")
+
+    @classmethod
+    def about(cls, term: Term, rule_id: str, severity: str, message: str,
+              suggestion: str | None = None) -> Finding:
+        """A finding whose subject is one term: its label, its IRI if it has
+        one, and its location."""
+        return cls.about_terms((term,), rule_id, severity, term.label, message, suggestion)
+
+    @classmethod
+    def about_terms(cls, terms: tuple[Term, ...] | list[Term], rule_id: str, severity: str,
+                    subject_label: str, message: str,
+                    suggestion: str | None = None) -> Finding:
+        """A finding about a group of terms: the IRIs of those that have one,
+        in the given order, and the earliest location by (file, line)."""
+        locations = [t.location for t in terms if t.location is not None]
+        return cls(rule_id=rule_id, severity=severity, subject_label=subject_label,
+                   message=message,
+                   subject_iris=tuple(t.iri for t in terms if t.iri is not None),
+                   location=min(locations, key=lambda loc: (loc.file, loc.line),
+                                default=None),
+                   suggestion=suggestion)
 
 
 def normalize_label(raw: str) -> str:
@@ -158,12 +204,11 @@ def expand_iri(iri: Iri | str, prefix_map: dict[str, str]) -> str:
 @dataclass
 class Vocabulary:
     """An ordered, indexed collection of terms. Treated as immutable after
-    construction; indexes are keyed by expanded IRI / normalized label."""
+    construction; the index is keyed by expanded IRI."""
 
     terms: tuple[Term, ...] = ()
     prefix_map: dict[str, str] = field(default_factory=dict)
     by_iri: dict[str, Term] = field(default_factory=dict)
-    by_label: dict[str, list[Term]] = field(default_factory=dict)
 
     def term_for(self, iri: Iri | str) -> Term | None:
         return self.by_iri.get(expand_iri(iri, self.prefix_map))
@@ -176,13 +221,11 @@ def build_vocabulary(terms: list[Term] | tuple[Term, ...],
     report them."""
     pm = dict(prefix_map or {})
     by_iri: dict[str, Term] = {}
-    by_label: dict[str, list[Term]] = {}
     for term in terms:
         if term.iri is not None:
             key = expand_iri(term.iri, pm)
             by_iri.setdefault(key, term)
-        by_label.setdefault(normalize_label(term.label), []).append(term)
-    return Vocabulary(terms=tuple(terms), prefix_map=pm, by_iri=by_iri, by_label=by_label)
+    return Vocabulary(terms=tuple(terms), prefix_map=pm, by_iri=by_iri)
 
 
 def merge_vocabularies(vocabs: list[Vocabulary],

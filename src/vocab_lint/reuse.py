@@ -62,11 +62,10 @@ def build_index(references: list[Vocabulary]) -> ReuseIndex:
             if identity not in index.entries:
                 index.entries[identity] = (term, {})
             phrases = index.entries[identity][1]
-            label = normalize_label(term.label)
-            if label:
-                phrases.setdefault(label, "label")
+            if term.key:
+                phrases.setdefault(term.key, "label")
             for syn in term.synonyms:
-                phrase = normalize_label(syn.text)
+                phrase = syn.key
                 if not phrase or phrases.get(phrase) == "label":
                     continue
                 kind = "exact_synonym" if syn.scope == "exact" else "other_synonym"
@@ -123,7 +122,7 @@ def suggest_terms(index: ReuseIndex, query: str, k: int = 5) -> list[Suggestion]
     if k < 1:
         return []
     query_tokens = frozenset(normalized.split())
-    scored: list[tuple[float, int, int, str, Term]] = []
+    scored: list[tuple[float, int, str, str, Term]] = []
     for identity, (term, phrases) in index.entries.items():
         best: tuple[float, str] | None = None
         for phrase, phrase_kind in phrases.items():
@@ -136,15 +135,7 @@ def suggest_terms(index: ReuseIndex, query: str, k: int = 5) -> list[Suggestion]
                 best = candidate
         if best is not None:
             scored.append((best[0], index.source_count.get(identity, 1),
-                           _KIND_RANK[best[1]], identity, term))
+                           best[1], identity, term))
     scored.sort(key=lambda row: (-row[0], -row[1], row[3]))
-    return [Suggestion(term=term, score=score, match_kind=_kind_name(kind_rank),
-                       reuse_count=count)
-            for score, count, kind_rank, _, term in scored[:k]]
-
-
-def _kind_name(rank: int) -> str:
-    for name, value in _KIND_RANK.items():
-        if value == rank:
-            return name
-    raise ValueError(f"unknown kind rank {rank}")
+    return [Suggestion(term=term, score=score, match_kind=kind, reuse_count=count)
+            for score, count, kind, _, term in scored[:k]]

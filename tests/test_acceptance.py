@@ -14,7 +14,7 @@ from vocab_lint.definitions import (
     detect_circular_definitions,
 )
 from vocab_lint.engine import RuleConfig, load_config, parse_input, render_report, run_lint
-from vocab_lint.health import OntologyMetadata, SnapshotProvider, assess_health
+from vocab_lint.health import OntologyMetadata, assess_health, read_snapshot
 from vocab_lint.identity import check_deprecation, default_prefix_map
 from vocab_lint.ingest import parse_obo, serialize_obo
 from vocab_lint.model import (
@@ -223,8 +223,8 @@ def test_criterion_4_suggester_matches_oracle(reference_dir):
         vocabs = []
         for name in ("clinical.obo", "surveillance.tsv"):
             vocab, _ = parse_input(str(reference_dir / name), None)
-            vocab.prefix_map.update(prefixes.entries)
-            vocabs.append(vocab)
+            vocabs.append(build_vocabulary(vocab.terms,
+                                           {**vocab.prefix_map, **prefixes.entries}))
         fixture_index = build_index(vocabs)
         top = suggest_terms(fixture_index, "wet cough", k=3)
         assert top[0].term.label == "productive cough"
@@ -375,8 +375,7 @@ def test_criterion_6_obo_round_trip():
 def test_criterion_7_health_scoring(health_snapshot):
     with criterion(7, "health scoring reproduces 0.99, 0.0/stale, and the "
                       "0.75/0.40 verdict boundaries"):
-        provider = SnapshotProvider(str(health_snapshot))
-        records = {record.name: record for record in provider.fetch()}
+        records = {record.name: record for record in read_snapshot(str(health_snapshot))[0]}
 
         maximal = assess_health(records["well-tended-ontology"])
         assert maximal.composite == pytest.approx(0.99, abs=1e-9)

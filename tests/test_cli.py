@@ -47,6 +47,12 @@ name: cough
 def: "A sudden expulsion of air is a reflex that clears the airways." [PMID:9]
 """
 
+TSV_REFERENCE = """\
+label\tiri\tsynonyms
+cough\tHP:0012735\t
+productive cough\tHP:0031352\twet cough
+"""
+
 SNAPSHOT = """\
 name: well-tended
 as_of: 2026-08-01
@@ -215,6 +221,28 @@ class TestSuggest:
                        json.dumps({"reference_paths": ["ref.obo"]}))
         result = runner.invoke(main, ["suggest", "cough", "--config", config])
         assert result.exit_code == 0 and "1. cough" in result.output
+
+    def test_references_are_indexed_on_the_configured_prefixes(
+            self, runner, tmp_path, monkeypatch):
+        # The TSV declares no prefixes; its HP: CURIEs expand only through the
+        # built-in prefix map, which must be in place when the IRI index is
+        # built, or term_for and by_iri disagree.
+        ref = write(tmp_path, "ref.tsv", TSV_REFERENCE)
+        seen = []
+        real_build_index = vocab_lint.cli.build_index
+
+        def capture(vocabs):
+            seen.extend(vocabs)
+            return real_build_index(vocabs)
+
+        monkeypatch.setattr(vocab_lint.cli, "build_index", capture)
+        result = runner.invoke(main, ["suggest", "wet cough", "--references", ref])
+        assert result.exit_code == 0
+        assert "productive cough" in result.output
+        vocab, = seen
+        assert len(vocab.terms) == 2
+        for t in vocab.terms:
+            assert vocab.term_for(t.iri) is t
 
     def test_no_references_is_fatal(self, runner):
         result = runner.invoke(main, ["suggest", "cough"])

@@ -1,8 +1,10 @@
 import json
+import sys
 from itertools import permutations
 
 import pytest
 
+from vocab_lint import model
 from vocab_lint.engine import (
     ConfigError,
     LintFatalError,
@@ -349,6 +351,29 @@ class TestRunLint:
         first = run_lint(ex_config, [(a, None), (b, None)])
         second = run_lint(ex_config, [(b, None), (a, None)])
         assert render_report(first, "json") == render_report(second, "json")
+
+
+def test_labels_are_normalized_a_few_times_per_term(corpus_dir, monkeypatch):
+    # Checks compare terms on their cached key and tokens; a check that
+    # normalizes labels again multiplies this count. The lexicon build and the
+    # suppression matching are counted too.
+    original = model.normalize_label
+    calls = 0
+
+    def counted(raw):
+        nonlocal calls
+        calls += 1
+        return original(raw)
+
+    for name, module in list(sys.modules.items()):
+        if ((name == "vocab_lint" or name.startswith("vocab_lint."))
+                and getattr(module, "normalize_label", None) is original):
+            monkeypatch.setattr(module, "normalize_label", counted)
+    report = run_lint(load_config(str(corpus_dir / "config.json")),
+                      [(str(corpus_dir / "terms.obo"), None),
+                       (str(corpus_dir / "picklist.tsv"), None)])
+    terms = sum(summary.term_count for summary in report.inputs)
+    assert report.findings and calls <= 5 * terms
 
 
 class TestReportOrder:

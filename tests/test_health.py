@@ -9,10 +9,10 @@ from vocab_lint.health import (
     SUBSCORE_NAMES,
     MetadataError,
     OntologyMetadata,
-    SnapshotProvider,
     assess_health,
     load_metadata,
     months_before,
+    read_snapshot,
     validate_weights,
 )
 
@@ -248,7 +248,6 @@ class TestLoadMetadata:
     def test_snapshot_provider(self, tmp_path):
         path = tmp_path / "snap.txt"
         path.write_text(SNAPSHOT + "\nname: broken\n", encoding="utf-8")
-        provider = SnapshotProvider(str(path))
-        records = provider.fetch()
+        records, notes = read_snapshot(str(path))
         assert [r.name for r in records] == ["well-tended", "dusty"]
-        assert any("missing name or as_of" in n for n in provider.notes)
+        assert any("missing name or as_of" in n for n in notes)

@@ -1,3 +1,4 @@
+import dataclasses
 import unicodedata
 
 import pytest
@@ -61,6 +62,51 @@ class TestNormalizeLabel:
 
     def test_tokens_of(self):
         assert tokens_of("Wet (productive) cough") == ["wet", "productive", "cough"]
+
+
+class TestComparisonForms:
+    # The cached forms the checks compare on must be exactly what
+    # normalize_label and tokens_of give for the same text.
+    @given(st.text(min_size=1, max_size=60))
+    def test_cached_forms_match_normalize_label(self, raw):
+        term = Term(label=raw)
+        assert term.key == normalize_label(raw)
+        assert term.tokens == tuple(tokens_of(raw))
+        assert Synonym(raw).key == normalize_label(raw)
+        assert Definition(raw).tokens == tuple(tokens_of(raw))
+
+    def test_cache_stays_out_of_equality_and_replace(self):
+        term = Term(label="Wet Cough", iri=Iri("HP:0031352"))
+        assert term.key == "wet cough"
+        fresh = Term(label="Wet Cough", iri=Iri("HP:0031352"))
+        assert term == fresh
+        assert dataclasses.asdict(term) == dataclasses.asdict(fresh)
+        renamed = dataclasses.replace(term, label="Dry-Cough")
+        assert renamed.key == "dry cough"
+        assert renamed.tokens == ("dry", "cough")
+
+
+class TestFindingSubjects:
+    def test_about_cites_label_iri_and_location(self):
+        loc = SourceLocation("a.tsv", 3)
+        f = Finding.about(Term(label="cough", iri=Iri("HP:1"), location=loc),
+                          "R02-PLURAL", "info", "m", suggestion="s")
+        assert (f.subject_label, f.subject_iris, f.location, f.suggestion) == (
+            "cough", (Iri("HP:1"),), loc, "s")
+        bare = Finding.about(Term(label="cough"), "R02-PLURAL", "info", "m")
+        assert (bare.subject_iris, bare.location) == ((), None)
+
+    def test_about_terms_keeps_order_and_takes_earliest_location(self):
+        terms = [Term(label="b", iri=Iri("EX:2"), location=SourceLocation("b.tsv", 1)),
+                 Term(label="x"),
+                 Term(label="a", iri=Iri("EX:1"), location=SourceLocation("a.tsv", 9)),
+                 Term(label="c", location=SourceLocation("a.tsv", 4))]
+        f = Finding.about_terms(terms, "C-SEMANTIC-NOISE", "warning", "group", "m")
+        assert f.subject_label == "group"
+        assert f.subject_iris == (Iri("EX:2"), Iri("EX:1"))
+        assert f.location == SourceLocation("a.tsv", 4)
+        assert Finding.about_terms([Term(label="x")], "C-SEMANTIC-NOISE", "warning",
+                                   "x", "m").location is None
 
 
 class TestIri:
@@ -134,10 +180,6 @@ class TestVocabulary:
         vocab = build_vocabulary([a, b], PM)
         assert vocab.term_for(Iri("EX:1")) is a
         assert len(vocab.terms) == 2  # both stay for uniqueness checks
-
-    def test_by_label_groups(self):
-        vocab = build_vocabulary([_t("Plasma", "EX:1"), _t("plasma", "EX:2")], PM)
-        assert len(vocab.by_label["plasma"]) == 2
 
     def test_term_for_expands(self):
         vocab = build_vocabulary([_t("cough", "HP:0012735")], PM)
