@@ -9,7 +9,7 @@ import re
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import islice
-from typing import Collection, Iterator
+from typing import Collection, Iterator, Sequence
 
 from .catalog import INFO, WARNING
 from .lexical import contains_phrase
@@ -43,10 +43,10 @@ def first_sentence(text: str) -> str:
     return text[:m.start()] if m else text
 
 
-def parse_genus_differentia(text: str) -> GenusDifferentia | None:
-    """Match the first sentence against: optional article, subject phrase,
-    "is a"/"is an", genus phrase, "that"/"which", non-empty differentia."""
-    tokens = tokens_of(first_sentence(text))
+def parse_genus_differentia(tokens: Sequence[str]) -> GenusDifferentia | None:
+    """Match the tokens of a first sentence against: optional article, subject
+    phrase, "is a"/"is an", genus phrase, "that"/"which", non-empty
+    differentia."""
     copula = None
     for i in range(len(tokens) - 1):
         if tokens[i] == "is" and tokens[i + 1] in ("a", "an"):
@@ -88,8 +88,14 @@ def check_genus_differentia(term: Term, vocab: Vocabulary) -> list[Finding]:
     and, when parents are declared, the genus should mention a parent label.
     The genus test runs only when at least one parent resolves in the
     vocabulary (foreign parents carry no label to compare against)."""
-    assert term.definition is not None, "caller must ensure a definition exists"
-    parsed = parse_genus_differentia(term.definition.text)
+    definition = term.definition
+    if definition is None:
+        return []
+    # The sentence end is a "." and so a token break: the first sentence's
+    # tokens are the cached ones less those of the text after that period.
+    rest = definition.text[len(first_sentence(definition.text)) + 1:]
+    cut = len(definition.tokens) - (len(tokens_of(rest)) if rest.strip() else 0)
+    parsed = parse_genus_differentia(definition.tokens[:cut])
     if parsed is None:
         return [Finding.about(
             term, "R07-FORM", INFO,

@@ -1,6 +1,6 @@
-"""Run orchestration: configuration loading, parsing inputs, running every
-check over the merged vocabulary, filtering and sorting findings, and
-rendering deterministic text or JSON reports.
+"""Run orchestration: configuration loading, parsing inputs, running the
+selected checks over the merged vocabulary, filtering and sorting findings,
+and rendering deterministic text or JSON reports.
 """
 
 from __future__ import annotations
@@ -12,42 +12,16 @@ from fnmatch import fnmatchcase
 from pathlib import Path
 from typing import Sequence
 
-from . import __version__
+from . import __version__, definitions, identity, lexical
 from .catalog import INFO, RULES, SEVERITIES, SEVERITY_RANK
-from .definitions import (
-    check_definition_present,
-    check_definition_uniqueness,
-    check_genus_differentia,
-    detect_circular_definitions,
-)
-from .identity import (
-    PrefixMap,
-    PrefixMapError,
-    check_deprecation,
-    check_iri,
-    check_iri_uniqueness,
-    check_label_collisions,
-    check_synonym_collisions,
-    default_prefix_map,
-    load_prefix_map,
-)
+from .identity import PrefixMap, PrefixMapError, default_prefix_map, load_prefix_map
 from .ingest import FatalParseError, ParseDiagnostic, parse_obo, parse_term_table
 from .lexical import (
     ComplexityConfig,
     LexiconError,
     Lexicons,
     apply_lexicon_overrides,
-    check_abbreviation,
-    check_colloquial,
-    check_concept_bomb,
-    check_conjunction,
-    check_negative_phrasing,
-    check_plural,
-    check_tag_style,
-    check_timeline,
-    check_redundant_narrowing,
     default_lexicons,
-    detect_word_bombs,
 )
 from .model import (
     Finding,
@@ -256,62 +230,71 @@ class Report:
     tool_version: str = __version__
 
 
-def _term_scope_findings(unit: Vocabulary, lex: Lexicons, prefixes: PrefixMap,
-                         config: RuleConfig) -> list[Finding]:
-    out: list[Finding] = []
-    for term in unit.terms:
-        lexical: list[Finding] = []
-        lexical += check_abbreviation(term, lex)
-        lexical += check_negative_phrasing(term, lex)
-        lexical += check_conjunction(term, lex)
-        lexical += check_plural(term, lex)
-        lexical += check_colloquial(term, lex)
-        lexical += check_timeline(term, lex)
-        lexical += check_concept_bomb(term, config.complexity, lex)
-        if not term.obsolete:
-            tag_values = [term.annotations[key] for key in sorted(term.annotations)
-                          if key != "comment"]
-            for finding in check_tag_style(tag_values, lex):
-                lexical.append(Finding.about_terms(
-                    (term,), finding.rule_id, finding.severity,
-                    finding.subject_label, finding.message, finding.suggestion))
-        if term.obsolete:
-            # Phrasing complaints about terms already out of service are
-            # informational at most.
-            lexical = [f if f.severity == INFO else dataclasses.replace(f, severity=INFO)
-                       for f in lexical]
-        out.extend(lexical)
-        out.extend(check_iri(term, prefixes))
-        out.extend(check_definition_present(term))
-        if term.definition is not None:
-            out.extend(check_genus_differentia(term, unit))
-    return out
+# A phrasing check judges a term's label and drops to info on obsolete terms;
+# a term check runs once per term; a vocabulary check once per linted unit.
+PHRASING, TERM, VOCABULARY = "phrasing", "term", "vocabulary"
 
 
-def _vocab_scope_findings(unit: Vocabulary, config: RuleConfig) -> list[Finding]:
-    out: list[Finding] = []
-    out.extend(detect_word_bombs(unit, config.complexity))
-    out.extend(check_redundant_narrowing(unit))
-    out.extend(check_definition_uniqueness(unit))
-    out.extend(detect_circular_definitions(unit))
-    out.extend(check_iri_uniqueness(unit))
-    out.extend(check_label_collisions(unit))
-    out.extend(check_synonym_collisions(unit))
-    out.extend(check_deprecation(unit))
-    return out
+@dataclass(frozen=True)
+class CheckContext:
+    """What a check may read besides its subject."""
+
+    unit: Vocabulary
+    lex: Lexicons
+    prefixes: PrefixMap
+    complexity: ComplexityConfig
 
 
-def _suppressed(finding: Finding, suppressions: tuple[tuple[str, str], ...],
+# Every check: the catalog rule ids it can emit, its scope, and a call on
+# (term or unit, context). The call looks the check up on its module each
+# time, so a function rebound there (as a profiler does) is the one that runs.
+CHECKS = (
+    (("R05-ABBREV", "R05-EXPANSION-STYLE"), PHRASING,
+     lambda term, ctx: lexical.check_abbreviation(term, ctx.lex)),
+    (("R02-NEGATIVE",), PHRASING,
+     lambda term, ctx: lexical.check_negative_phrasing(term, ctx.lex)),
+    (("R02-CONJUNCTION",), PHRASING, lambda term, ctx: lexical.check_conjunction(term, ctx.lex)),
+    (("R02-PLURAL",), PHRASING, lambda term, ctx: lexical.check_plural(term, ctx.lex)),
+    (("R03-COLLOQUIAL",), PHRASING, lambda term, ctx: lexical.check_colloquial(term, ctx.lex)),
+    (("C-TIMELINE",), PHRASING, lambda term, ctx: lexical.check_timeline(term, ctx.lex)),
+    (("C-CONCEPT-BOMB",), PHRASING,
+     lambda term, ctx: lexical.check_concept_bomb(term, ctx.complexity, ctx.lex)),
+    (("R09-BOOLEAN", "R09-NEGATIVE-TAG"), TERM,
+     lambda term, ctx: lexical.check_tag_style(term, ctx.lex)),
+    (("R06-MISSING-IRI", "R06-BAD-IRI", "R06-NONPURL"), TERM,
+     lambda term, ctx: identity.check_iri(term, ctx.prefixes)),
+    (("R07-MISSING-DEF", "R07-MISSING-SOURCE"), TERM,
+     lambda term, _: definitions.check_definition_present(term)),
+    (("R07-FORM", "R07-GENUS-MISMATCH"), TERM,
+     lambda term, ctx: definitions.check_genus_differentia(term, ctx.unit)),
+    (("C-WORD-BOMB",), VOCABULARY,
+     lambda unit, ctx: lexical.detect_word_bombs(unit, ctx.complexity)),
+    (("R04-NARROW",), VOCABULARY, lambda unit, _: lexical.check_redundant_narrowing(unit)),
+    (("R07-DUPLICATE-DEF",), VOCABULARY,
+     lambda unit, _: definitions.check_definition_uniqueness(unit)),
+    (("R07-SELF-REF", "R07-CIRCULAR"), VOCABULARY,
+     lambda unit, _: definitions.detect_circular_definitions(unit)),
+    (("R06-DUP-IRI",), VOCABULARY, lambda unit, _: identity.check_iri_uniqueness(unit)),
+    (("C-SEMANTIC-NOISE",), VOCABULARY, lambda unit, _: identity.check_label_collisions(unit)),
+    (("C-SYNONYM-CLASH",), VOCABULARY, lambda unit, _: identity.check_synonym_collisions(unit)),
+    (("R08-LABEL", "R08-NO-REPLACEMENT", "R08-LIVE-REPLACED", "R08-DANGLING", "R08-CHAIN",
+      "R08-CYCLE", "R08-OBSOLETE-PARENT"), VOCABULARY,
+     lambda unit, _: identity.check_deprecation(unit)),
+)
+
+
+def _selected(rule_ids: Sequence[str], patterns: tuple[str, ...]) -> bool:
+    return any(fnmatchcase(rule_id, pattern) for rule_id in rule_ids for pattern in patterns)
+
+
+def _suppressed(finding: Finding, subjects: Sequence[tuple[str, str]],
                 prefix_map: dict[str, str]) -> bool:
-    for rule_id, subject in suppressions:
-        if rule_id != finding.rule_id:
-            continue
-        if normalize_label(subject) == normalize_label(finding.subject_label):
-            return True
-        for iri in finding.subject_iris:
-            if subject in (iri.value, expand_iri(iri, prefix_map)):
-                return True
-    return False
+    """subjects: the finding's rule's suppression subjects, as written and normalized."""
+    if not subjects:
+        return False
+    iris = {v for iri in finding.subject_iris for v in (iri.value, expand_iri(iri, prefix_map))}
+    return (any(subject in iris for subject, _ in subjects)
+            or normalize_label(finding.subject_label) in {key for _, key in subjects})
 
 
 def _sort_key(finding: Finding):
@@ -349,16 +332,28 @@ def run_lint(config: RuleConfig, inputs: Sequence[tuple[str, str | None]]) -> Re
                  for v in vocabs]
     else:
         units = [merge_vocabularies(vocabs, prefixes.entries)]
+    # Only checks that can emit a selected rule run; the filter below still
+    # drops PARSE findings and the unselected ids of checks that emit several.
+    checks = [c for c in CHECKS if _selected(c[0], config.enabled_rules)]
     for unit in units:
-        findings.extend(_term_scope_findings(unit, lex, prefixes, config))
-        findings.extend(_vocab_scope_findings(unit, config))
+        ctx = CheckContext(unit, lex, prefixes, config.complexity)
+        for _, scope, run in checks:
+            for subject in ([unit] if scope == VOCABULARY else unit.terms):
+                emitted = run(subject, ctx)
+                if scope == PHRASING and subject.obsolete:
+                    # Phrasing complaints about terms already out of service
+                    # are informational at most.
+                    emitted = [dataclasses.replace(f, severity=INFO) for f in emitted]
+                findings.extend(emitted)
 
+    subjects: dict[str, list[tuple[str, str]]] = {}
+    for rule_id, subject in config.suppressions:
+        subjects.setdefault(rule_id, []).append((subject, normalize_label(subject)))
     kept: list[Finding] = []
     for finding in findings:
-        if not any(fnmatchcase(finding.rule_id, pattern)
-                   for pattern in config.enabled_rules):
+        if not _selected((finding.rule_id,), config.enabled_rules):
             continue
-        if _suppressed(finding, config.suppressions, prefixes.entries):
+        if _suppressed(finding, subjects.get(finding.rule_id, ()), prefixes.entries):
             continue
         override = config.severity_overrides.get(finding.rule_id)
         if override is not None and override != finding.severity:

@@ -412,24 +412,23 @@ def check_redundant_narrowing(vocab: Vocabulary) -> list[Finding]:
     return [f for _, f in sorted(results, key=lambda pair: pair[0])]
 
 
-def check_tag_style(tag_values: list[str], lex: Lexicons) -> list[Finding]:
-    """R09: tag values should be self-describing phrases, not booleans, and
-    should tag what is present rather than what is absent."""
+def check_tag_style(term: Term, lex: Lexicons) -> list[Finding]:
+    """R09: a live term's annotation values (its comment aside) should be
+    self-describing phrases, not booleans, and should tag what is present
+    rather than what is absent."""
+    if term.obsolete:
+        return []
     findings: list[Finding] = []
-    for value in tag_values:
+    for key in sorted(term.annotations.keys() - {"comment"}):
+        value = term.annotations[key]
         norm = normalize_label(value)
         if norm in _BOOLEAN_VALUES:
-            findings.append(Finding(
-                rule_id="R09-BOOLEAN", severity=WARNING,
-                subject_label=value,
-                message=f'tag value "{value}" is a bare boolean; replace the '
-                        "question-plus-boolean with a tag naming what is asserted"))
-            continue
-        tokens = norm.split()
-        if tokens and tokens[0] in lex.negative_determiners:
-            findings.append(Finding(
-                rule_id="R09-NEGATIVE-TAG", severity=INFO,
-                subject_label=value,
-                message=f'tag value "{value}" records an absence; tag what is '
-                        "present instead"))
+            findings.append(Finding.about_terms(
+                (term,), "R09-BOOLEAN", WARNING, value,
+                f'tag value "{value}" is a bare boolean; replace the '
+                "question-plus-boolean with a tag naming what is asserted"))
+        elif norm.partition(" ")[0] in lex.negative_determiners:
+            findings.append(Finding.about_terms(
+                (term,), "R09-NEGATIVE-TAG", INFO, value,
+                f'tag value "{value}" records an absence; tag what is present instead'))
     return findings

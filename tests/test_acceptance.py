@@ -570,24 +570,29 @@ def _scale_rows(filler_count):
     return rows
 
 
+def scale_inputs(tmp_path):
+    """Write criterion 8's 10,000-term vocabulary and return the run inputs."""
+    planted_tsv_terms = len(_scale_rows(0))
+    obo_terms = 4
+    filler_count = 10000 - planted_tsv_terms - obo_terms
+
+    header = "label\tiri\tdefinition\tdefinition_source\tparents\tsynonyms" \
+             "\tobsolete\treplaced_by"
+    table = "\n".join([header] + _scale_rows(filler_count)) + "\n"
+    table_path = tmp_path / "scale.tsv"
+    table_path.write_text(table, encoding="utf-8")
+    obo_path = tmp_path / "tags.obo"
+    obo_path.write_text(SCALE_TAGS_OBO, encoding="utf-8")
+    return [(str(table_path), None), (str(obo_path), None)]
+
+
 def test_criterion_8_scale_smoke(tmp_path):
     with criterion(8, "a generated 10,000-term vocabulary lints in under 5 s, "
                       "finding all planted defects and nothing else"):
-        planted_tsv_terms = len(_scale_rows(0))
-        obo_terms = 4
-        filler_count = 10000 - planted_tsv_terms - obo_terms
-
-        header = "label\tiri\tdefinition\tdefinition_source\tparents\tsynonyms" \
-                 "\tobsolete\treplaced_by"
-        table = "\n".join([header] + _scale_rows(filler_count)) + "\n"
-        table_path = tmp_path / "scale.tsv"
-        table_path.write_text(table, encoding="utf-8")
-        obo_path = tmp_path / "tags.obo"
-        obo_path.write_text(SCALE_TAGS_OBO, encoding="utf-8")
-
+        inputs = scale_inputs(tmp_path)
         config = RuleConfig()
         started = time.perf_counter()
-        report = run_lint(config, [(str(table_path), None), (str(obo_path), None)])
+        report = run_lint(config, inputs)
         elapsed = time.perf_counter() - started
 
         assert sum(s.term_count for s in report.inputs) == 10000

@@ -1,9 +1,11 @@
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from vocab_lint import definitions
 from vocab_lint.definitions import (
     MAX_REPORTED_CYCLES,
     GenusDifferentia,
@@ -15,7 +17,7 @@ from vocab_lint.definitions import (
     first_sentence,
     parse_genus_differentia,
 )
-from vocab_lint.model import Definition, Iri, SourceLocation, Term, build_vocabulary
+from vocab_lint.model import Definition, Iri, SourceLocation, Term, build_vocabulary, tokens_of
 
 from test_acceptance import brute_force_simple_cycles
 
@@ -36,6 +38,10 @@ def vocab(*terms_):
     return build_vocabulary(list(terms_), PREFIXES)
 
 
+def parse(text):
+    return parse_genus_differentia(tokens_of(first_sentence(text)))
+
+
 class TestFirstSentence:
     def test_stops_at_sentence_end(self):
         assert first_sentence("A cough. A second sentence.") == "A cough"
@@ -49,7 +55,7 @@ class TestFirstSentence:
 
 class TestParseGenusDifferentia:
     def test_canonical_form(self):
-        parsed = parse_genus_differentia(
+        parsed = parse(
             "A productive cough is a cough that yields sputum.")
         assert parsed == GenusDifferentia(
             subject=("productive", "cough"),
@@ -57,12 +63,12 @@ class TestParseGenusDifferentia:
             differentia=("yields", "sputum"))
 
     def test_which_connective_and_an(self):
-        parsed = parse_genus_differentia(
+        parsed = parse(
             "An emesis is an expulsion which empties the stomach.")
         assert parsed.genus == ("expulsion",)
 
     def test_article_optional(self):
-        assert parse_genus_differentia("Cough is a reflex that clears airways.") is not None
+        assert parse("Cough is a reflex that clears airways.") is not None
 
     @pytest.mark.parametrize("text", [
         "Sputum produced by coughing.",            # no copula
@@ -73,10 +79,10 @@ class TestParseGenusDifferentia:
         "",
     ])
     def test_structural_failures_return_none(self, text):
-        assert parse_genus_differentia(text) is None
+        assert parse(text) is None
 
     def test_only_first_sentence_considered(self):
-        parsed = parse_genus_differentia(
+        parsed = parse(
             "Sputum production. It is a cough that yields sputum.")
         assert parsed is None
 
@@ -147,6 +153,14 @@ class TestGenusDifferentia:
         child = term("plasma", "EX:2", parents=["EX:1"],
                      definition="Plasma is a body fluid that carries cells.")
         assert check_genus_differentia(child, vocab(parent, child)) == []
+
+    @given(st.text(st.one_of(st.characters(), st.sampled_from(". \n")), min_size=1))
+    def test_parses_the_first_sentence_read_from_the_cached_tokens(self, text):
+        t = Term(label="x", definition=Definition(text=text))
+        with mock.patch.object(definitions, "parse_genus_differentia",
+                               return_value=None) as parsed:
+            check_genus_differentia(t, vocab(t))
+        assert tuple(parsed.call_args.args[0]) == tuple(tokens_of(first_sentence(text)))
 
 
 class TestDefinitionUniqueness:

@@ -4,8 +4,12 @@ from itertools import permutations
 
 import pytest
 
-from vocab_lint import model
+from vocab_lint import definitions, identity, lexical, model
+from vocab_lint.catalog import RULES
 from vocab_lint.engine import (
+    CHECKS,
+    VOCABULARY,
+    CheckContext,
     ConfigError,
     LintFatalError,
     Report,
@@ -20,7 +24,9 @@ from vocab_lint.engine import (
     render_report,
     run_lint,
 )
-from vocab_lint.model import Finding, Iri, SourceLocation
+from vocab_lint.model import Finding, Iri, SourceLocation, merge_vocabularies
+
+from test_acceptance import corpus_inputs, scale_inputs
 
 PREFIX_FILE = "EX\thttps://example.org/EX_\texternal\n"
 
@@ -374,6 +380,61 @@ def test_labels_are_normalized_a_few_times_per_term(corpus_dir, monkeypatch):
                        (str(corpus_dir / "picklist.tsv"), None)])
     terms = sum(summary.term_count for summary in report.inputs)
     assert report.findings and calls <= 5 * terms
+
+
+# Every registered check, by the name the engine looks it up under at call time.
+REGISTERED = {
+    lexical: ("check_abbreviation", "check_negative_phrasing", "check_conjunction",
+              "check_plural", "check_colloquial", "check_timeline", "check_concept_bomb",
+              "check_tag_style", "detect_word_bombs", "check_redundant_narrowing"),
+    definitions: ("check_definition_present", "check_genus_differentia",
+                  "check_definition_uniqueness", "detect_circular_definitions"),
+    identity: ("check_iri", "check_iri_uniqueness", "check_label_collisions",
+               "check_synonym_collisions", "check_deprecation"),
+}
+ALL_CHECKS = {f"{module.__name__.rpartition('.')[2]}.{name}"
+              for module, names in REGISTERED.items() for name in names}
+
+
+class TestCheckRegistry:
+    @pytest.mark.parametrize("patterns, expected", [
+        (("*",), ALL_CHECKS),
+        (("R06-*",), {"identity.check_iri", "identity.check_iri_uniqueness"}),
+    ], ids=["all", "R06"])
+    def test_checks_are_called_through_their_modules(self, corpus_dir, monkeypatch,
+                                                     patterns, expected):
+        # A profiler times checks by rebinding them on their modules, so the
+        # engine must reach every check there, and only the selected ones.
+        called = set()
+        for module, names in REGISTERED.items():
+            for name in names:
+                def wrapper(*args, _check=getattr(module, name),
+                            _name=f"{module.__name__.rpartition('.')[2]}.{name}"):
+                    called.add(_name)
+                    return _check(*args)
+                monkeypatch.setattr(module, name, wrapper)
+        config = load_config(str(corpus_dir / "config.json"))
+        config.enabled_rules = patterns
+        run_lint(config, corpus_inputs(corpus_dir))
+        assert called == expected
+
+    def test_declares_every_lint_rule_once(self):
+        declared = [rule_id for rule_ids, _, _ in CHECKS for rule_id in rule_ids]
+        assert len(declared) == len(set(declared))
+        assert set(declared) == set(RULES) - {"R01-REUSE", "PARSE"}
+
+    def test_checks_emit_only_their_declared_rules(self, corpus_dir, tmp_path):
+        runs = [(load_config(str(corpus_dir / "config.json")), corpus_inputs(corpus_dir)),
+                (RuleConfig(), scale_inputs(tmp_path))]
+        for config, inputs in runs:
+            prefixes = build_prefix_map(config)
+            unit = merge_vocabularies([parse_input(path, fmt)[0] for path, fmt in inputs],
+                                      prefixes.entries)
+            ctx = CheckContext(unit, build_lexicons(config), prefixes, config.complexity)
+            for rule_ids, scope, run in CHECKS:
+                subjects = [unit] if scope == VOCABULARY else unit.terms
+                emitted = {f.rule_id for subject in subjects for f in run(subject, ctx)}
+                assert emitted <= set(rule_ids)
 
 
 class TestReportOrder:

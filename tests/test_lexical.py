@@ -273,25 +273,35 @@ class TestRedundantNarrowing:
         assert check_redundant_narrowing(v) == []
 
 
+def tagged(*values, obsolete=False):
+    # Keys sort in the order the values are given.
+    return Term(label="sample", obsolete=obsolete,
+                annotations={f"tag_{i}": value for i, value in enumerate(values)})
+
+
 class TestTagStyle:
     def test_booleans(self):
-        findings = check_tag_style(["yes", "no"], LEX)
+        findings = check_tag_style(tagged("yes", "no"), LEX)
         assert rule_ids(findings) == ["R09-BOOLEAN", "R09-BOOLEAN"]
         assert [f.subject_label for f in findings] == ["yes", "no"]
 
     def test_boolean_not_double_reported_as_negative(self):
-        findings = check_tag_style(["no"], LEX)
+        findings = check_tag_style(tagged("no"), LEX)
         assert rule_ids(findings) == ["R09-BOOLEAN"]
 
     def test_negative_value(self):
-        f, = check_tag_style(["no growth observed"], LEX)
+        f, = check_tag_style(tagged("no growth observed"), LEX)
         assert f.rule_id == "R09-NEGATIVE-TAG" and f.severity == "info"
 
     def test_case_insensitive_boolean(self):
-        assert rule_ids(check_tag_style(["TRUE", "N"], LEX)) == ["R09-BOOLEAN"] * 2
+        assert rule_ids(check_tag_style(tagged("TRUE", "N"), LEX)) == ["R09-BOOLEAN"] * 2
 
     def test_descriptive_value_passes(self):
-        assert check_tag_style(["primer specification deprecated"], LEX) == []
+        assert check_tag_style(tagged("primer specification deprecated"), LEX) == []
+
+    def test_obsolete_term_is_not_checked(self):
+        term = Term(label="obsolete assay", obsolete=True, annotations={"primer_check": "yes"})
+        assert check_tag_style(term, LEX) == []
 
 
 class TestLexiconConstruction:
