@@ -6,14 +6,17 @@ Exit codes: 0 clean, 1 findings at or above the fail threshold,
 
 from __future__ import annotations
 
+import json
 import os
 import sys
+from typing import NoReturn
 
 import click
 
 from . import __version__
 from .catalog import RULES, SEVERITIES
 from .engine import (
+    FORMATS,
     ConfigError,
     LintFatalError,
     RuleConfig,
@@ -31,7 +34,7 @@ from .reuse import EmptyQueryError, build_index, suggest_terms
 FATAL_EXIT = 2
 
 
-def _fail(message: str) -> None:
+def _fail(message: str) -> NoReturn:
     click.echo(f"vocab-lint: error: {message}", err=True)
     sys.exit(FATAL_EXIT)
 
@@ -43,7 +46,6 @@ def _load_config_or_default(path: str | None) -> RuleConfig:
         return load_config(path)
     except ConfigError as exc:
         _fail(str(exc))
-        raise AssertionError("unreachable")
 
 
 def _use_color(output: str) -> bool:
@@ -63,7 +65,7 @@ def main() -> None:
 
 @main.command()
 @click.argument("files", nargs=-1, required=True, type=click.Path())
-@click.option("--format", "fmt", type=click.Choice(["obo", "tsv"]), default=None,
+@click.option("--format", "fmt", type=click.Choice(FORMATS), default=None,
               help="Force the input format instead of inferring from suffixes.")
 @click.option("--config", "config_path", type=click.Path(), default=None,
               help="JSON configuration file.")
@@ -100,7 +102,6 @@ def check(files, fmt, config_path, output, fail_on, rules, suppressions, per_fil
         report = run_lint(config, [(path, fmt) for path in files])
     except (ConfigError, LintFatalError) as exc:
         _fail(str(exc))
-        raise AssertionError("unreachable")
     click.echo(render_report(report, output=output, color=_use_color(output)),
                nl=False)
     sys.exit(exit_code(report, config))
@@ -122,7 +123,6 @@ def suggest(queries, references, config_path, top_k, output):
     paths = tuple(config.reference_paths) + tuple(references)
     if not paths:
         _fail("no reference vocabularies; pass --references or set reference_paths")
-    prefixes = None
     try:
         prefixes = build_prefix_map(config)
         vocabs = []
@@ -132,7 +132,6 @@ def suggest(queries, references, config_path, top_k, output):
                                            {**vocab.prefix_map, **prefixes.entries}))
     except (ConfigError, LintFatalError) as exc:
         _fail(str(exc))
-        raise AssertionError("unreachable")
     index = build_index(vocabs)
     rows = []
     for query in queries:
@@ -140,11 +139,8 @@ def suggest(queries, references, config_path, top_k, output):
             matches = suggest_terms(index, query, k=top_k)
         except EmptyQueryError:
             _fail(f"query {query!r} is empty after normalization")
-            raise AssertionError("unreachable")
         rows.append((query, matches))
     if output == "json":
-        import json
-
         payload = {"queries": [
             {"query": query,
              "suggestions": [
@@ -185,15 +181,11 @@ def health(metadata_path, config_path, output):
         records, notes = read_snapshot(path)
     except OSError as exc:
         _fail(f"cannot read metadata {path}: {exc}")
-        raise AssertionError("unreachable")
     try:
         reports = [assess_health(record, config.health_weights) for record in records]
     except ValueError as exc:
         _fail(str(exc))
-        raise AssertionError("unreachable")
     if output == "json":
-        import json
-
         payload = {
             "notes": notes,
             "ontologies": [

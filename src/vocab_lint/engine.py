@@ -61,12 +61,11 @@ class RuleConfig:
     per_file: bool = False
 
 
-_CONFIG_KEYS = {
-    "enabled_rules", "severity_overrides", "suppressions", "fail_threshold",
-    "prefix_map_path", "lexicon_overrides", "reference_paths", "metadata_path",
-    "health_weights", "concept_bomb_token_threshold", "word_bomb_min_group",
-    "per_file",
-}
+# The keys a configuration file may set: RuleConfig's fields, with the
+# complexity thresholds written at the top level.
+CONFIG_KEYS = frozenset(
+    ({f.name for f in dataclasses.fields(RuleConfig)} - {"complexity"})
+    | {f.name for f in dataclasses.fields(ComplexityConfig)})
 
 
 def _require(condition: bool, message: str) -> None:
@@ -86,7 +85,7 @@ def load_config(path: str) -> RuleConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     _require(isinstance(raw, dict), f"config {path} must be a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
+    unknown = set(raw) - CONFIG_KEYS
     _require(not unknown, f"config {path} has unknown keys: {sorted(unknown)}")
     base = config_path.resolve().parent
 

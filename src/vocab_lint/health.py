@@ -59,33 +59,29 @@ class HealthReport:
     notes: tuple[str, ...] = ()
 
 
-_KNOWN_KEYS = {
-    "name", "as_of", "last_release", "releases_last_24_months",
-    "median_issue_response_days", "accepts_term_requests",
-    "definition_coverage", "terms_reused_elsewhere", "total_terms",
-    "has_permanent_iris",
-}
-
 _BOOL_VALUES = {"true": True, "yes": True, "false": False, "no": False}
 
 
-def _parse_value(key: str, value: str):
-    if key == "name":
-        return value
-    if key in ("as_of", "last_release"):
-        return dt.date.fromisoformat(value)
-    if key in ("releases_last_24_months", "terms_reused_elsewhere", "total_terms"):
-        return int(value)
-    if key == "median_issue_response_days":
-        return float(value)
-    if key in ("accepts_term_requests", "has_permanent_iris"):
-        try:
-            return _BOOL_VALUES[value.lower()]
-        except KeyError:
-            raise ValueError(f"expected true/false, got {value!r}") from None
-    if key == "definition_coverage":
-        return float(value)
-    raise ValueError(f"unknown key {key!r}")
+def _parse_bool(value: str) -> bool:
+    try:
+        return _BOOL_VALUES[value.lower()]
+    except KeyError:
+        raise ValueError(f"expected true/false, got {value!r}") from None
+
+
+# How each snapshot key's value is read; the keys are OntologyMetadata's fields.
+_PARSERS = {
+    "name": str,
+    "as_of": dt.date.fromisoformat,
+    "last_release": dt.date.fromisoformat,
+    "releases_last_24_months": int,
+    "median_issue_response_days": float,
+    "accepts_term_requests": _parse_bool,
+    "definition_coverage": float,
+    "terms_reused_elsewhere": int,
+    "total_terms": int,
+    "has_permanent_iris": _parse_bool,
+}
 
 
 def load_metadata(text: str) -> tuple[list[OntologyMetadata], list[str]]:
@@ -131,11 +127,12 @@ def load_metadata(text: str) -> tuple[list[OntologyMetadata], list[str]]:
             notes.append(f"line {lineno}: not a key: value pair; record skipped")
             bad_block = True
             continue
-        if key not in _KNOWN_KEYS:
+        parse = _PARSERS.get(key)
+        if parse is None:
             notes.append(f"line {lineno}: unknown key {key!r} ignored")
             continue
         try:
-            block[key] = _parse_value(key, value)
+            block[key] = parse(value)
         except ValueError as exc:
             notes.append(f"line {lineno}: bad value for {key!r} ({exc}); record skipped")
             bad_block = True

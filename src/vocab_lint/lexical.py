@@ -10,7 +10,8 @@ files (see docs/formats.md).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Mapping
 
 from .catalog import INFO, WARNING
@@ -101,16 +102,13 @@ def default_lexicons() -> Lexicons:
     )
 
 
-_LEXICON_SET_FIELDS = (
-    "negative_determiners", "negative_prefix_allowlist", "accepted_abbreviation_words",
-    "proper_noun_allowlist", "plural_by_nature", "timeline_phrases",
-)
-
-
 def apply_lexicon_overrides(lex: Lexicons, name: str, text: str) -> Lexicons:
     """Extend one lexicon from an override file: one entry per line, "#"
     comments, a leading "-" removes a built-in entry, and colloquial_map lines
     use "colloquial -> preferred"."""
+    current = {f.name: getattr(lex, f.name) for f in fields(Lexicons)}
+    if name not in current:
+        raise LexiconError(f"unknown lexicon name: {name!r}")
     additions: list[str] = []
     removals: list[str] = []
     pairs: dict[str, str] = {}
@@ -137,19 +135,9 @@ def apply_lexicon_overrides(lex: Lexicons, name: str, text: str) -> Lexicons:
         for key in removals:
             merged.pop(normalize_label(key), None)
         merged.update(pairs)
-        return make_lexicons(
-            negative_determiners=lex.negative_determiners,
-            negative_prefix_allowlist=lex.negative_prefix_allowlist,
-            accepted_abbreviation_words=lex.accepted_abbreviation_words,
-            proper_noun_allowlist=lex.proper_noun_allowlist,
-            plural_by_nature=lex.plural_by_nature,
-            colloquial_map=merged,
-            timeline_phrases=lex.timeline_phrases,
-        )
-    if name not in _LEXICON_SET_FIELDS:
-        raise LexiconError(f"unknown lexicon name: {name!r}")
-    current: frozenset[str] = getattr(lex, name)
-    updated = (current - _norm_set(removals)) | _norm_set(additions)
+        # Rebuilt through make_lexicons so the colloquial closure check runs.
+        return make_lexicons(**{**current, name: merged})
+    updated = (current[name] - _norm_set(removals)) | _norm_set(additions)
     return replace(lex, **{name: updated})
 
 
@@ -214,6 +202,8 @@ def check_negative_phrasing(term: Term, lex: Lexicons) -> list[Finding]:
             term, "R02-NEGATIVE", WARNING,
             f"label is phrased negatively (negative determiner {listed}); "
             "state what the term is, not what it is not")]
+    if not any(tok.startswith("non") for tok in tokens):
+        return []
     covered: set[int] = set()
     for phrase in lex.negative_prefix_allowlist:
         width = len(phrase.split())
@@ -353,17 +343,14 @@ def detect_word_bombs(vocab: Vocabulary, cfg: ComplexityConfig) -> list[Finding]
         if len(members) < cfg.word_bomb_min_group:
             continue
         token_lists = [t.tokens for t in members]
-        qualifies = any("and" in toks or "or" in toks for toks in token_lists)
-        if not qualifies:
-            for base in set(token_lists):
-                extensions = sum(
-                    1 for toks in token_lists
-                    if len(toks) > len(base) and toks[-len(base):] == base)
-                if extensions >= cfg.word_bomb_min_group:
-                    qualifies = True
-                    break
-        if not qualifies:
-            continue
+        if not any("and" in toks or "or" in toks for toks in token_lists):
+            # How many members extend each base label, slicing only at base lengths.
+            bases = set(token_lists)
+            lengths = {len(base) for base in bases}
+            extensions = Counter(toks[-n:] for toks in token_lists for n in lengths
+                                 if n < len(toks) and toks[-n:] in bases)
+            if not any(count >= cfg.word_bomb_min_group for count in extensions.values()):
+                continue
         ordered = _sorted_members(members, vocab.prefix_map)
         labels = "; ".join(t.label for t in ordered)
         findings.append(Finding.about_terms(

@@ -17,6 +17,7 @@ from vocab_lint.engine import RuleConfig, load_config, parse_input, render_repor
 from vocab_lint.health import OntologyMetadata, assess_health, read_snapshot
 from vocab_lint.identity import check_deprecation, default_prefix_map
 from vocab_lint.ingest import parse_obo, serialize_obo
+from vocab_lint.lexical import ComplexityConfig, detect_word_bombs
 from vocab_lint.model import (
     Definition,
     Iri,
@@ -611,3 +612,55 @@ def test_criterion_8_scale_smoke(tmp_path):
         assert not any("specimen factor" in f.subject_label
                        for f in report.findings)
         assert elapsed < 5.0, f"scale lint took {elapsed:.3f} s"
+
+
+def brute_force_word_bombs(labels, min_group):
+    """Word bombs among (label, obsolete) pairs of lowercase words: each
+    qualifying head noun with its live labels, sorted. A head's family
+    qualifies when it has at least min_group labels and one of them holds
+    "and" or "or", or when at least min_group labels extend one of its labels
+    with leading words. Independent of the shipped check."""
+    families = {}
+    for label, obsolete in labels:
+        if not obsolete:
+            families.setdefault(label.split()[-1], []).append(label)
+    bombs = {}
+    for head, family in families.items():
+        if len(family) < min_group:
+            continue
+        conjunction = any(word in ("and", "or") for label in family for word in label.split())
+        extended = any(sum(other.endswith(" " + base) for other in family) >= min_group
+                       for base in family)
+        if conjunction or extended:
+            bombs[head] = sorted(family)
+    return bombs
+
+
+def test_criterion_9_word_bombs_match_oracle():
+    with criterion(9, "word-bomb detection matches a brute-force grouping on "
+                      "600 random vocabularies in under 10 s"):
+        rng = random.Random(20261018)
+        modifiers = ["red", "blue", "old", "new", "wet"]
+        heads = ["farm", "kiosk", "site", "dusty kiosk"]
+        started = time.perf_counter()
+        for _ in range(600):
+            min_group = rng.randint(2, 6)
+            labels = []
+            for _ in range(rng.randint(1, 40)):
+                words = rng.choices(modifiers, k=rng.choice([0, 1, 1, 2, 3]))
+                # Rare enough that most families must qualify by extension.
+                if rng.random() < 0.02:
+                    words.insert(rng.randint(0, len(words)), rng.choice(["and", "or"]))
+                labels.append((" ".join(words + [rng.choice(heads)]), rng.random() < 0.1))
+            terms = [Term(label=label, iri=Iri(f"EX:{i}"), obsolete=obsolete)
+                     for i, (label, obsolete) in enumerate(labels)]
+            vocab = build_vocabulary(terms, {"EX": "https://example.org/EX_"})
+
+            findings = detect_word_bombs(vocab, ComplexityConfig(word_bomb_min_group=min_group))
+            got = {f.subject_label: sorted(labels[int(iri.value[3:])][0]
+                                           for iri in f.subject_iris)
+                   for f in findings}
+            assert len(got) == len(findings)
+            assert got == brute_force_word_bombs(labels, min_group)
+        elapsed = time.perf_counter() - started
+        assert elapsed < 10.0, f"600 oracle comparisons took {elapsed:.3f} s"

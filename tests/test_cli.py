@@ -335,14 +335,34 @@ print(" ".join(sorted({name.partition(".")[0] for name in set(sys.modules) - bef
 """
 
 
+def _package_env(**variables):
+    """This process's environment, with the tested package first on the path."""
+    src = str(Path(vocab_lint.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])), **variables)
+
+
 def test_cli_import_loads_only_stdlib_and_click():
     # Every CLI call pays for what importing the CLI loads; a third-party
     # import creeping in shows up here before it shows up as start-up time.
-    src = str(Path(vocab_lint.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    result = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
+    result = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=_package_env(),
                             capture_output=True, text=True, check=True, timeout=60)
     loaded = set(result.stdout.split())
     assert "vocab_lint" in loaded
     assert loaded - set(sys.stdlib_module_names) - {"click", "vocab_lint"} == set()
+
+
+def test_report_bytes_do_not_depend_on_the_hash_seed(corpus_dir):
+    # Set and dict iteration over strings follows PYTHONHASHSEED; no such order
+    # may reach the report.
+    args = [sys.executable, "-m", "vocab_lint.cli", "check", "--output", "json",
+            "--config", str(corpus_dir / "config.json"),
+            str(corpus_dir / "terms.obo"), str(corpus_dir / "picklist.tsv")]
+    reports = set()
+    for seed in ("0", "1", "2"):
+        result = subprocess.run(args, env=_package_env(PYTHONHASHSEED=seed),
+                                capture_output=True, timeout=60)
+        assert result.returncode == 1, result.stderr
+        reports.add(result.stdout)
+    report, = reports
+    assert json.loads(report)["findings"]

@@ -1,6 +1,9 @@
+import dataclasses
 import json
+import re
 import sys
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +11,7 @@ from vocab_lint import definitions, identity, lexical, model
 from vocab_lint.catalog import RULES
 from vocab_lint.engine import (
     CHECKS,
+    CONFIG_KEYS,
     VOCABULARY,
     CheckContext,
     ConfigError,
@@ -24,6 +28,9 @@ from vocab_lint.engine import (
     render_report,
     run_lint,
 )
+from vocab_lint.health import _PARSERS, OntologyMetadata
+from vocab_lint.ingest import ColumnMap
+from vocab_lint.lexical import Lexicons
 from vocab_lint.model import Finding, Iri, SourceLocation, merge_vocabularies
 
 from test_acceptance import corpus_inputs, scale_inputs
@@ -123,6 +130,40 @@ def rule_ids(report):
     return [f.rule_id for f in report.findings]
 
 
+# Each malformed configuration and the message it is rejected with.
+BAD_CONFIGS = [
+    ('{"surprise": 1}', "config {path} has unknown keys: ['surprise']"),
+    ('["list"]', "config {path} must be a JSON object"),
+    ('not json', "config {path} is not valid JSON: Expecting value: line 1 column 1"),
+    ('{"enabled_rules": []}', "enabled_rules must be a non-empty list of patterns"),
+    ('{"enabled_rules": "R0*"}', "enabled_rules must be a non-empty list of patterns"),
+    ('{"severity_overrides": ["R02-PLURAL"]}', "severity_overrides must be an object"),
+    ('{"severity_overrides": {"NOPE": "info"}}', "severity override for unknown rule 'NOPE'"),
+    ('{"severity_overrides": {"R02-PLURAL": "fatal"}}',
+     "severity override for R02-PLURAL must be one of ('error', 'warning', 'info')"),
+    ('{"suppressions": "R02-PLURAL"}', "suppressions must be a list"),
+    ('{"suppressions": [["R02-PLURAL"]]}', "each suppression must be a [rule-id, subject] pair"),
+    ('{"suppressions": [["NOPE", "x"]]}', "suppression for unknown rule 'NOPE'"),
+    ('{"fail_threshold": "silent"}',
+     "fail_threshold must be one of ('error', 'warning', 'info')"),
+    ('{"prefix_map_path": 7}', "prefix_map_path must be a string"),
+    ('{"lexicon_overrides": ["colloquial.txt"]}',
+     "lexicon_overrides must map lexicon names to file paths"),
+    ('{"lexicon_overrides": {"colloquial_map": 7}}',
+     "lexicon_overrides must map lexicon names to file paths"),
+    ('{"reference_paths": "refs.obo"}', "reference_paths must be a list of paths"),
+    ('{"reference_paths": [7]}', "reference_paths must be a list of paths"),
+    ('{"metadata_path": ["snapshot.txt"]}', "metadata_path must be a string"),
+    ('{"health_weights": {"activity": "lots"}}',
+     "health_weights must map subscore names to numbers"),
+    ('{"concept_bomb_token_threshold": 1}', "complexity thresholds must be >= 2"),
+    ('{"concept_bomb_token_threshold": "seven"}', "complexity thresholds must be integers"),
+    ('{"word_bomb_min_group": 1}', "complexity thresholds must be >= 2"),
+    ('{"word_bomb_min_group": 4.5}', "complexity thresholds must be integers"),
+    ('{"per_file": "yes"}', "per_file must be a boolean"),
+]
+
+
 class TestLoadConfig:
     def test_full_config(self, tmp_path):
         write(tmp_path, "prefixes.tsv", PREFIX_FILE)
@@ -132,6 +173,7 @@ class TestLoadConfig:
             "suppressions": [["R05-ABBREV", "LFT"]],
             "fail_threshold": "error",
             "prefix_map_path": "prefixes.tsv",
+            "lexicon_overrides": {"colloquial_map": "lex/colloquial.txt"},
             "reference_paths": ["refs/clinical.obo"],
             "metadata_path": "snapshot.txt",
             "health_weights": {"activity": 1},
@@ -145,6 +187,8 @@ class TestLoadConfig:
         assert cfg.suppressions == (("R05-ABBREV", "LFT"),)
         assert cfg.fail_threshold == "error"
         assert cfg.prefix_map_path == str(tmp_path / "prefixes.tsv")
+        assert cfg.lexicon_overrides == {
+            "colloquial_map": str(tmp_path / "lex" / "colloquial.txt")}
         assert cfg.reference_paths == (str(tmp_path / "refs" / "clinical.obo"),)
         assert cfg.metadata_path == str(tmp_path / "snapshot.txt")
         assert cfg.health_weights == {"activity": 1.0}
@@ -156,25 +200,11 @@ class TestLoadConfig:
         cfg = load_config(write(tmp_path, "config.json", "{}"))
         assert cfg == RuleConfig()
 
-    @pytest.mark.parametrize("payload", [
-        '{"surprise": 1}',
-        '["list"]',
-        'not json',
-        '{"enabled_rules": []}',
-        '{"enabled_rules": "R0*"}',
-        '{"severity_overrides": {"NOPE": "info"}}',
-        '{"severity_overrides": {"R02-PLURAL": "fatal"}}',
-        '{"suppressions": [["R02-PLURAL"]]}',
-        '{"suppressions": [["NOPE", "x"]]}',
-        '{"fail_threshold": "silent"}',
-        '{"health_weights": {"activity": "lots"}}',
-        '{"concept_bomb_token_threshold": 1}',
-        '{"concept_bomb_token_threshold": "seven"}',
-        '{"per_file": "yes"}',
-    ])
-    def test_bad_configs_rejected(self, tmp_path, payload):
+    @pytest.mark.parametrize("payload, message", BAD_CONFIGS,
+                             ids=[payload for payload, _ in BAD_CONFIGS])
+    def test_bad_configs_rejected(self, tmp_path, payload, message):
         path = write(tmp_path, "config.json", payload)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=re.escape(message.replace("{path}", path))):
             load_config(path)
 
     def test_missing_file(self, tmp_path):
@@ -185,6 +215,27 @@ class TestLoadConfig:
         path = write(tmp_path, "config.json",
                      json.dumps({"metadata_path": "/data/snapshot.txt"}))
         assert load_config(path).metadata_path == "/data/snapshot.txt"
+
+
+FORMATS_DOC = Path(__file__).resolve().parents[1] / "docs" / "formats.md"
+
+
+def documented_names(section):
+    """The first column of the table in the `## section` part of docs/formats.md."""
+    body = FORMATS_DOC.read_text(encoding="utf-8").split(f"\n## {section}\n")[1]
+    rows = [line for line in body.split("\n## ")[0].splitlines() if line.startswith("|")]
+    return sorted(row.split("|")[1].strip().strip("`") for row in rows[2:])
+
+
+@pytest.mark.parametrize("section, code_names", [
+    ("Tab-separated term table", [dataclasses.astuple(ColumnMap())]),
+    ("Lexicon override files", [[f.name for f in dataclasses.fields(Lexicons)]]),
+    ("Metadata snapshot", [_PARSERS, [f.name for f in dataclasses.fields(OntologyMetadata)]]),
+    ("Configuration JSON", [CONFIG_KEYS]),
+], ids=["tsv-columns", "lexicons", "snapshot-keys", "config-keys"])
+def test_formats_doc_tables_list_the_names_the_code_reads(section, code_names):
+    for names in code_names:
+        assert documented_names(section) == sorted(names)
 
 
 class TestBuildHelpers:

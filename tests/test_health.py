@@ -226,6 +226,12 @@ class TestLoadMetadata:
         assert [r.name for r in records] == ["y"]
         assert any("as_of" in n for n in notes)
 
+    def test_bad_boolean_skips_record(self):
+        records, notes = load_metadata("name: x\nas_of: 2026-01-01\nhas_permanent_iris: maybe\n")
+        assert records == []
+        assert notes == ["line 3: bad value for 'has_permanent_iris' "
+                         "(expected true/false, got 'maybe'); record skipped"]
+
     def test_missing_required_keys_skips_record(self):
         records, notes = load_metadata("name: beta\n")
         assert records == []

@@ -7,6 +7,7 @@ from vocab_lint.ingest import (
     parse_term_table,
     serialize_obo,
 )
+from vocab_lint.model import SourceLocation
 
 OBO_BASIC = """format-version: 1.2
 ontology: demo
@@ -195,6 +196,52 @@ class TestTsvParsing:
         vocab, _ = parse_term_table("label\tiri\n  padded  \t EX:1 \n", "t.tsv")
         assert vocab.terms[0].label == "padded"
         assert vocab.terms[0].iri.value == "EX:1"
+
+
+TERM = "[Term]\nid: EX:1\nname: x\n"
+
+
+# One row per parser diagnostic: the input, then the only diagnostic it draws.
+DIAGNOSTICS = [
+    pytest.param(parse_obo, TERM + "just words\n",
+                 "warning", "line is not a tag: value pair: 'just words'", 4, id="obo-no-colon"),
+    pytest.param(parse_obo, "[Term]\nid: EX 1\nid: EX:1\nname: x\n",
+                 "warning", "invalid id value: 'EX 1'", 2, id="obo-bad-id"),
+    pytest.param(parse_obo, TERM + "is_a: EX 0\n",
+                 "warning", "invalid is_a value: 'EX 0'", 4, id="obo-bad-is-a"),
+    pytest.param(parse_obo, TERM + "replaced_by: EX 2\n",
+                 "warning", "invalid replaced_by value: 'EX 2'", 4, id="obo-bad-replaced-by"),
+    pytest.param(parse_obo, TERM + "id: EX:2\n",
+                 "warning", "duplicate id tag in stanza; first kept", 4, id="obo-second-id"),
+    pytest.param(parse_obo, TERM + 'def: "a" []\ndef: "b" []\n',
+                 "warning", "duplicate def tag in stanza; first kept", 5, id="obo-second-def"),
+    pytest.param(parse_obo, TERM + "replaced_by: EX:2\nreplaced_by: EX:3\n",
+                 "warning", "duplicate replaced_by tag in stanza; first kept", 5,
+                 id="obo-second-replaced-by"),
+    pytest.param(parse_obo, "[Term]\nid: EX:1\nname:\nname: x\n",
+                 "warning", "empty name value ignored", 3, id="obo-empty-name"),
+    pytest.param(parse_obo, TERM + 'def: "" [S:1]\n',
+                 "warning", "empty definition text ignored", 4, id="obo-empty-def"),
+    pytest.param(parse_obo, TERM + 'synonym: "" EXACT []\n',
+                 "warning", "empty synonym text ignored", 4, id="obo-empty-synonym"),
+    pytest.param(parse_obo, TERM + 'synonym: "never closes EXACT []\n',
+                 "error", "unclosed quote in synonym; stanza skipped", 4,
+                 id="obo-unclosed-synonym"),
+    pytest.param(parse_term_table, "label\tparents\nx\tEX:1|EX 2\n",
+                 "warning", "invalid parent IRI 'EX 2'", 2, id="tsv-bad-parent"),
+    pytest.param(parse_term_table, "label\tobsolete\nx\tMaybe\n",
+                 "warning", "obsolete expects true/false, got 'maybe'; treated as false", 2,
+                 id="tsv-bad-obsolete"),
+    pytest.param(parse_term_table, "label\treplaced_by\nx\tEX 2\n",
+                 "warning", "invalid replaced_by IRI 'EX 2'", 2, id="tsv-bad-replaced-by"),
+]
+
+
+@pytest.mark.parametrize("parse, text, severity, message, line", DIAGNOSTICS)
+def test_diagnostic(parse, text, severity, message, line):
+    _, diags = parse(text, "f")
+    assert [(d.severity, d.message, d.location) for d in diags] == [
+        (severity, message, SourceLocation("f", line))]
 
 
 def _fields(term):

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -240,6 +242,15 @@ class TestWordBombs:
                   term("delta kiosk", "EX:4"), term("epsilon kiosk", "EX:5"))
         f, = detect_word_bombs(v, CFG)
         assert "alpha kiosk; beta kiosk; delta kiosk" in f.message
+
+    def test_large_head_noun_group_is_not_quadratic(self):
+        # 8,000 labels share "sample" and none extends another, so no base
+        # ever qualifies: comparing every base with every member took about
+        # 3 s on a 2-vCPU host.
+        v = vocab(*(term(f"mod{i} extra{i % 50} sample", f"EX:{i}") for i in range(8000)))
+        started = time.perf_counter()
+        assert detect_word_bombs(v, CFG) == []
+        assert time.perf_counter() - started < 1.0
 
 
 class TestRedundantNarrowing:
