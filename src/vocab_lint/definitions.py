@@ -13,7 +13,7 @@ from typing import Collection, Iterator, Sequence
 
 from .catalog import INFO, WARNING
 from .lexical import contains_phrase
-from .model import Finding, Term, Vocabulary, tokens_of
+from .model import Finding, Term, Vocabulary, shared_keys, tokens_of
 
 # Bounded output on pathological inputs.
 MAX_REPORTED_CYCLES = 100
@@ -121,16 +121,9 @@ def check_genus_differentia(term: Term, vocab: Vocabulary) -> list[Finding]:
 
 def check_definition_uniqueness(vocab: Vocabulary) -> list[Finding]:
     """R07: identical normalized definition text across live terms."""
-    groups: dict[str, list[Term]] = {}
-    for term in vocab.terms:
-        if term.obsolete or term.definition is None:
-            continue
-        groups.setdefault(" ".join(term.definition.tokens), []).append(term)
     findings: list[Finding] = []
-    for key in sorted(groups):
-        members = groups[key]
-        if len(members) < 2:
-            continue
+    for _, members in shared_keys((" ".join(t.definition.tokens), t) for t in vocab.terms
+                                  if not t.obsolete and t.definition is not None):
         ordered = sorted(members, key=lambda t: (t.key, t.identity(vocab.prefix_map)))
         labels = "; ".join(t.label for t in ordered)
         findings.append(Finding.about_terms(

@@ -16,6 +16,7 @@ from .model import (
     UnknownIriError,
     Vocabulary,
     resolve_replacement,
+    shared_keys,
 )
 
 
@@ -122,16 +123,9 @@ def check_iri(term: Term, prefixes: PrefixMap) -> list[Finding]:
 
 def check_iri_uniqueness(vocab: Vocabulary) -> list[Finding]:
     """R06: one IRI, one term."""
-    groups: dict[str, list[Term]] = {}
-    for term in vocab.terms:
-        identity = term.identity(vocab.prefix_map)
-        if not identity.startswith("no-iri:"):
-            groups.setdefault(identity, []).append(term)
     findings: list[Finding] = []
-    for identity in sorted(groups):
-        members = groups[identity]
-        if len(members) < 2:
-            continue
+    for identity, members in shared_keys((t.identity(vocab.prefix_map), t)
+                                         for t in vocab.terms if t.iri is not None):
         ordered = sorted(members, key=lambda t: (t.key, t.label))
         labels = "; ".join(t.label for t in ordered)
         findings.append(Finding.about_terms(
@@ -142,15 +136,10 @@ def check_iri_uniqueness(vocab: Vocabulary) -> list[Finding]:
 
 def check_label_collisions(vocab: Vocabulary) -> list[Finding]:
     """One label naming several identified concepts is semantic noise."""
-    groups: dict[str, list[Term]] = {}
-    for term in vocab.terms:
-        if not term.obsolete:
-            groups.setdefault(term.key, []).append(term)
     findings: list[Finding] = []
-    for label in sorted(groups):
-        members = groups[label]
+    for _, members in shared_keys((t.key, t) for t in vocab.terms if not t.obsolete):
         identities = sorted({t.identity(vocab.prefix_map) for t in members
-                             if not t.identity(vocab.prefix_map).startswith("no-iri:")})
+                             if t.iri is not None})
         if len(identities) < 2:
             continue
         ordered = sorted(members, key=lambda t: t.identity(vocab.prefix_map))
@@ -163,38 +152,23 @@ def check_label_collisions(vocab: Vocabulary) -> list[Finding]:
 
 
 def check_synonym_collisions(vocab: Vocabulary) -> list[Finding]:
-    """A synonym of one term matching the label or a synonym of another live
-    term invites mis-selection. A term's own synonyms are exempt."""
-    label_map: dict[str, list[Term]] = {}
-    syn_map: dict[str, list[Term]] = {}
-    for term in vocab.terms:
-        if term.obsolete:
-            continue
-        label_map.setdefault(term.key, []).append(term)
-        for syn in term.synonyms:
-            syn_map.setdefault(syn.key, []).append(term)
-
-    collisions: dict[tuple[str, str, str], tuple[Term, Term]] = {}
-    for term in vocab.terms:
-        tid = term.identity(vocab.prefix_map)
-        for syn in term.synonyms:
-            phrase = syn.key
-            for other in label_map.get(phrase, []) + syn_map.get(phrase, []):
-                if other is term:
-                    continue
-                oid = other.identity(vocab.prefix_map)
-                key = (min(tid, oid), max(tid, oid), phrase)
-                if key not in collisions:
-                    pair = (term, other) if tid <= oid else (other, term)
-                    collisions[key] = pair
+    """A synonym of one live term matching the label or a synonym of another
+    live term invites mis-selection: one finding per shared phrase, listing
+    every live term that carries it. A term's own synonyms are exempt."""
+    live = [t for t in vocab.terms if not t.obsolete]
+    synonym_keys = {syn.key for t in live for syn in t.synonyms}
     findings: list[Finding] = []
-    for key in sorted(collisions):
-        a, b = collisions[key]
-        phrase = key[2]
+    for phrase, members in shared_keys(
+            (key, t) for t in live for key in (t.key, *(syn.key for syn in t.synonyms))):
+        if phrase not in synonym_keys:
+            continue
+        ordered = sorted(members, key=lambda t: t.identity(vocab.prefix_map))
+        quoted = [f'"{t.label}"' for t in ordered]
+        carriers = (f"both {quoted[0]} and {quoted[1]}" if len(quoted) == 2
+                    else f"{len(quoted)} terms ({', '.join(quoted)})")
         findings.append(Finding.about_terms(
-            (a, b), "C-SYNONYM-CLASH", INFO, a.label,
-            f'phrase "{phrase}" appears on both "{a.label}" and '
-            f'"{b.label}"; shared synonyms blur term boundaries'))
+            ordered, "C-SYNONYM-CLASH", INFO, ordered[0].label,
+            f'phrase "{phrase}" appears on {carriers}; shared synonyms blur term boundaries'))
     return findings
 
 

@@ -330,9 +330,9 @@ def parse_term_table(text: str, file_name: str,
         synonyms = tuple(
             Synonym(text=s.strip(), scope="exact")
             for s in cell(cells, columns.synonyms_col).split("|") if s.strip())
-        obsolete_raw = cell(cells, columns.obsolete_col).lower()
-        obsolete = obsolete_raw == "true"
-        if obsolete_raw not in ("", "true", "false"):
+        obsolete_raw = cell(cells, columns.obsolete_col)
+        obsolete = obsolete_raw.lower() == "true"
+        if obsolete_raw.lower() not in ("", "true", "false"):
             diags.append(ParseDiagnostic(
                 "warning", f"obsolete expects true/false, got {obsolete_raw!r}; treated as false",
                 loc))

@@ -12,10 +12,10 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, fields, replace
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .catalog import INFO, WARNING
-from .model import Finding, Term, Vocabulary, expand_iri, normalize_label
+from .model import Finding, Term, Vocabulary, expand_iri, normalize_label, shared_keys
 
 
 class LexiconError(Exception):
@@ -322,24 +322,14 @@ def check_concept_bomb(term: Term, cfg: ComplexityConfig, lex: Lexicons) -> list
         "recommend separation into individual fields")]
 
 
-def _sorted_members(terms: list[Term], prefix_map: dict[str, str]) -> list[Term]:
-    return sorted(terms, key=lambda t: (t.key, t.identity(prefix_map)))
-
-
 def detect_word_bombs(vocab: Vocabulary, cfg: ComplexityConfig) -> list[Finding]:
     """Word-bomb pathology: combinatorial label families sharing a head noun.
     Groups live labels by final token; a group of size >= word_bomb_min_group
     qualifies when a member contains a conjunction or when at least that many
     members are strict modifier-extensions of a common base label."""
-    groups: dict[str, list[Term]] = {}
-    for term in vocab.terms:
-        if term.obsolete:
-            continue
-        if term.tokens:
-            groups.setdefault(term.tokens[-1], []).append(term)
     findings: list[Finding] = []
-    for head in sorted(groups):
-        members = groups[head]
+    for head, members in shared_keys((t.tokens[-1], t) for t in vocab.terms
+                                     if not t.obsolete and t.tokens):
         if len(members) < cfg.word_bomb_min_group:
             continue
         token_lists = [t.tokens for t in members]
@@ -351,7 +341,7 @@ def detect_word_bombs(vocab: Vocabulary, cfg: ComplexityConfig) -> list[Finding]
                                  if n < len(toks) and toks[-n:] in bases)
             if not any(count >= cfg.word_bomb_min_group for count in extensions.values()):
                 continue
-        ordered = _sorted_members(members, vocab.prefix_map)
+        ordered = sorted(members, key=lambda t: (t.key, t.identity(vocab.prefix_map)))
         labels = "; ".join(t.label for t in ordered)
         findings.append(Finding.about_terms(
             ordered, "C-WORD-BOMB", INFO, head,
@@ -360,42 +350,43 @@ def detect_word_bombs(vocab: Vocabulary, cfg: ComplexityConfig) -> list[Finding]
     return findings
 
 
+def _labels_and_suffixes(terms: tuple[Term, ...]) -> Iterator[tuple[str, Term]]:
+    """Each live term's label, then every proper suffix of it (longest first)."""
+    for term in terms:
+        if not term.obsolete:
+            yield term.key, term
+            for cut in range(1, len(term.tokens)):
+                yield " ".join(term.tokens[cut:]), term
+
+
 def check_redundant_narrowing(vocab: Vocabulary) -> list[Finding]:
     """R04: label A = modifiers + label B for live terms A, B without an A
-    is_a B link. Parent-child pairs are exempt."""
-    live = [t for t in vocab.terms if not t.obsolete]
-    by_norm: dict[str, list[Term]] = {}
-    for term in live:
-        by_norm.setdefault(term.key, []).append(term)
+    is_a B link. Parent-child pairs are exempt. One finding per (A, B's label)
+    names the bearer of that label with the least identity and counts the rest."""
     results: list[tuple[tuple, Finding]] = []
-    for a in live:
-        tokens = a.tokens
-        if len(tokens) < 2:
+    for label, members in shared_keys(_labels_and_suffixes(vocab.terms)):
+        narrowers = [t for t in members if t.key != label]
+        if not narrowers or len(narrowers) == len(members):
             continue
-        parent_ids = {expand_iri(p, vocab.prefix_map) for p in a.parents}
-        parent_labels = set()
-        for p in a.parents:
-            parent = vocab.term_for(p)
-            if parent is not None:
-                parent_labels.add(parent.key)
-        for cut in range(1, len(tokens)):
-            suffix = " ".join(tokens[cut:])
-            for b in by_norm.get(suffix, ()):
-                if b is a:
-                    continue
-                if suffix in parent_labels:
-                    continue
-                if b.iri is not None and expand_iri(b.iri, vocab.prefix_map) in parent_ids:
-                    continue
-                finding = Finding.about(
-                    a, "R04-NARROW", INFO,
-                    f'label narrows "{b.label}" with leading modifiers but '
-                    "declares no relation to it; reuse the broader term or "
-                    "record the modifier in its own field",
-                    suggestion=b.label)
-                results.append(((a.key, a.identity(vocab.prefix_map),
-                                 b.key, b.identity(vocab.prefix_map)),
-                                finding))
+        bearers = sorted(((t.identity(vocab.prefix_map), t) for t in members if t.key == label),
+                         key=lambda pair: pair[0])
+        bearer_iris = Counter(identity for identity, b in bearers if b.iri is not None)
+        for a in narrowers:
+            parents = [vocab.term_for(p) for p in a.parents]
+            if any(parent is not None and parent.key == label for parent in parents):
+                continue
+            parent_ids = {expand_iri(p, vocab.prefix_map) for p in a.parents}
+            kept = len(bearers) - sum(bearer_iris[p] for p in parent_ids)
+            if kept == 0:
+                continue
+            b = next(b for identity, b in bearers if b.iri is None or identity not in parent_ids)
+            shared = "" if kept == 1 else f" (the label of {kept} terms)"
+            results.append(((a.key, a.identity(vocab.prefix_map), label), Finding.about(
+                a, "R04-NARROW", INFO,
+                f'label narrows "{b.label}"{shared} with leading modifiers but '
+                "declares no relation to it; reuse the broader term or "
+                "record the modifier in its own field",
+                suggestion=b.label)))
     return [f for _, f in sorted(results, key=lambda pair: pair[0])]
 
 

@@ -5,6 +5,7 @@ label-normalization and replacement-resolution primitives used by every check.
 from __future__ import annotations
 
 import unicodedata
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -34,7 +35,7 @@ class Iri:
     def __post_init__(self) -> None:
         if not self.value:
             raise ValueError("IRI value must be non-empty")
-        if any(ch.isspace() for ch in self.value):
+        if self.value.split() != [self.value]:
             raise ValueError(f"IRI value contains whitespace: {self.value!r}")
 
     @property
@@ -168,6 +169,20 @@ class Finding:
                    location=min(locations, key=lambda loc: (loc.file, loc.line),
                                 default=None),
                    suggestion=suggestion)
+
+
+def shared_keys(pairs: Iterable[tuple[str, Term]]) -> list[tuple[str, list[Term]]]:
+    """The keys that two or more terms share, in sorted order, each with its
+    terms in input order. A term yielding one key again before the next term's
+    pairs counts once."""
+    groups: dict[str, list[Term]] = {}
+    for key, term in pairs:
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [term]
+        elif group[-1] is not term:
+            group.append(term)
+    return [(key, groups[key]) for key in sorted(k for k, g in groups.items() if len(g) > 1)]
 
 
 def normalize_label(raw: str) -> str:

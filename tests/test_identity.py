@@ -186,6 +186,36 @@ class TestSynonymCollisions:
         b = term("rapid breathing", "EX:1", obsolete=True)
         assert check_synonym_collisions(vocab(a, b)) == []
 
+    def test_obsolete_synonym_does_not_clash_with_live_label(self):
+        a = term("obsolete tachypnea", "HP:0002789", synonyms=["rapid breathing"],
+                 obsolete=True)
+        b = term("rapid breathing", "EX:1")
+        assert check_synonym_collisions(vocab(a, b)) == []
+
+    def test_shared_labels_alone_are_not_a_clash(self):
+        assert check_synonym_collisions(vocab(term("plasma", "EX:1"),
+                                              term("plasma", "EX:2"))) == []
+
+    def test_own_label_as_synonym_counts_the_term_once(self):
+        a = term("cough", "EX:2", synonyms=["cough", "Cough"])
+        b = term("tussis", "EX:1", synonyms=["cough"])
+        f, = check_synonym_collisions(vocab(a, b))
+        assert f.message == ('phrase "cough" appears on both "tussis" and "cough"; '
+                             "shared synonyms blur term boundaries")
+
+    def test_one_finding_lists_every_carrier_by_identity(self):
+        a = term("tachypnea", "EX:3", synonyms=["rapid breathing"])
+        b = term("rapid breathing", "EX:1")
+        c = term("polypnea", "EX:2", synonyms=["Rapid breathing", "fast breathing"])
+        d = term("hyperpnea", "EX:4", synonyms=["fast breathing"])
+        fast, rapid = check_synonym_collisions(vocab(a, b, c, d))
+        assert rapid.subject_label == "rapid breathing"
+        assert rapid.message == (
+            'phrase "rapid breathing" appears on 3 terms ("rapid breathing", "polypnea", '
+            '"tachypnea"); shared synonyms blur term boundaries')
+        assert [iri.value for iri in rapid.subject_iris] == ["EX:1", "EX:2", "EX:3"]
+        assert fast.message.startswith('phrase "fast breathing" appears on both "polypnea" and')
+
 
 class TestDeprecation:
     def test_label_prefix_required(self):

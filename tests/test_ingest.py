@@ -230,7 +230,7 @@ DIAGNOSTICS = [
     pytest.param(parse_term_table, "label\tparents\nx\tEX:1|EX 2\n",
                  "warning", "invalid parent IRI 'EX 2'", 2, id="tsv-bad-parent"),
     pytest.param(parse_term_table, "label\tobsolete\nx\tMaybe\n",
-                 "warning", "obsolete expects true/false, got 'maybe'; treated as false", 2,
+                 "warning", "obsolete expects true/false, got 'Maybe'; treated as false", 2,
                  id="tsv-bad-obsolete"),
     pytest.param(parse_term_table, "label\treplaced_by\nx\tEX 2\n",
                  "warning", "invalid replaced_by IRI 'EX 2'", 2, id="tsv-bad-replaced-by"),

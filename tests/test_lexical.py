@@ -1,5 +1,3 @@
-import time
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -243,15 +241,6 @@ class TestWordBombs:
         f, = detect_word_bombs(v, CFG)
         assert "alpha kiosk; beta kiosk; delta kiosk" in f.message
 
-    def test_large_head_noun_group_is_not_quadratic(self):
-        # 8,000 labels share "sample" and none extends another, so no base
-        # ever qualifies: comparing every base with every member took about
-        # 3 s on a 2-vCPU host.
-        v = vocab(*(term(f"mod{i} extra{i % 50} sample", f"EX:{i}") for i in range(8000)))
-        started = time.perf_counter()
-        assert detect_word_bombs(v, CFG) == []
-        assert time.perf_counter() - started < 1.0
-
 
 class TestRedundantNarrowing:
     def test_unrelated_pair_fires(self):
@@ -260,7 +249,9 @@ class TestRedundantNarrowing:
         assert f.subject_label == "wastewater purpose" and f.suggestion == "purpose"
 
     def test_is_a_exempts(self):
-        v = vocab(term("cough", "EX:1"), term("wet cough", "EX:2", parents=["EX:1"]))
+        # The parent's label exempts every term that bears it.
+        v = vocab(term("cough", "EX:1"), term("cough", "EX:3"),
+                  term("wet cough", "EX:2", parents=["EX:1"]))
         assert check_redundant_narrowing(v) == []
 
     def test_parent_label_exempts_without_iri_match(self):
@@ -282,6 +273,17 @@ class TestRedundantNarrowing:
         v = vocab(term("purpose", "EX:1"),
                   term("wastewater purpose", "EX:2", obsolete=True))
         assert check_redundant_narrowing(v) == []
+
+    def test_one_finding_per_broader_label_names_least_identity(self):
+        v = vocab(term("Sample", "EX:3"), term("wet sample", "EX:9"),
+                  term("sample", "EX:2"), term("sample", "EX:4"))
+        f, = check_redundant_narrowing(v)
+        assert (f.subject_label, f.suggestion, f.subject_iris) == (
+            "wet sample", "sample", (Iri("EX:9"),))
+        assert f.message == (
+            'label narrows "sample" (the label of 3 terms) with leading modifiers but '
+            "declares no relation to it; reuse the broader term or record the modifier "
+            "in its own field")
 
 
 def tagged(*values, obsolete=False):

@@ -20,6 +20,7 @@ from vocab_lint.model import (
     merge_vocabularies,
     normalize_label,
     resolve_replacement,
+    shared_keys,
     tokens_of,
 )
 
@@ -109,12 +110,31 @@ class TestFindingSubjects:
                                    "x", "m").location is None
 
 
+class TestSharedKeys:
+    def test_shared_keys_sorted_with_terms_in_input_order(self):
+        a, b, c, d = (Term(label=label) for label in "abcd")
+        # c repeating "w" shares it with no one; a repeating "x" counts once.
+        pairs = [("y", a), ("x", a), ("x", a), ("y", b), ("w", c), ("w", c), ("x", d),
+                 ("x", b)]
+        assert shared_keys(iter(pairs)) == [("x", [a, d, b]), ("y", [a, b])]
+
+
 class TestIri:
     def test_rejects_empty_and_whitespace(self):
         with pytest.raises(ValueError):
             Iri("")
         with pytest.raises(ValueError):
             Iri("HP: 123")
+
+    def test_whitespace_means_str_isspace_for_every_code_point(self):
+        # Each code point str.isspace accepts is rejected alone, inside and at
+        # the edge of a value; every other code point, all in one value, passes.
+        chars = [chr(cp) for cp in range(0x110000)]
+        for ch in (c for c in chars if c.isspace()):
+            for value in (ch, f"HP:{ch}1", f"{ch}HP:1"):
+                with pytest.raises(ValueError, match="whitespace"):
+                    Iri(value)
+        Iri("".join(c for c in chars if not c.isspace()))
 
     def test_absolute_detection(self):
         assert Iri("http://purl.obolibrary.org/obo/HP_1").is_absolute
