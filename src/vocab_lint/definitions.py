@@ -12,8 +12,7 @@ from itertools import islice
 from typing import Collection, Iterator, Sequence
 
 from .catalog import INFO, WARNING
-from .lexical import contains_phrase
-from .model import Finding, Term, Vocabulary, shared_keys, tokens_of
+from .model import Finding, Term, Vocabulary, find_phrases, phrase_table, shared_keys, tokens_of
 
 # Bounded output on pathological inputs.
 MAX_REPORTED_CYCLES = 100
@@ -101,16 +100,11 @@ def check_genus_differentia(term: Term, vocab: Vocabulary) -> list[Finding]:
             term, "R07-FORM", INFO,
             'definition does not follow the "X is a <parent> that/which '
             '<differentia>" form')]
-    if not term.parents:
+    parents = [p for p in map(vocab.term_for, term.parents) if p is not None]
+    if not parents:
         return []
-    parent_labels = []
-    for parent in term.parents:
-        target = vocab.term_for(parent)
-        if target is not None:
-            parent_labels.append(target.key)
-    if not parent_labels:
-        return []
-    if any(contains_phrase(parsed.genus, label) for label in parent_labels):
+    # A parent whose label has no tokens is resolvable but never mentioned.
+    if any(find_phrases(parsed.genus, phrase_table((p.tokens, p) for p in parents))):
         return []
     genus_text = " ".join(parsed.genus)
     return [Finding.about(
@@ -140,20 +134,12 @@ def build_definition_graph(vocab: Vocabulary) -> DefinitionGraph:
     nodes: dict[str, Term] = {}
     for term in vocab.terms:
         nodes.setdefault(term.identity(vocab.prefix_map), term)
-    by_first_token: dict[str, list[tuple[tuple[str, ...], str]]] = {}
-    for node_id, term in nodes.items():
-        if term.tokens:
-            by_first_token.setdefault(term.tokens[0], []).append((term.tokens, node_id))
-    edges: set[tuple[str, str]] = set()
-    for node_id, term in nodes.items():
-        if term.definition is None:
-            continue
-        def_tokens = term.definition.tokens
-        for i, token in enumerate(def_tokens):
-            for label_tokens, target_id in by_first_token.get(token, ()):
-                if def_tokens[i:i + len(label_tokens)] == label_tokens:
-                    edges.add((node_id, target_id))
-    return DefinitionGraph(nodes=nodes, edges=frozenset(edges))
+    labels = phrase_table((term.tokens, node_id) for node_id, term in nodes.items())
+    edges = frozenset((node_id, target_id) for node_id, term in nodes.items()
+                      if term.definition is not None
+                      for _, _, targets in find_phrases(term.definition.tokens, labels)
+                      for target_id in targets)
+    return DefinitionGraph(nodes=nodes, edges=edges)
 
 
 def _strong_components(succ: dict[str, list[str]],

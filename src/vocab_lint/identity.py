@@ -9,15 +9,7 @@ import re
 from dataclasses import dataclass, field
 
 from .catalog import ERROR, INFO, WARNING
-from .model import (
-    Finding,
-    ReplacementCycleError,
-    Term,
-    UnknownIriError,
-    Vocabulary,
-    resolve_replacement,
-    shared_keys,
-)
+from .model import Finding, Term, Vocabulary, expand_iri, shared_keys
 
 
 class PrefixMapError(ValueError):
@@ -172,11 +164,33 @@ def check_synonym_collisions(vocab: Vocabulary) -> list[Finding]:
     return findings
 
 
+def _chain_end(vocab: Vocabulary, key: str, ends: dict[str, str | None]) -> str | None:
+    """Where the replaced_by chain from `key` stops: the expanded IRI of its
+    first term with no replaced_by or first IRI outside the vocabulary, or None
+    on a cycle. Every IRI walked is memoized in `ends`, so no link is followed
+    twice."""
+    path: list[str] = []
+    while key not in ends:
+        ends[key] = None  # reaching it again on this path closes a cycle
+        path.append(key)
+        link = vocab.by_iri.get(key)
+        if link is None or link.replaced_by is None:
+            end = key
+            break
+        key = expand_iri(link.replaced_by, vocab.prefix_map)
+    else:
+        end = ends[key]
+    for k in path:
+        ends[k] = end
+    return end
+
+
 def check_deprecation(vocab: Vocabulary) -> list[Finding]:
     """R08: obsolete terms are labelled as such and forward readers to live
     replacements; replacement pointers resolve, do not cycle, and do not hang
     off live terms; live terms do not sit under obsolete parents."""
     findings: list[Finding] = []
+    ends: dict[str, str | None] = {}
     for term in vocab.terms:
         if term.obsolete:
             if not term.tokens or term.tokens[0] != "obsolete":
@@ -193,36 +207,28 @@ def check_deprecation(vocab: Vocabulary) -> list[Finding]:
                 "live term carries a replacement pointer; either obsolete "
                 "the term or drop the pointer"))
         if term.replaced_by is not None:
-            target = vocab.term_for(term.replaced_by)
+            key = expand_iri(term.replaced_by, vocab.prefix_map)
+            target = vocab.by_iri.get(key)
             if target is None:
                 findings.append(Finding.about(
                     term, "R08-DANGLING", ERROR,
                     f'replacement target "{term.replaced_by.value}" is not '
                     "in the vocabulary"))
             elif target.obsolete:
-                start = term.iri if (
-                    term.iri is not None
-                    and vocab.term_for(term.iri) is term
-                ) else term.replaced_by
-                try:
-                    final = resolve_replacement(vocab, start)
-                    final_term = vocab.term_for(final)
-                    final_name = final_term.label if final_term is not None else final.value
-                    findings.append(Finding.about(
-                        term, "R08-CHAIN", INFO,
-                        f'replacement target "{target.label}" is itself '
-                        f'obsolete; the chain resolves to "{final_name}" '
-                        f"({final.value}); point directly at the live term",
-                        suggestion=final_term.label if final_term is not None else None))
-                except ReplacementCycleError:
+                end = _chain_end(vocab, key, ends)
+                if end is None:
                     findings.append(Finding.about(
                         term, "R08-CYCLE", ERROR,
                         "replacement pointers form a cycle; no live "
                         "replacement can be reached"))
-                except UnknownIriError:
-                    # The broken link is reported as R08-DANGLING on the term
-                    # that owns it.
-                    pass
+                elif end in vocab.by_iri:  # else a later link dangles (R08-DANGLING)
+                    final = vocab.by_iri[end]
+                    findings.append(Finding.about(
+                        term, "R08-CHAIN", INFO,
+                        f'replacement target "{target.label}" is itself '
+                        f'obsolete; the chain resolves to "{final.label}" '
+                        f"({final.iri.value}); point directly at the live term",
+                        suggestion=final.label))
         if not term.obsolete:
             for parent in term.parents:
                 parent_term = vocab.term_for(parent)

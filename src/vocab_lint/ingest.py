@@ -136,17 +136,16 @@ def parse_obo(text: str, file_name: str) -> tuple[Vocabulary, list[ParseDiagnost
         if st.iri is None and st.label is None:
             warn(st.location.line, "[Term] stanza has neither id nor name; skipped")
             return
-        if st.iri is None:
-            warn(st.location.line, "[Term] stanza has no id")
         if st.label is None:
             warn(st.location.line, "[Term] stanza has no name; id used as label")
-            st.label = st.iri.value if st.iri else ""
-        if st.iri is not None:
-            if st.iri.value in seen_ids:
-                error(st.location.line,
-                      f"duplicate id {st.iri.value} (first seen on line {seen_ids[st.iri.value]})")
-            else:
-                seen_ids[st.iri.value] = st.location.line
+            st.label = st.iri.value
+        if st.iri is None:
+            warn(st.location.line, "[Term] stanza has no id")
+        elif st.iri.value in seen_ids:
+            error(st.location.line,
+                  f"duplicate id {st.iri.value} (first seen on line {seen_ids[st.iri.value]})")
+        else:
+            seen_ids[st.iri.value] = st.location.line
         terms.append(Term(
             label=st.label,
             iri=st.iri,
@@ -160,7 +159,6 @@ def parse_obo(text: str, file_name: str) -> tuple[Vocabulary, list[ParseDiagnost
         ))
 
     state: _StanzaState | None = None
-    in_term = False
     lines = _strip_bom(text).split("\n")
     for line_no, raw in enumerate(lines, start=1):
         line = raw.rstrip("\r")
@@ -168,12 +166,9 @@ def parse_obo(text: str, file_name: str) -> tuple[Vocabulary, list[ParseDiagnost
         if stripped.startswith("[") and stripped.endswith("]"):
             if state is not None:
                 finish(state)
-                state = None
-            in_term = stripped == "[Term]"
-            if in_term:
-                state = _StanzaState(file_name, line_no)
+            state = _StanzaState(file_name, line_no) if stripped == "[Term]" else None
             continue
-        if not in_term or state is None or state.skip:
+        if state is None or state.skip:
             continue
         if not stripped or stripped.startswith("!"):
             continue
@@ -181,9 +176,7 @@ def parse_obo(text: str, file_name: str) -> tuple[Vocabulary, list[ParseDiagnost
         if not sep:
             warn(line_no, f"line is not a tag: value pair: {stripped!r}")
             continue
-        tag = tag.strip()
-        value = value.strip()
-        _apply_tag(state, tag, value, line_no, warn, error)
+        _apply_tag(state, tag.strip(), value.strip(), line_no, warn, error)
     if state is not None:
         finish(state)
     return build_vocabulary(terms), diags
@@ -231,15 +224,10 @@ def _apply_tag(st: _StanzaState, tag: str, value: str, line_no: int, warn, error
             return
         bracket = _parse_bracket_list(rest)
         head = rest.split("[", 1)[0].split()
-        scope = "related"
-        extra: list[str] = []
-        if head and head[0] in _SCOPES:
-            scope = _SCOPES[head[0]]
-            extra = head[1:]
-        elif head:
+        if head and head[0] not in _SCOPES:
             warn(line_no, f"unknown synonym scope {head[0]!r}; treated as related")
-            extra = head[1:]
-        is_abbrev = "ABBREVIATION" in bracket or "ABBREVIATION" in extra
+        scope = _SCOPES.get(head[0], "related") if head else "related"
+        is_abbrev = "ABBREVIATION" in bracket or "ABBREVIATION" in head[1:]
         st.synonyms.append(Synonym(text=text, scope=scope, is_abbreviation=is_abbrev))
     elif tag == "is_a":
         iri = _make_iri(_strip_trailing_comment(value))

@@ -12,10 +12,12 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from .catalog import INFO, WARNING
-from .model import Finding, Term, Vocabulary, expand_iri, normalize_label, shared_keys
+from .model import (Finding, PhraseTable, Term, Vocabulary, expand_iri, find_phrases,
+                    normalize_label, phrase_table, shared_keys)
 
 
 class LexiconError(Exception):
@@ -34,6 +36,15 @@ class Lexicons:
     plural_by_nature: frozenset[str]
     colloquial_map: Mapping[str, str]
     timeline_phrases: frozenset[str]
+
+    # Built once per value, outside the fields, so a replace() gets fresh tables.
+    @cached_property
+    def negative_prefix_table(self) -> PhraseTable:
+        return phrase_table((tuple(p.split()), p) for p in self.negative_prefix_allowlist)
+
+    @cached_property
+    def timeline_table(self) -> PhraseTable:
+        return phrase_table((tuple(p.split()), p) for p in self.timeline_phrases)
 
 
 @dataclass(frozen=True)
@@ -141,20 +152,6 @@ def apply_lexicon_overrides(lex: Lexicons, name: str, text: str) -> Lexicons:
     return replace(lex, **{name: updated})
 
 
-def _phrase_positions(tokens: tuple[str, ...], phrase: str) -> list[int]:
-    """Start positions at which `phrase` (already normalized) occurs in
-    `tokens` as a contiguous token subsequence."""
-    ptoks = tuple(phrase.split())
-    if not ptoks or len(ptoks) > len(tokens):
-        return []
-    return [i for i in range(len(tokens) - len(ptoks) + 1)
-            if tokens[i:i + len(ptoks)] == ptoks]
-
-
-def contains_phrase(tokens: tuple[str, ...], phrase: str) -> bool:
-    return bool(_phrase_positions(tokens, phrase))
-
-
 _PARENTHETICAL = re.compile(r"\([^()]*\)")
 _EXPANSION_STYLE = re.compile(r"^(?P<words>.*\S)\s*\((?P<abbr>[A-Z0-9]{2,5})\)\s*$")
 
@@ -204,11 +201,8 @@ def check_negative_phrasing(term: Term, lex: Lexicons) -> list[Finding]:
             "state what the term is, not what it is not")]
     if not any(tok.startswith("non") for tok in tokens):
         return []
-    covered: set[int] = set()
-    for phrase in lex.negative_prefix_allowlist:
-        width = len(phrase.split())
-        for start in _phrase_positions(tokens, phrase):
-            covered.update(range(start, start + width))
+    covered = {i for start, width, _ in find_phrases(tokens, lex.negative_prefix_table)
+               for i in range(start, start + width)}
     offenders = sorted(set(
         tok for i, tok in enumerate(tokens)
         if tok.startswith("non") and i not in covered))
@@ -288,19 +282,15 @@ def check_colloquial(term: Term, lex: Lexicons) -> list[Finding]:
 def check_timeline(term: Term, lex: Lexicons) -> list[Finding]:
     """Timeline pathology: relative-time phrases whose meaning moves as data
     accumulates."""
-    matches = sorted((phrase for phrase in lex.timeline_phrases
-                      if contains_phrase(term.tokens, phrase)),
-                     key=lambda p: (-len(p.split()), p))
-    if not matches:
+    # The longest phrase found, then the least; each phrase is its own value.
+    found = sorted((-length, phrases[0])
+                   for _, length, phrases in find_phrases(term.tokens, lex.timeline_table))
+    if not found:
         return []
     return [Finding.about(
         term, "C-TIMELINE", WARNING,
-        f'label is anchored to a moving point in time ("{matches[0]}"); '
+        f'label is anchored to a moving point in time ("{found[0][1]}"); '
         "record an absolute date or interval instead")]
-
-
-def _has_timeline_phrase(tokens: tuple[str, ...], lex: Lexicons) -> bool:
-    return any(contains_phrase(tokens, phrase) for phrase in lex.timeline_phrases)
 
 
 def check_concept_bomb(term: Term, cfg: ComplexityConfig, lex: Lexicons) -> list[Finding]:
@@ -308,7 +298,7 @@ def check_concept_bomb(term: Term, cfg: ComplexityConfig, lex: Lexicons) -> list
     tokens = term.tokens
     too_long = len(tokens) >= cfg.concept_bomb_token_threshold
     compound_temporal = (any(tok.isdigit() for tok in tokens)
-                         and _has_timeline_phrase(tokens, lex))
+                         and any(find_phrases(tokens, lex.timeline_table)))
     if not too_long and not compound_temporal:
         return []
     if too_long:

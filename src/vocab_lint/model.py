@@ -1,11 +1,12 @@
 """Canonical in-memory model: terms, vocabularies, findings, and the shared
-label-normalization and replacement-resolution primitives used by every check.
+label-normalization, phrase-lookup and replacement-resolution primitives used
+by every check.
 """
 
 from __future__ import annotations
 
 import unicodedata
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -183,6 +184,33 @@ def shared_keys(pairs: Iterable[tuple[str, Term]]) -> list[tuple[str, list[Term]
         elif group[-1] is not term:
             group.append(term)
     return [(key, groups[key]) for key in sorted(k for k, g in groups.items() if len(g) > 1)]
+
+
+PhraseTable = dict[str, dict[int, dict[tuple[str, ...], list]]]
+
+
+def phrase_table(entries: Iterable[tuple[tuple[str, ...], object]]) -> PhraseTable:
+    """Group (phrase tokens, value) pairs for find_phrases as {first token:
+    {length: {phrase: values}}}. Empty phrases are dropped; the values of one
+    phrase stay in input order."""
+    table: PhraseTable = {}
+    for phrase, value in entries:
+        if phrase:
+            by_length = table.setdefault(phrase[0], {})
+            by_length.setdefault(len(phrase), {}).setdefault(phrase, []).append(value)
+    return table
+
+
+def find_phrases(tokens: tuple[str, ...], table: PhraseTable) -> Iterator[tuple[int, int, list]]:
+    """(start, length, values) for each run tokens[start:start + length] that is
+    a phrase of the table: one probe per token, plus one per length of the
+    phrases starting with that token."""
+    for start, token in enumerate(tokens):
+        if token in table:
+            for length, phrases in table[token].items():
+                values = phrases.get(tokens[start:start + length])
+                if values is not None:
+                    yield start, length, values
 
 
 def normalize_label(raw: str) -> str:

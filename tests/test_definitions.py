@@ -154,6 +154,14 @@ class TestGenusDifferentia:
                      definition="Plasma is a body fluid that carries cells.")
         assert check_genus_differentia(child, vocab(parent, child)) == []
 
+    def test_parent_whose_label_has_no_tokens_still_mismatches(self):
+        # "--" normalizes to an empty key: a resolvable parent no genus can name.
+        parent = term("--", "EX:1")
+        child = term("wet cough", "EX:2", parents=["EX:1"],
+                     definition="A wet cough is a cough that yields sputum.")
+        f, = check_genus_differentia(child, vocab(parent, child))
+        assert f.rule_id == "R07-GENUS-MISMATCH"
+
     @given(st.text(st.one_of(st.characters(), st.sampled_from(". \n")), min_size=1))
     def test_parses_the_first_sentence_read_from_the_cached_tokens(self, text):
         t = Term(label="x", definition=Definition(text=text))
@@ -228,6 +236,31 @@ class TestDefinitionGraph:
         g = build_definition_graph(vocab(a))
         assert "https://example.org/EX_1" in g.nodes
         assert g.edges == frozenset()
+
+
+    # Labels that share first tokens and nest, plus one with no tokens at all.
+    @given(st.lists(st.sampled_from(["a", "a b", "a b c", "b", "b c", "c a", "--"]),
+                    min_size=1, max_size=8),
+           st.data())
+    def test_edges_match_a_brute_force_scan_of_every_pair(self, labels, data):
+        terms = []
+        for i, label in enumerate(labels):
+            words = data.draw(st.lists(st.sampled_from("abcd"), max_size=10))
+            terms.append(term(label, f"EX:{i % 6}",
+                              definition=" ".join(words) + "." if words else None))
+        v = vocab(*terms)
+        nodes = {}
+        for t in v.terms:
+            nodes.setdefault(t.identity(v.prefix_map), t)
+        expected = set()
+        for source, t in nodes.items():
+            for target, u in nodes.items():
+                if t.definition is None or not u.tokens:
+                    continue
+                run, width = t.definition.tokens, len(u.tokens)
+                if any(run[i:i + width] == u.tokens for i in range(len(run))):
+                    expected.add((source, target))
+        assert build_definition_graph(v).edges == expected
 
 
 class TestCircularDefinitions:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from vocab_lint.identity import (
@@ -12,7 +14,15 @@ from vocab_lint.identity import (
     default_prefix_map,
     load_prefix_map,
 )
-from vocab_lint.model import Iri, Synonym, Term, build_vocabulary
+from vocab_lint.model import (
+    Iri,
+    ReplacementCycleError,
+    Synonym,
+    Term,
+    UnknownIriError,
+    build_vocabulary,
+    resolve_replacement,
+)
 
 PREFIXES = {"EX": "https://example.org/EX_", **DEFAULT_PREFIXES}
 
@@ -276,6 +286,18 @@ class TestDeprecation:
         f, = check_deprecation(v)
         assert f.subject_label == "obsolete two"
 
+    def test_live_term_in_mid_chain_with_dangling_link_gives_no_chain(self):
+        v = vocab(term("obsolete one", "EX:1", obsolete=True, replaced_by="EX:2"),
+                  term("obsolete two", "EX:2", obsolete=True, replaced_by="EX:3"),
+                  term("three", "EX:3", replaced_by="EX:404"))
+        assert [(f.rule_id, f.subject_label) for f in check_deprecation(v)] == [
+            ("R08-LIVE-REPLACED", "three"), ("R08-DANGLING", "three")]
+
+    def test_self_replacement_is_a_cycle(self):
+        f, = check_deprecation(vocab(term("obsolete one", "EX:1", obsolete=True,
+                                          replaced_by="EX:1")))
+        assert f.rule_id == "R08-CYCLE"
+
     def test_obsolete_parent(self):
         v = vocab(term("obsolete old farm", "EX:1", obsolete=True,
                        replaced_by="EX:3"),
@@ -293,3 +315,55 @@ class TestDeprecation:
     def test_unresolvable_parent_ignored(self):
         v = vocab(term("barn", "EX:2", parents=["EX:404"]))
         assert check_deprecation(v) == []
+
+
+def chain_findings_by_resolving_each_term(v):
+    """R08-CHAIN and R08-CYCLE as resolve_replacement gives them, one term at a
+    time: from the term itself when it owns its IRI's index slot, else from its
+    replacement target."""
+    expected = []
+    for t in v.terms:
+        target = v.term_for(t.replaced_by) if t.replaced_by is not None else None
+        if target is None or not target.obsolete:
+            continue
+        start = t.iri if t.iri is not None and v.term_for(t.iri) is t else t.replaced_by
+        try:
+            final = resolve_replacement(v, start)
+        except ReplacementCycleError:
+            expected.append(("R08-CYCLE", t.label, None,
+                             "replacement pointers form a cycle; no live "
+                             "replacement can be reached"))
+        except UnknownIriError:
+            continue
+        else:
+            end = v.term_for(final)
+            expected.append(("R08-CHAIN", t.label, end.label,
+                             f'replacement target "{target.label}" is itself obsolete; '
+                             f'the chain resolves to "{end.label}" ({final.value}); '
+                             "point directly at the live term"))
+    return expected
+
+
+def test_chains_match_resolving_each_term_on_random_replacement_graphs():
+    rng = random.Random(20261018)
+
+    def iri(n):
+        # The CURIE and the absolute form name one IRI.
+        return rng.choice([f"EX:{n}", f"https://example.org/EX_{n}"])
+
+    for _ in range(2000):
+        ids = rng.randint(1, 7)
+        terms = []
+        for i in range(rng.randint(1, 9)):
+            obsolete = rng.random() < 0.7
+            # Ids past the last one dangle; drawing from few ids makes
+            # duplicates, cycles and live terms in mid-chain common.
+            target = rng.randrange(ids + 2) if rng.random() < 0.8 else None
+            terms.append(term(("obsolete " if obsolete else "") + f"t{i}",
+                              iri(rng.randrange(ids)) if rng.random() < 0.9 else None,
+                              obsolete=obsolete,
+                              replaced_by=iri(target) if target is not None else None))
+        v = vocab(*terms)
+        found = [(f.rule_id, f.subject_label, f.suggestion, f.message)
+                 for f in check_deprecation(v) if f.rule_id in ("R08-CHAIN", "R08-CYCLE")]
+        assert found == chain_findings_by_resolving_each_term(v)

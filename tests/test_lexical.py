@@ -351,6 +351,16 @@ class TestLexiconConstruction:
         with pytest.raises(LexiconError):
             apply_lexicon_overrides(LEX, "bogus_lexicon", "x\n")
 
+    def test_override_gets_fresh_phrase_tables(self):
+        # Both checks read their tables from LEX first, so a stale cache would show.
+        assert check_timeline(term("as of now"), LEX) == []
+        assert check_negative_phrasing(term("non dairy milk"), LEX)
+        timeline = apply_lexicon_overrides(LEX, "timeline_phrases", "as of now\n")
+        allowed = apply_lexicon_overrides(LEX, "negative_prefix_allowlist", "non dairy\n")
+        f, = check_timeline(term("as of now"), timeline)
+        assert '"as of now"' in f.message
+        assert check_negative_phrasing(term("non dairy milk"), allowed) == []
+
     def test_override_breaking_closure_raises(self):
         with pytest.raises(LexiconError):
             apply_lexicon_overrides(LEX, "colloquial_map", "slang -> belly\n")

@@ -17,8 +17,10 @@ from vocab_lint.model import (
     Vocabulary,
     build_vocabulary,
     expand_iri,
+    find_phrases,
     merge_vocabularies,
     normalize_label,
+    phrase_table,
     resolve_replacement,
     shared_keys,
     tokens_of,
@@ -117,6 +119,32 @@ class TestSharedKeys:
         pairs = [("y", a), ("x", a), ("x", a), ("y", b), ("w", c), ("w", c), ("x", d),
                  ("x", b)]
         assert shared_keys(iter(pairs)) == [("x", [a, d, b]), ("y", [a, b])]
+
+
+# A three-letter alphabet, so phrases nest ("a", "a b", "a b a"), overlap and
+# repeat inside short runs.
+TOKENS = st.lists(st.sampled_from("abc"), max_size=12).map(tuple)
+PHRASES = st.lists(st.tuples(st.lists(st.sampled_from("abc"), max_size=4).map(tuple),
+                             st.integers(0, 9)), max_size=12)
+
+
+class TestPhraseTable:
+    @given(TOKENS, PHRASES)
+    def test_find_phrases_matches_a_naive_scan(self, tokens, entries):
+        expected: dict[tuple[int, int], list[int]] = {}
+        for phrase, value in entries:
+            for start in range(len(tokens) - len(phrase) + 1):
+                if phrase and tokens[start:start + len(phrase)] == phrase:
+                    expected.setdefault((start, len(phrase)), []).append(value)
+        found = [((start, length), values)
+                 for start, length, values in find_phrases(tokens, phrase_table(entries))]
+        assert dict(found) == expected
+        assert len(found) == len(expected)
+
+    def test_empty_phrases_are_dropped(self):
+        assert phrase_table([((), "x")]) == {}
+        table = phrase_table([(("a", "b"), 1), (("a",), 2), (("a", "b"), 3)])
+        assert table == {"a": {2: {("a", "b"): [1, 3]}, 1: {("a",): [2]}}}
 
 
 class TestIri:
