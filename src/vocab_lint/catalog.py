@@ -135,5 +135,3 @@ _RULES = [
 ]
 
 RULES: dict[str, RuleInfo] = {r.rule_id: r for r in _RULES}
-
-KNOWN_RULE_IDS = frozenset(RULES)

@@ -24,10 +24,11 @@ from .engine import (
     exit_code,
     load_config,
     parse_input,
+    read_text,
     render_report,
     run_lint,
 )
-from .health import SUBSCORE_NAMES, assess_health, read_snapshot
+from .health import SUBSCORE_NAMES, assess_health, load_metadata
 from .model import build_vocabulary
 from .reuse import EmptyQueryError, build_index, suggest_terms
 
@@ -178,12 +179,9 @@ def health(metadata_path, config_path, output):
     if path is None:
         _fail("no metadata snapshot; pass --metadata or set metadata_path")
     try:
-        records, notes = read_snapshot(path)
-    except OSError as exc:
-        _fail(f"cannot read metadata {path}: {exc}")
-    try:
+        records, notes = load_metadata(read_text("metadata ", path))
         reports = [assess_health(record, config.health_weights) for record in records]
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         _fail(str(exc))
     if output == "json":
         payload = {

@@ -15,7 +15,7 @@ from typing import Sequence
 from . import __version__, definitions, identity, lexical
 from .catalog import INFO, RULES, SEVERITIES, SEVERITY_RANK
 from .identity import PrefixMap, PrefixMapError, default_prefix_map, load_prefix_map
-from .ingest import FatalParseError, ParseDiagnostic, parse_obo, parse_term_table
+from .ingest import FatalParseError, parse_obo, parse_term_table
 from .lexical import (
     ComplexityConfig,
     LexiconError,
@@ -23,14 +23,7 @@ from .lexical import (
     apply_lexicon_overrides,
     default_lexicons,
 )
-from .model import (
-    Finding,
-    Vocabulary,
-    build_vocabulary,
-    expand_iri,
-    merge_vocabularies,
-    normalize_label,
-)
+from .model import Finding, Vocabulary, expand_iri, merge_vocabularies, normalize_label
 
 FORMATS = ("obo", "tsv")
 
@@ -73,21 +66,28 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def read_text(what: str, path: str, error: type[Exception] = ConfigError) -> str:
+    """The text of the UTF-8 file at `path`, less a leading byte-order mark.
+    A file that cannot be read or decoded raises `error`, naming it as
+    "{what}{path}"."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what}{path}: {exc}") from exc
+
+
 def load_config(path: str) -> RuleConfig:
     """Read a JSON configuration file. Relative paths inside it resolve
     against the file's own directory; unknown keys are rejected so typos
     cannot silently disable anything."""
-    config_path = Path(path)
     try:
-        raw = json.loads(config_path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raw = json.loads(read_text("config ", path))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     _require(isinstance(raw, dict), f"config {path} must be a JSON object")
     unknown = set(raw) - CONFIG_KEYS
     _require(not unknown, f"config {path} has unknown keys: {sorted(unknown)}")
-    base = config_path.resolve().parent
+    base = Path(path).resolve().parent
 
     def resolve(p: str) -> str:
         return str((base / p)) if not Path(p).is_absolute() else p
@@ -166,11 +166,7 @@ def build_lexicons(config: RuleConfig) -> Lexicons:
     for name in sorted(config.lexicon_overrides):
         path = config.lexicon_overrides[name]
         try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(f"cannot read lexicon file {path}: {exc}") from exc
-        try:
-            lex = apply_lexicon_overrides(lex, name, text)
+            lex = apply_lexicon_overrides(lex, name, read_text("lexicon file ", path))
         except LexiconError as exc:
             raise ConfigError(f"lexicon file {path}: {exc}") from exc
     return lex
@@ -180,11 +176,7 @@ def build_prefix_map(config: RuleConfig) -> PrefixMap:
     if config.prefix_map_path is None:
         return default_prefix_map()
     try:
-        text = Path(config.prefix_map_path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read prefix map {config.prefix_map_path}: {exc}") from exc
-    try:
-        return load_prefix_map(text)
+        return load_prefix_map(read_text("prefix map ", config.prefix_map_path))
     except PrefixMapError as exc:
         raise ConfigError(f"prefix map {config.prefix_map_path}: {exc}") from exc
 
@@ -197,21 +189,19 @@ def infer_format(path: str) -> str:
     return fmt
 
 
-def parse_input(path: str, fmt: str | None) -> tuple[Vocabulary, list[ParseDiagnostic]]:
+def parse_input(path: str, fmt: str | None) -> tuple[Vocabulary, list[Finding]]:
+    """The vocabulary in the file at `path` and its PARSE findings."""
     if fmt is None:
         fmt = infer_format(path)
     if fmt not in FORMATS:
         raise LintFatalError(f"unknown format {fmt!r}; expected one of {FORMATS}")
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise LintFatalError(f"cannot read {path}: {exc}") from exc
+    text = read_text("", path, LintFatalError)
     if fmt == "obo":
         return parse_obo(text, path)
     try:
         return parse_term_table(text, path)
     except FatalParseError as exc:
-        raise LintFatalError(f"{path}: {exc}") from exc
+        raise LintFatalError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -282,10 +272,6 @@ CHECKS = (
 )
 
 
-def _selected(rule_ids: Sequence[str], patterns: tuple[str, ...]) -> bool:
-    return any(fnmatchcase(rule_id, pattern) for rule_id in rule_ids for pattern in patterns)
-
-
 def _suppressed(finding: Finding, subjects: Sequence[tuple[str, str]],
                 prefix_map: dict[str, str]) -> bool:
     """subjects: the finding's rule's suppression subjects, as written and normalized."""
@@ -318,23 +304,19 @@ def run_lint(config: RuleConfig, inputs: Sequence[tuple[str, str | None]]) -> Re
     summaries: list[InputSummary] = []
     for path, fmt in inputs:
         resolved_fmt = fmt if fmt is not None else infer_format(path)
-        vocab, diags = parse_input(path, resolved_fmt)
+        vocab, parse_findings = parse_input(path, resolved_fmt)
         vocabs.append(vocab)
         summaries.append(InputSummary(file=path, format=resolved_fmt,
                                       term_count=len(vocab.terms)))
-        for diag in diags:
-            findings.append(Finding(
-                rule_id="PARSE", severity=diag.severity, subject_label="",
-                message=diag.message, location=diag.location))
-    if config.per_file:
-        units = [build_vocabulary(v.terms, {**prefixes.entries, **v.prefix_map})
-                 for v in vocabs]
-    else:
-        units = [merge_vocabularies(vocabs, prefixes.entries)]
+        findings.extend(parse_findings)
     # Only checks that can emit a selected rule run; the filter below still
     # drops PARSE findings and the unselected ids of checks that emit several.
-    checks = [c for c in CHECKS if _selected(c[0], config.enabled_rules)]
-    for unit in units:
+    selected = {rule_id for rule_id in RULES
+                if any(fnmatchcase(rule_id, pattern) for pattern in config.enabled_rules)}
+    checks = [c for c in CHECKS if selected.intersection(c[0])]
+    groups = [[vocab] for vocab in vocabs] if config.per_file else [vocabs]
+    for group in groups:
+        unit = merge_vocabularies(group, prefixes.entries)
         ctx = CheckContext(unit, lex, prefixes, config.complexity)
         for _, scope, run in checks:
             for subject in ([unit] if scope == VOCABULARY else unit.terms):
@@ -350,7 +332,7 @@ def run_lint(config: RuleConfig, inputs: Sequence[tuple[str, str | None]]) -> Re
         subjects.setdefault(rule_id, []).append((subject, normalize_label(subject)))
     kept: list[Finding] = []
     for finding in findings:
-        if not _selected((finding.rule_id,), config.enabled_rules):
+        if finding.rule_id not in selected:
             continue
         if _suppressed(finding, subjects.get(finding.rule_id, ()), prefixes.entries):
             continue

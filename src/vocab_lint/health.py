@@ -140,13 +140,6 @@ def load_metadata(text: str) -> tuple[list[OntologyMetadata], list[str]]:
     return records, notes
 
 
-def read_snapshot(path: str) -> tuple[list[OntologyMetadata], list[str]]:
-    """Load the metadata snapshot file at `path`: its usable records and the
-    notes on what was skipped (see load_metadata)."""
-    with open(path, encoding="utf-8") as handle:
-        return load_metadata(handle.read())
-
-
 def months_before(day: dt.date, months: int) -> dt.date:
     """The same calendar day `months` earlier, clamped to month length."""
     import calendar

@@ -1,5 +1,5 @@
 """Parsers for the two supported vocabulary carriers: an OBO flat-file subset
-and a tab-separated term table. Both return (Vocabulary, diagnostics) with
+and a tab-separated term table. Both return (Vocabulary, PARSE findings) with
 line-accurate source locations. The grammar details live in docs/formats.md.
 """
 
@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 from .model import (
     Definition,
+    Finding,
     Iri,
     SourceLocation,
     Synonym,
@@ -24,17 +25,10 @@ class FatalParseError(Exception):
     """Input cannot be interpreted at all (e.g. required column missing)."""
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
-    severity: str  # "error" or "warning"
-    message: str
-    location: SourceLocation
-
-    def __post_init__(self) -> None:
-        if self.severity not in ("error", "warning"):
-            raise ValueError(f"diagnostic severity must be error|warning: {self.severity!r}")
-        if not self.message:
-            raise ValueError("diagnostic message must be non-empty")
+def _diagnostic(severity: str, message: str, location: SourceLocation) -> Finding:
+    """A PARSE finding: a problem in the input itself, reported in place."""
+    return Finding(rule_id="PARSE", severity=severity, subject_label="", message=message,
+                   location=location)
 
 
 @dataclass(frozen=True)
@@ -116,19 +110,19 @@ class _StanzaState:
         self.skip = False  # set on irrecoverable structure damage
 
 
-def parse_obo(text: str, file_name: str) -> tuple[Vocabulary, list[ParseDiagnostic]]:
+def parse_obo(text: str, file_name: str) -> tuple[Vocabulary, list[Finding]]:
     """Parse [Term] stanzas from the documented OBO subset. Header lines and
     non-Term stanzas are skipped; unknown tags inside Term stanzas are kept
     as annotations."""
-    diags: list[ParseDiagnostic] = []
+    diags: list[Finding] = []
     terms: list[Term] = []
     seen_ids: dict[str, int] = {}
 
     def warn(line: int, message: str) -> None:
-        diags.append(ParseDiagnostic("warning", message, SourceLocation(file_name, line)))
+        diags.append(_diagnostic("warning", message, SourceLocation(file_name, line)))
 
     def error(line: int, message: str) -> None:
-        diags.append(ParseDiagnostic("error", message, SourceLocation(file_name, line)))
+        diags.append(_diagnostic("error", message, SourceLocation(file_name, line)))
 
     def finish(st: _StanzaState) -> None:
         if st.skip:
@@ -260,11 +254,11 @@ def _apply_tag(st: _StanzaState, tag: str, value: str, line_no: int, warn, error
 
 def parse_term_table(text: str, file_name: str,
                      columns: ColumnMap | None = None,
-                     ) -> tuple[Vocabulary, list[ParseDiagnostic]]:
+                     ) -> tuple[Vocabulary, list[Finding]]:
     """Parse a UTF-8 TSV term table. The first row is the header; "|" splits
     list-valued cells; empty cells mean absent fields."""
     columns = columns or ColumnMap()
-    diags: list[ParseDiagnostic] = []
+    diags: list[Finding] = []
     terms: list[Term] = []
     lines = _strip_bom(text).split("\n")
     if not lines or not lines[0].strip():
@@ -291,14 +285,14 @@ def parse_term_table(text: str, file_name: str,
         loc = SourceLocation(file_name, line_no)
         label = cell(cells, columns.label_col)
         if not label:
-            diags.append(ParseDiagnostic("error", "row has an empty label cell; row skipped", loc))
+            diags.append(_diagnostic("error", "row has an empty label cell; row skipped", loc))
             continue
         iri: Iri | None = None
         raw_iri = cell(cells, columns.iri_col)
         if raw_iri:
             iri = _make_iri(raw_iri)
             if iri is None:
-                diags.append(ParseDiagnostic(
+                diags.append(_diagnostic(
                     "warning", f"invalid IRI value {raw_iri!r}; term kept without IRI", loc))
         definition: Definition | None = None
         def_text = cell(cells, columns.definition_col)
@@ -312,7 +306,7 @@ def parse_term_table(text: str, file_name: str,
                 continue
             parent = _make_iri(part)
             if parent is None:
-                diags.append(ParseDiagnostic("warning", f"invalid parent IRI {part!r}", loc))
+                diags.append(_diagnostic("warning", f"invalid parent IRI {part!r}", loc))
             else:
                 parents.append(parent)
         synonyms = tuple(
@@ -321,7 +315,7 @@ def parse_term_table(text: str, file_name: str,
         obsolete_raw = cell(cells, columns.obsolete_col)
         obsolete = obsolete_raw.lower() == "true"
         if obsolete_raw.lower() not in ("", "true", "false"):
-            diags.append(ParseDiagnostic(
+            diags.append(_diagnostic(
                 "warning", f"obsolete expects true/false, got {obsolete_raw!r}; treated as false",
                 loc))
         replaced_by: Iri | None = None
@@ -329,7 +323,7 @@ def parse_term_table(text: str, file_name: str,
         if raw_replaced:
             replaced_by = _make_iri(raw_replaced)
             if replaced_by is None:
-                diags.append(ParseDiagnostic(
+                diags.append(_diagnostic(
                     "warning", f"invalid replaced_by IRI {raw_replaced!r}", loc))
         terms.append(Term(
             label=label,

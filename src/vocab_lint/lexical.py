@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
@@ -120,36 +120,30 @@ def apply_lexicon_overrides(lex: Lexicons, name: str, text: str) -> Lexicons:
     current = {f.name: getattr(lex, f.name) for f in fields(Lexicons)}
     if name not in current:
         raise LexiconError(f"unknown lexicon name: {name!r}")
-    additions: list[str] = []
-    removals: list[str] = []
-    pairs: dict[str, str] = {}
+    additions: list = []
+    removals: set[str] = set()
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        remove = line.startswith("-")
-        if remove:
-            line = line[1:].strip()
-        if name == "colloquial_map":
-            if remove:
-                removals.append(line)
-                continue
+        if line.startswith("-"):
+            removals.add(normalize_label(line[1:]))
+        elif name == "colloquial_map":
             colloquial, sep, preferred = line.partition("->")
             if not sep or not colloquial.strip() or not preferred.strip():
                 raise LexiconError(
                     f"{name} line {line_no}: expected 'colloquial -> preferred', got {raw!r}")
-            pairs[normalize_label(colloquial)] = normalize_label(preferred)
+            additions.append((colloquial, preferred))
         else:
-            (removals if remove else additions).append(line)
+            additions.append(line)
+    # Removals go first, so a file that removes and adds one entry keeps it.
+    old = current[name]
     if name == "colloquial_map":
-        merged = dict(lex.colloquial_map)
-        for key in removals:
-            merged.pop(normalize_label(key), None)
-        merged.update(pairs)
-        # Rebuilt through make_lexicons so the colloquial closure check runs.
-        return make_lexicons(**{**current, name: merged})
-    updated = (current[name] - _norm_set(removals)) | _norm_set(additions)
-    return replace(lex, **{name: updated})
+        merged = {key: old[key] for key in old if key not in removals} | dict(additions)
+    else:
+        merged = [entry for entry in old if entry not in removals] + additions
+    # Rebuilt through make_lexicons, which normalizes and checks the colloquial closure.
+    return make_lexicons(**{**current, name: merged})
 
 
 _PARENTHETICAL = re.compile(r"\([^()]*\)")

@@ -10,7 +10,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .catalog import KNOWN_RULE_IDS, SEVERITIES
+from .catalog import RULES, SEVERITIES
 
 SYNONYM_SCOPES = ("exact", "broad", "narrow", "related")
 
@@ -143,7 +143,7 @@ class Finding:
     suggestion: str | None = None
 
     def __post_init__(self) -> None:
-        if self.rule_id not in KNOWN_RULE_IDS:
+        if self.rule_id not in RULES:
             raise ValueError(f"rule id not in catalog: {self.rule_id!r}")
         if self.severity not in SEVERITIES:
             raise ValueError(f"unknown severity: {self.severity!r}")

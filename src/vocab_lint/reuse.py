@@ -59,19 +59,14 @@ def build_index(references: list[Vocabulary]) -> ReuseIndex:
             if term.obsolete:
                 continue
             identity = term.identity(prefix_map)
-            if identity not in index.entries:
-                index.entries[identity] = (term, {})
-            phrases = index.entries[identity][1]
-            if term.key:
-                phrases.setdefault(term.key, "label")
-            for syn in term.synonyms:
-                phrase = syn.key
-                if not phrase or phrases.get(phrase) == "label":
-                    continue
-                kind = "exact_synonym" if syn.scope == "exact" else "other_synonym"
-                if phrases.get(phrase) == "exact_synonym":
-                    continue
-                phrases[phrase] = kind
+            phrases = index.entries.setdefault(identity, (term, {}))[1]
+            kinds = [(term.key, "label")] + [
+                (syn.key, "exact_synonym" if syn.scope == "exact" else "other_synonym")
+                for syn in term.synonyms]
+            for phrase, kind in kinds:
+                # Each phrase keeps its best kind, whatever the reference order.
+                if phrase and _EXACT_SCORE[kind] > _EXACT_SCORE.get(phrases.get(phrase), (0.0,)):
+                    phrases[phrase] = kind
             if identity not in seen_here:
                 seen_here.add(identity)
                 index.source_count[identity] = index.source_count.get(identity, 0) + 1
@@ -124,18 +119,12 @@ def suggest_terms(index: ReuseIndex, query: str, k: int = 5) -> list[Suggestion]
     query_tokens = frozenset(normalized.split())
     scored: list[tuple[float, int, str, str, Term]] = []
     for identity, (term, phrases) in index.entries.items():
-        best: tuple[float, str] | None = None
-        for phrase, phrase_kind in phrases.items():
-            candidate = _score_phrase(normalized, query_tokens, phrase, phrase_kind)
-            if candidate is None:
-                continue
-            if (best is None or candidate[0] > best[0]
-                    or (candidate[0] == best[0]
-                        and _KIND_RANK[candidate[1]] < _KIND_RANK[best[1]])):
-                best = candidate
-        if best is not None:
-            scored.append((best[0], index.source_count.get(identity, 1),
-                           best[1], identity, term))
+        candidates = [c for c in (_score_phrase(normalized, query_tokens, phrase, kind)
+                                  for phrase, kind in phrases.items()) if c is not None]
+        if candidates:
+            # The best score; among equal scores, the best-ranked kind.
+            score, kind = max(candidates, key=lambda c: (c[0], -_KIND_RANK[c[1]]))
+            scored.append((score, index.source_count.get(identity, 1), kind, identity, term))
     scored.sort(key=lambda row: (-row[0], -row[1], row[3]))
     return [Suggestion(term=term, score=score, match_kind=kind, reuse_count=count)
             for score, count, kind, _, term in scored[:k]]

@@ -13,8 +13,15 @@ from vocab_lint.definitions import (
     build_definition_graph,
     detect_circular_definitions,
 )
-from vocab_lint.engine import RuleConfig, load_config, parse_input, render_report, run_lint
-from vocab_lint.health import OntologyMetadata, assess_health, read_snapshot
+from vocab_lint.engine import (
+    RuleConfig,
+    load_config,
+    parse_input,
+    read_text,
+    render_report,
+    run_lint,
+)
+from vocab_lint.health import OntologyMetadata, assess_health, load_metadata
 from vocab_lint.identity import check_deprecation, default_prefix_map
 from vocab_lint.ingest import parse_obo, serialize_obo
 from vocab_lint.lexical import ComplexityConfig, detect_word_bombs
@@ -376,7 +383,8 @@ def test_criterion_6_obo_round_trip():
 def test_criterion_7_health_scoring(health_snapshot):
     with criterion(7, "health scoring reproduces 0.99, 0.0/stale, and the "
                       "0.75/0.40 verdict boundaries"):
-        records = {record.name: record for record in read_snapshot(str(health_snapshot))[0]}
+        records = {record.name: record for record
+                   in load_metadata(read_text("metadata ", str(health_snapshot)))[0]}
 
         maximal = assess_health(records["well-tended-ontology"])
         assert maximal.composite == pytest.approx(0.99, abs=1e-9)

@@ -80,6 +80,15 @@ def write(tmp_path, name, text):
     return str(path)
 
 
+def run_cli(capsys, args):
+    """Run the CLI in this process: (exit code, stdout, stderr). An exception
+    the CLI does not turn into an exit escapes and fails the calling test."""
+    with pytest.raises(SystemExit) as exited:
+        main(args, prog_name="vocab-lint")
+    captured = capsys.readouterr()
+    return exited.value.code, captured.out, captured.err
+
+
 @pytest.fixture
 def config_path(tmp_path):
     write(tmp_path, "prefixes.tsv", PREFIX_FILE)
@@ -163,6 +172,12 @@ class TestCheck:
     def test_missing_file_is_fatal(self, runner, tmp_path):
         result = runner.invoke(main, ["check", str(tmp_path / "absent.obo")])
         assert result.exit_code == 2
+
+    def test_table_without_label_column_names_its_file_once(self, tmp_path, capsys):
+        path = write(tmp_path, "x.tsv", "name\tiri\ncough\tHP:0012735\n")
+        code, out, err = run_cli(capsys, ["check", path])
+        assert (code, out) == (2, "")
+        assert err == f"vocab-lint: error: {path}: required label column 'label' not in header\n"
 
     def test_bad_config_is_fatal(self, runner, tmp_path):
         path = write(tmp_path, "clean.obo", OBO_CLEAN)
@@ -309,6 +324,56 @@ class TestHealth:
         result = runner.invoke(main, ["health", "--metadata",
                                       str(tmp_path / "absent.txt")])
         assert result.exit_code == 2
+
+
+def _lint_with(directory, **config):
+    """A check of lft.obo under a config that maps the EX prefix."""
+    config = {"prefix_map_path": str(directory / "prefixes.tsv"), **config}
+    return ["check", write(directory, "lft.obo", OBO_LFT),
+            "--config", write(directory, "run.json", json.dumps(config))]
+
+
+# Every kind of file a run opens: its name, a usable text, how the file is
+# named in a "cannot read" error, and a command line that reads it.
+FILE_KINDS = {
+    "config": ("config.json", json.dumps({"prefix_map_path": "prefixes.tsv"}), "config ",
+               lambda d, path: ["check", write(d, "lft.obo", OBO_LFT), "--config", path]),
+    "prefix map": ("ex.tsv", PREFIX_FILE, "prefix map ",
+                   lambda d, path: _lint_with(d, prefix_map_path=path)),
+    "lexicon override": ("abbreviations.txt", "LFT\n", "lexicon file ",
+                         lambda d, path: _lint_with(d, lexicon_overrides={
+                             "accepted_abbreviation_words": path})),
+    "lint input": ("terms.obo", OBO_LFT, "", lambda d, path: ["check", path]),
+    "suggest reference": ("ref.obo", OBO_REFERENCE, "",
+                          lambda d, path: ["suggest", "wet cough", "--references", path]),
+    "metadata snapshot": ("snapshot.txt", SNAPSHOT, "metadata ",
+                          lambda d, path: ["health", "--metadata", path]),
+}
+
+
+@pytest.mark.parametrize("kind", FILE_KINDS)
+@pytest.mark.parametrize("content", [None, b"\xff"], ids=["missing", "not-utf-8"])
+def test_unreadable_file_exits_two_and_names_it(kind, content, tmp_path, capsys):
+    write(tmp_path, "prefixes.tsv", PREFIX_FILE)
+    name, text, what, command = FILE_KINDS[kind]
+    path = tmp_path / name
+    if content is not None:
+        path.write_bytes(text.encode("utf-8") + content)
+    code, out, err = run_cli(capsys, command(tmp_path, str(path)))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"vocab-lint: error: cannot read {what}{path}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", FILE_KINDS)
+def test_leading_byte_order_mark_changes_nothing(kind, tmp_path, capsys):
+    write(tmp_path, "prefixes.tsv", PREFIX_FILE)
+    name, text, _, command = FILE_KINDS[kind]
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    plain = run_cli(capsys, command(tmp_path, str(path)))
+    path.write_text("\ufeff" + text, encoding="utf-8")
+    assert run_cli(capsys, command(tmp_path, str(path))) == plain
 
 
 class TestRules:

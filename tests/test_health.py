@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from vocab_lint.engine import read_text
 from vocab_lint.health import (
     DEFAULT_WEIGHTS,
     SUBSCORE_NAMES,
@@ -12,7 +13,6 @@ from vocab_lint.health import (
     assess_health,
     load_metadata,
     months_before,
-    read_snapshot,
     validate_weights,
 )
 
@@ -254,6 +254,6 @@ class TestLoadMetadata:
     def test_snapshot_provider(self, tmp_path):
         path = tmp_path / "snap.txt"
         path.write_text(SNAPSHOT + "\nname: broken\n", encoding="utf-8")
-        records, notes = read_snapshot(str(path))
+        records, notes = load_metadata(read_text("metadata ", str(path)))
         assert [r.name for r in records] == ["well-tended", "dusty"]
         assert any("missing name or as_of" in n for n in notes)

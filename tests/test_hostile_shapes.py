@@ -1,9 +1,11 @@
-"""Worst-shape inputs for every vocabulary-scope check in the registry, each
-run at a size with an explicit time bound. A check that turns quadratic in a
-realistic group size fails its row; a new vocabulary check fails the coverage
-test until it has a row here."""
+"""Worst-shape inputs for every check in the registry, each run at a size
+with an explicit time bound. A vocabulary check that turns quadratic in a
+realistic group size fails its row, as does a per-term check that turns
+quadratic in the length of a label, definition or annotation value; a new
+check fails the coverage test until it has a row here."""
 
 import time
+from itertools import cycle, islice
 from typing import Callable, NamedTuple
 
 import pytest
@@ -32,6 +34,35 @@ def replacement_chain(n):
             for i in range(n)] + [term("live", n)]
 
 
+def long_text(*words):
+    """200 tokens, cycling through `words`."""
+    return " ".join(islice(cycle(words), 200))
+
+
+# Twenty sentences, each naming a different genus.
+SENTENCES = " ".join(f"A sample{j} is a specimen{j} that was taken at site {j}."
+                     for j in range(20))
+
+
+def long_terms(label, **fields):
+    """Terms with one 200-token label, a definition of twenty sentences and
+    200-token annotation values, unless `fields` says otherwise."""
+    fields = {"definition": Definition(SENTENCES, ("PMID:1",)),
+              "annotations": {"comment": long_text("seen"), "note": long_text("collected")},
+              **fields}
+    return lambda n: [term(label, i, **fields) for i in range(n)]
+
+
+def genus_mismatch(n):
+    # A 200-token genus, set against five parents with 200-token labels.
+    label = long_text("sample", "site")
+    definition = Definition(f"A sample is a {long_text('kind', 'of')} that was taken. "
+                            + SENTENCES, ("PMID:1",))
+    return [term(label, i, definition=definition,
+                 parents=tuple(Iri(f"EX:{(i + k) % n}") for k in range(1, 6)))
+            for i in range(n)]
+
+
 class Shape(NamedTuple):
     build: Callable[[int], list[Term]]
     size: int
@@ -40,7 +71,40 @@ class Shape(NamedTuple):
 
 
 SHAPES = {
-    # No label extends another, so no base qualifies: comparing every base
+    # Per-term checks: 200 terms, each label 200 tokens long. Normalizing one
+    # such label takes about 0.5 ms, on a 2-vCPU host.
+    ("R05-ABBREV", "R05-EXPANSION-STYLE"): Shape(
+        long_terms(long_text("LFT", "(ALT)", "liver", "CT2") + " (ALT)"), 200, 1.0, 400),
+    ("R02-NEGATIVE",): Shape(
+        long_terms(long_text("non-linear", "nonlinear", "nonsense", "inorganic")),
+        200, 1.0, 200),
+    # Every conjunction but the last sits between capitalized words.
+    ("R02-CONJUNCTION",): Shape(
+        long_terms(long_text("Alpha", "and", "Beta", "or") + " gamma"), 200, 1.0, 200),
+    ("R02-PLURAL",): Shape(long_terms(long_text("samples")), 200, 1.0, 200),
+    ("R03-COLLOQUIAL",): Shape(
+        long_terms(long_text("abdominal", "pain"), synonyms=tuple(
+            Synonym(text) for text in islice(cycle(
+                ("belly", "tummy", "wet cough", "throwing up", "sore")), 200))),
+        200, 1.0, 800),
+    ("C-TIMELINE",): Shape(
+        long_terms(long_text("most", "recent", "to", "date", "last", "previous")),
+        200, 1.0, 200),
+    ("C-CONCEPT-BOMB",): Shape(long_terms(long_text("12", "most", "recent")), 200, 1.0, 200),
+    # Ten annotations, half bare booleans, half 200-token records of an absence;
+    # 100 terms, since each term carries ten labels' worth of text to normalize.
+    ("R09-BOOLEAN", "R09-NEGATIVE-TAG"): Shape(
+        long_terms(long_text("sample"), annotations={
+            f"tag{j}": "yes" if j % 2 else long_text("no", "travel") for j in range(10)}),
+        100, 1.0, 1000),
+    ("R06-MISSING-IRI", "R06-BAD-IRI", "R06-NONPURL"): Shape(
+        lambda n: [Term(label=long_text("sample"), iri=Iri(
+            "https://example.org/" + long_text("part").replace(" ", "/") + f"/HP_{i}"))
+            for i in range(n)], 200, 1.0, 200),
+    ("R07-MISSING-DEF", "R07-MISSING-SOURCE"): Shape(
+        long_terms(long_text("sample"), definition=Definition(SENTENCES)), 200, 1.0, 200),
+    ("R07-FORM", "R07-GENUS-MISMATCH"): Shape(genus_mismatch, 200, 1.0, 200),
+    # Vocabulary checks. No label extends another, so no base qualifies: comparing every base
     # with every member took about 3 s on a 2-vCPU host.
     ("C-WORD-BOMB",): Shape(
         lambda n: [term(f"mod{i} extra{i % 50} sample", i) for i in range(n)], 8000, 1.0, 0),
@@ -67,18 +131,19 @@ SHAPES = {
 }
 
 
-def test_every_vocabulary_check_has_a_shape():
-    assert set(SHAPES) == {rule_ids for rule_ids, scope, _ in CHECKS if scope == VOCABULARY}
+def test_every_check_has_a_shape():
+    assert set(SHAPES) == {rule_ids for rule_ids, _, _ in CHECKS}
 
 
 @pytest.mark.parametrize("rule_ids, shape", [
     pytest.param(ids, shape, id=ids[0]) for ids, shape in SHAPES.items()])
 def test_worst_shape_runs_within_its_bound(rule_ids, shape):
-    run, = (run for ids, _, run in CHECKS if ids == rule_ids)
+    (scope, run), = ((scope, run) for ids, scope, run in CHECKS if ids == rule_ids)
     unit = build_vocabulary(shape.build(shape.size), {"EX": "https://example.org/EX_"})
     ctx = CheckContext(unit, default_lexicons(), default_prefix_map(), ComplexityConfig())
     started = time.perf_counter()
-    findings = run(unit, ctx)
+    findings = [f for subject in ([unit] if scope == VOCABULARY else unit.terms)
+                for f in run(subject, ctx)]
     elapsed = time.perf_counter() - started
     assert len(findings) == shape.findings
     assert elapsed < shape.seconds
