@@ -6,12 +6,11 @@ Exit codes: 0 clean, 1 findings at or above the fail threshold,
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import sys
 from typing import NoReturn
-
-import click
 
 from . import __version__
 from .catalog import RULES, SEVERITIES
@@ -36,17 +35,12 @@ FATAL_EXIT = 2
 
 
 def _fail(message: str) -> NoReturn:
-    click.echo(f"vocab-lint: error: {message}", err=True)
+    print(f"vocab-lint: error: {message}", file=sys.stderr)
     sys.exit(FATAL_EXIT)
 
 
 def _load_config_or_default(path: str | None) -> RuleConfig:
-    if path is None:
-        return RuleConfig()
-    try:
-        return load_config(path)
-    except ConfigError as exc:
-        _fail(str(exc))
+    return RuleConfig() if path is None else load_config(path)
 
 
 def _use_color(output: str) -> bool:
@@ -57,40 +51,17 @@ def _use_color(output: str) -> bool:
     return sys.stdout.isatty()
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="vocab-lint")
-def main() -> None:
-    """Static analysis for controlled vocabularies and data-dictionary
-    picklists."""
-
-
-@main.command()
-@click.argument("files", nargs=-1, required=True, type=click.Path())
-@click.option("--format", "fmt", type=click.Choice(FORMATS), default=None,
-              help="Force the input format instead of inferring from suffixes.")
-@click.option("--config", "config_path", type=click.Path(), default=None,
-              help="JSON configuration file.")
-@click.option("--output", type=click.Choice(["text", "json"]), default="text",
-              show_default=True, help="Report format.")
-@click.option("--fail-on", type=click.Choice(list(SEVERITIES)), default=None,
-              help="Lowest severity that makes the run fail (default: warning).")
-@click.option("--rule", "rules", multiple=True, metavar="PATTERN",
-              help="Only run rules matching this glob pattern (repeatable).")
-@click.option("--suppress", "suppressions", multiple=True, metavar="RULE:SUBJECT",
-              help="Drop findings of RULE whose subject matches (repeatable).")
-@click.option("--per-file", is_flag=True,
-              help="Lint each file in isolation instead of the merged vocabulary.")
-def check(files, fmt, config_path, output, fail_on, rules, suppressions, per_file):
+def check(args: argparse.Namespace) -> int:
     """Lint vocabulary FILES and report findings."""
-    config = _load_config_or_default(config_path)
-    if rules:
-        config.enabled_rules = tuple(rules)
-    if fail_on is not None:
-        config.fail_threshold = fail_on
-    if per_file:
+    config = _load_config_or_default(args.config)
+    if args.rules:
+        config.enabled_rules = tuple(args.rules)
+    if args.fail_on is not None:
+        config.fail_threshold = args.fail_on
+    if args.per_file:
         config.per_file = True
     extra = []
-    for item in suppressions:
+    for item in args.suppressions:
         rule_id, sep, subject = item.partition(":")
         if not sep or not rule_id or not subject:
             _fail(f"--suppress needs RULE:SUBJECT, got {item!r}")
@@ -99,49 +70,31 @@ def check(files, fmt, config_path, output, fail_on, rules, suppressions, per_fil
         extra.append((rule_id, subject))
     if extra:
         config.suppressions = config.suppressions + tuple(extra)
-    try:
-        report = run_lint(config, [(path, fmt) for path in files])
-    except (ConfigError, LintFatalError) as exc:
-        _fail(str(exc))
-    click.echo(render_report(report, output=output, color=_use_color(output)),
-               nl=False)
-    sys.exit(exit_code(report, config))
+    report = run_lint(config, [(path, args.format) for path in args.files])
+    print(render_report(report, output=args.output, color=_use_color(args.output)), end="")
+    return exit_code(report, config)
 
 
-@main.command()
-@click.argument("queries", nargs=-1, required=True)
-@click.option("--references", "references", multiple=True, type=click.Path(),
-              help="Reference vocabulary to search (repeatable).")
-@click.option("--config", "config_path", type=click.Path(), default=None,
-              help="JSON configuration file (reference_paths are used).")
-@click.option("-k", "top_k", type=int, default=5, show_default=True,
-              help="Suggestions per query.")
-@click.option("--output", type=click.Choice(["text", "json"]), default="text",
-              show_default=True)
-def suggest(queries, references, config_path, top_k, output):
+def suggest(args: argparse.Namespace) -> int:
     """Suggest existing terms to reuse for each proposed label in QUERIES."""
-    config = _load_config_or_default(config_path)
-    paths = tuple(config.reference_paths) + tuple(references)
+    config = _load_config_or_default(args.config)
+    paths = tuple(config.reference_paths) + tuple(args.references)
     if not paths:
         _fail("no reference vocabularies; pass --references or set reference_paths")
-    try:
-        prefixes = build_prefix_map(config)
-        vocabs = []
-        for path in paths:
-            vocab, _ = parse_input(path, None)
-            vocabs.append(build_vocabulary(vocab.terms,
-                                           {**vocab.prefix_map, **prefixes.entries}))
-    except (ConfigError, LintFatalError) as exc:
-        _fail(str(exc))
+    prefixes = build_prefix_map(config)
+    vocabs = []
+    for path in paths:
+        vocab, _ = parse_input(path, None)
+        vocabs.append(build_vocabulary(vocab.terms, {**vocab.prefix_map, **prefixes.entries}))
     index = build_index(vocabs)
     rows = []
-    for query in queries:
+    for query in args.queries:
         try:
-            matches = suggest_terms(index, query, k=top_k)
+            matches = suggest_terms(index, query, k=args.top_k)
         except EmptyQueryError:
             _fail(f"query {query!r} is empty after normalization")
         rows.append((query, matches))
-    if output == "json":
+    if args.output == "json":
         payload = {"queries": [
             {"query": query,
              "suggestions": [
@@ -152,38 +105,29 @@ def suggest(queries, references, config_path, top_k, output):
                   "reuse_count": s.reuse_count}
                  for s in matches]}
             for query, matches in rows]}
-        click.echo(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False))
-        return
+        print(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False))
+        return 0
     for query, matches in rows:
-        click.echo(f"query: {query}")
+        print(f"query: {query}")
         if not matches:
-            click.echo("  (no candidates)")
+            print("  (no candidates)")
             continue
         for rank, s in enumerate(matches, start=1):
             iri = s.term.iri.value if s.term.iri else "(no iri)"
-            click.echo(f"  {rank}. {s.term.label}  score {s.score:.3f}  "
-                       f"{s.match_kind}  reused-in {s.reuse_count}  {iri}")
+            print(f"  {rank}. {s.term.label}  score {s.score:.3f}  "
+                  f"{s.match_kind}  reused-in {s.reuse_count}  {iri}")
+    return 0
 
 
-@main.command()
-@click.option("--metadata", "metadata_path", type=click.Path(), default=None,
-              help="Metadata snapshot file (overrides the config).")
-@click.option("--config", "config_path", type=click.Path(), default=None,
-              help="JSON configuration file.")
-@click.option("--output", type=click.Choice(["text", "json"]), default="text",
-              show_default=True)
-def health(metadata_path, config_path, output):
+def health(args: argparse.Namespace) -> int:
     """Score maintenance health of the ontologies in a metadata snapshot."""
-    config = _load_config_or_default(config_path)
-    path = metadata_path or config.metadata_path
+    config = _load_config_or_default(args.config)
+    path = args.metadata or config.metadata_path
     if path is None:
         _fail("no metadata snapshot; pass --metadata or set metadata_path")
-    try:
-        records, notes = load_metadata(read_text("metadata ", path))
-        reports = [assess_health(record, config.health_weights) for record in records]
-    except (ConfigError, ValueError) as exc:
-        _fail(str(exc))
-    if output == "json":
+    records, notes = load_metadata(read_text("metadata ", path))
+    reports = [assess_health(record, config.health_weights) for record in records]
+    if args.output == "json":
         payload = {
             "notes": notes,
             "ontologies": [
@@ -191,27 +135,88 @@ def health(metadata_path, config_path, output):
                  "verdict": r.verdict, "notes": list(r.notes)}
                 for r in reports],
         }
-        click.echo(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False))
-        return
+        print(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False))
+        return 0
     for note in notes:
-        click.echo(f"note: {note}")
+        print(f"note: {note}")
     for r in reports:
-        click.echo(f"{r.name}: {r.verdict} (composite {r.composite:.2f})")
+        print(f"{r.name}: {r.verdict} (composite {r.composite:.2f})")
         for name in SUBSCORE_NAMES:
-            click.echo(f"  {name:<15} {r.subscores[name]:.2f}")
+            print(f"  {name:<15} {r.subscores[name]:.2f}")
         for note in r.notes:
-            click.echo(f"  note: {note}")
+            print(f"  note: {note}")
     if not reports:
-        click.echo("no usable metadata records")
+        print("no usable metadata records")
+    return 0
 
 
-@main.command()
-def rules() -> None:
+def rules(args: argparse.Namespace) -> int:
     """List every rule with its default severity."""
     width = max(len(rule_id) for rule_id in RULES)
     for rule_id in sorted(RULES):
         info = RULES[rule_id]
-        click.echo(f"{rule_id:<{width}}  {info.default_severity:<7}  {info.summary}")
+        print(f"{rule_id:<{width}}  {info.default_severity:<7}  {info.summary}")
+    return 0
+
+
+COMMANDS = {command.__name__: command for command in (check, suggest, health, rules)}
+
+
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The argument parser of one subcommand. Options may come between
+    positional arguments, and must be spelled out in full."""
+    parser = argparse.ArgumentParser(prog=f"vocab-lint {name}", allow_abbrev=False,
+                                     description=COMMANDS[name].__doc__)
+    add = parser.add_argument
+    if name == "check":
+        add("files", nargs="+", metavar="FILES")
+        add("--format", choices=FORMATS,
+            help="Force the input format instead of inferring from suffixes.")
+        add("--fail-on", choices=SEVERITIES,
+            help="Lowest severity that makes the run fail (default: warning).")
+        add("--rule", dest="rules", action="append", default=[], metavar="PATTERN",
+            help="Only run rules matching this glob pattern (repeatable).")
+        add("--suppress", dest="suppressions", action="append", default=[],
+            metavar="RULE:SUBJECT",
+            help="Drop findings of RULE whose subject matches (repeatable).")
+        add("--per-file", action="store_true",
+            help="Lint each file in isolation instead of the merged vocabulary.")
+    elif name == "suggest":
+        add("queries", nargs="+", metavar="QUERIES")
+        add("--references", action="append", default=[],
+            help="Reference vocabulary to search (repeatable).")
+        add("-k", dest="top_k", type=int, default=5,
+            help="Suggestions per query (default: 5).")
+    elif name == "health":
+        add("--metadata", help="Metadata snapshot file (overrides the config).")
+    if name != "rules":
+        add("--config", help="JSON configuration file.")
+        add("--output", choices=("text", "json"), default="text",
+            help="Report format (default: text).")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> NoReturn:
+    """Parse argv, run one subcommand and exit with its code. An error the
+    program raises itself prints as "vocab-lint: error: ..." and exits 2."""
+    top = argparse.ArgumentParser(
+        prog="vocab-lint", allow_abbrev=False,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        description="Static analysis for controlled vocabularies and "
+                    "data-dictionary picklists.",
+        epilog="commands:\n" + "\n".join(f"  {name:<9}{command.__doc__}"
+                                         for name, command in COMMANDS.items()))
+    top.add_argument("--version", action="version", version=f"vocab-lint, version {__version__}")
+    top.add_argument("command", choices=COMMANDS, metavar="COMMAND",
+                     help="one of the commands below")
+    top.add_argument("args", nargs=argparse.REMAINDER, metavar="ARGS",
+                     help="the command's files and options; see vocab-lint COMMAND --help")
+    parsed = top.parse_args(argv)
+    args = _command_parser(parsed.command).parse_intermixed_args(parsed.args)
+    try:
+        sys.exit(COMMANDS[parsed.command](args))
+    except (ConfigError, LintFatalError) as exc:
+        _fail(str(exc))
 
 
 if __name__ == "__main__":

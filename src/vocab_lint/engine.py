@@ -14,6 +14,7 @@ from typing import Sequence
 
 from . import __version__, definitions, identity, lexical
 from .catalog import INFO, RULES, SEVERITIES, SEVERITY_RANK
+from .health import validate_weights
 from .identity import PrefixMap, PrefixMapError, default_prefix_map, load_prefix_map
 from .ingest import FatalParseError, parse_obo, parse_term_table
 from .lexical import (
@@ -145,6 +146,10 @@ def load_config(path: str) -> RuleConfig:
                  and all(isinstance(v, (int, float)) for v in weights.values()),
                  "health_weights must map subscore names to numbers")
         cfg.health_weights = {k: float(v) for k, v in weights.items()}
+        try:
+            validate_weights(cfg.health_weights)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     tokens = raw.get("concept_bomb_token_threshold",
                      cfg.complexity.concept_bomb_token_threshold)
     group = raw.get("word_bomb_min_group", cfg.complexity.word_bomb_min_group)

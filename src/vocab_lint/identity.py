@@ -58,12 +58,12 @@ def default_prefix_map() -> PrefixMap:
                      obo_prefixes=frozenset(DEFAULT_PREFIXES))
 
 
-def load_prefix_map(text: str, extend_defaults: bool = True) -> PrefixMap:
-    """Parse tab-separated lines "PREFIX<TAB>IRI-base<TAB>obo|external".
-    Blank lines and "#" comments are skipped. A file entry replaces a
-    built-in default of the same prefix."""
-    entries = dict(DEFAULT_PREFIXES) if extend_defaults else {}
-    obo = set(DEFAULT_PREFIXES) if extend_defaults else set()
+def load_prefix_map(text: str) -> PrefixMap:
+    """Parse tab-separated lines "PREFIX<TAB>IRI-base<TAB>obo|external" on
+    top of the built-in defaults. Blank lines and "#" comments are skipped.
+    A file entry replaces a built-in default of the same prefix."""
+    entries = dict(DEFAULT_PREFIXES)
+    obo = set(DEFAULT_PREFIXES)
     seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -252,12 +252,10 @@ def _apply_tag(st: _StanzaState, tag: str, value: str, line_no: int, warn, error
             st.annotations[tag] = value
 
 
-def parse_term_table(text: str, file_name: str,
-                     columns: ColumnMap | None = None,
-                     ) -> tuple[Vocabulary, list[Finding]]:
+def parse_term_table(text: str, file_name: str) -> tuple[Vocabulary, list[Finding]]:
     """Parse a UTF-8 TSV term table. The first row is the header; "|" splits
     list-valued cells; empty cells mean absent fields."""
-    columns = columns or ColumnMap()
+    columns = ColumnMap()
     diags: list[Finding] = []
     terms: list[Term] = []
     lines = _strip_bom(text).split("\n")

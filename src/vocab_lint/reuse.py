@@ -45,10 +45,15 @@ class ReuseIndex:
     prefix_map: dict[str, str] = field(default_factory=dict)
 
 
+def _bearer_order(term: Term) -> tuple[str, str, str]:
+    """Which of an identity's bearers the index shows: the least of these."""
+    return term.key, term.label, term.iri.value if term.iri else ""
+
+
 def build_index(references: list[Vocabulary]) -> ReuseIndex:
     """Index live terms of the reference vocabularies by normalized label and
-    synonyms. A term found in several references keeps one entry but a
-    higher source count."""
+    synonyms. A term found in several references keeps one entry, with the
+    phrases of every bearer and a higher source count."""
     prefix_map: dict[str, str] = {}
     for vocab in references:
         prefix_map.update(vocab.prefix_map)
@@ -59,7 +64,9 @@ def build_index(references: list[Vocabulary]) -> ReuseIndex:
             if term.obsolete:
                 continue
             identity = term.identity(prefix_map)
-            phrases = index.entries.setdefault(identity, (term, {}))[1]
+            shown, phrases = index.entries.get(identity, (term, {}))
+            # The least bearer is shown, whatever the reference order.
+            index.entries[identity] = (min(shown, term, key=_bearer_order), phrases)
             kinds = [(term.key, "label")] + [
                 (syn.key, "exact_synonym" if syn.scope == "exact" else "other_synonym")
                 for syn in term.synonyms]

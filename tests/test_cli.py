@@ -5,7 +5,6 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import vocab_lint
 from vocab_lint import __version__
@@ -69,11 +68,6 @@ as_of: 2026-08-01
 """
 
 
-@pytest.fixture
-def runner():
-    return CliRunner()
-
-
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -84,7 +78,7 @@ def run_cli(capsys, args):
     """Run the CLI in this process: (exit code, stdout, stderr). An exception
     the CLI does not turn into an exit escapes and fails the calling test."""
     with pytest.raises(SystemExit) as exited:
-        main(args, prog_name="vocab-lint")
+        main(args)
     captured = capsys.readouterr()
     return exited.value.code, captured.out, captured.err
 
@@ -97,81 +91,104 @@ def config_path(tmp_path):
 
 
 class TestCheck:
-    def test_clean_input_exits_zero(self, runner, tmp_path):
+    def test_clean_input_exits_zero(self, capsys, tmp_path):
         path = write(tmp_path, "clean.obo", OBO_CLEAN)
-        result = runner.invoke(main, ["check", path])
-        assert result.exit_code == 0
-        assert "0 error(s), 0 warning(s), 0 info note(s) in 1 input(s)" in result.output
+        code, out, _ = run_cli(capsys, ["check", path])
+        assert code == 0
+        assert "0 error(s), 0 warning(s), 0 info note(s) in 1 input(s)" in out
 
-    def test_findings_exit_one(self, runner, tmp_path, config_path):
+    def test_findings_exit_one(self, capsys, tmp_path, config_path):
         path = write(tmp_path, "lft.obo", OBO_LFT)
-        result = runner.invoke(main, ["check", path, "--config", config_path])
-        assert result.exit_code == 1
-        assert "R05-ABBREV" in result.output
-        assert f"{path}:3: warning R05-ABBREV LFT:" in result.output
+        code, out, _ = run_cli(capsys, ["check", path, "--config", config_path])
+        assert code == 1
+        assert "R05-ABBREV" in out
+        assert f"{path}:3: warning R05-ABBREV LFT:" in out
 
-    def test_fail_on_error_tolerates_warnings(self, runner, tmp_path, config_path):
+    def test_fail_on_error_tolerates_warnings(self, capsys, tmp_path, config_path):
         path = write(tmp_path, "lft.obo", OBO_LFT)
-        result = runner.invoke(main, ["check", path, "--config", config_path,
-                                      "--fail-on", "error"])
-        assert result.exit_code == 0
-        assert "R05-ABBREV" in result.output
+        code, out, _ = run_cli(capsys, ["check", path, "--config", config_path,
+                                        "--fail-on", "error"])
+        assert code == 0
+        assert "R05-ABBREV" in out
 
-    def test_rule_patterns(self, runner, tmp_path, config_path):
+    def test_rule_patterns(self, capsys, tmp_path, config_path):
         path = write(tmp_path, "lft.obo", OBO_LFT)
-        result = runner.invoke(main, ["check", path, "--config", config_path,
-                                      "--rule", "R06-*"])
-        assert result.exit_code == 0
-        assert "R05-ABBREV" not in result.output
+        code, out, _ = run_cli(capsys, ["check", path, "--config", config_path,
+                                        "--rule", "R06-*"])
+        assert code == 0
+        assert "R05-ABBREV" not in out
 
-    def test_suppress_option(self, runner, tmp_path, config_path):
+    def test_rule_and_suppress_repeat(self, capsys, tmp_path):
+        # Without a prefix map, lft.obo has an R05 warning and an R06 error.
         path = write(tmp_path, "lft.obo", OBO_LFT)
-        result = runner.invoke(main, ["check", path, "--config", config_path,
+
+        def rule_ids(*options):
+            code, out, _ = run_cli(capsys, ["check", path, "--output", "json", *options])
+            return code, sorted(f["rule_id"] for f in json.loads(out)["findings"])
+
+        assert rule_ids("--rule", "R05-*") == (1, ["R05-ABBREV"])
+        assert rule_ids("--rule", "R05-*", "--rule", "R06-*") == (
+            1, ["R05-ABBREV", "R06-BAD-IRI"])
+        assert rule_ids("--suppress", "R05-ABBREV:LFT") == (1, ["R06-BAD-IRI"])
+        assert rule_ids("--suppress", "R05-ABBREV:LFT",
+                        "--suppress", "R06-BAD-IRI:LFT") == (0, [])
+
+    def test_options_may_come_between_files(self, capsys, tmp_path, config_path):
+        a = write(tmp_path, "lft.obo", OBO_LFT)
+        b = write(tmp_path, "clean.obo", OBO_CLEAN)
+        before = run_cli(capsys, ["check", "--output", "json", a, b, "--config", config_path])
+        between = run_cli(capsys, ["check", a, "--output", "json", b, "--config", config_path])
+        assert between == before
+        assert {i["file"] for i in json.loads(between[1])["inputs"]} == {a, b}
+
+    def test_suppress_option(self, capsys, tmp_path, config_path):
+        path = write(tmp_path, "lft.obo", OBO_LFT)
+        code, _, _ = run_cli(capsys, ["check", path, "--config", config_path,
                                       "--suppress", "R05-ABBREV:LFT"])
-        assert result.exit_code == 0
+        assert code == 0
 
-    def test_suppress_subject_may_contain_colons(self, runner, tmp_path, config_path):
+    def test_suppress_subject_may_contain_colons(self, capsys, tmp_path, config_path):
         path = write(tmp_path, "lft.obo", OBO_LFT)
-        result = runner.invoke(main, ["check", path, "--config", config_path,
+        code, _, _ = run_cli(capsys, ["check", path, "--config", config_path,
                                       "--suppress", "R05-ABBREV:EX:0000002"])
-        assert result.exit_code == 0
+        assert code == 0
 
-    def test_suppress_malformed(self, runner, tmp_path, config_path):
+    def test_suppress_malformed(self, capsys, tmp_path, config_path):
         path = write(tmp_path, "lft.obo", OBO_LFT)
-        result = runner.invoke(main, ["check", path, "--config", config_path,
-                                      "--suppress", "R05-ABBREV"])
-        assert result.exit_code == 2
-        assert "RULE:SUBJECT" in result.output
+        code, _, err = run_cli(capsys, ["check", path, "--config", config_path,
+                                        "--suppress", "R05-ABBREV"])
+        assert code == 2
+        assert "RULE:SUBJECT" in err
 
-    def test_suppress_unknown_rule(self, runner, tmp_path, config_path):
+    def test_suppress_unknown_rule(self, capsys, tmp_path, config_path):
         path = write(tmp_path, "lft.obo", OBO_LFT)
-        result = runner.invoke(main, ["check", path, "--config", config_path,
+        code, _, _ = run_cli(capsys, ["check", path, "--config", config_path,
                                       "--suppress", "R99-NOPE:LFT"])
-        assert result.exit_code == 2
+        assert code == 2
 
-    def test_json_output(self, runner, tmp_path, config_path):
+    def test_json_output(self, capsys, tmp_path, config_path):
         path = write(tmp_path, "lft.obo", OBO_LFT)
-        result = runner.invoke(main, ["check", path, "--config", config_path,
-                                      "--output", "json"])
-        payload = json.loads(result.output)
+        _, out, _ = run_cli(capsys, ["check", path, "--config", config_path,
+                                     "--output", "json"])
+        payload = json.loads(out)
         assert payload["tool"] == "vocab-lint"
         assert [f["rule_id"] for f in payload["findings"]] == ["R05-ABBREV"]
 
-    def test_format_override(self, runner, tmp_path, config_path):
+    def test_format_override(self, capsys, tmp_path, config_path):
         path = write(tmp_path, "terms.txt", OBO_LFT)
-        result = runner.invoke(main, ["check", path, "--config", config_path,
+        code, _, _ = run_cli(capsys, ["check", path, "--config", config_path,
                                       "--format", "obo"])
-        assert result.exit_code == 1
+        assert code == 1
 
-    def test_unknown_suffix_is_fatal(self, runner, tmp_path):
+    def test_unknown_suffix_is_fatal(self, capsys, tmp_path):
         path = write(tmp_path, "terms.txt", OBO_LFT)
-        result = runner.invoke(main, ["check", path])
-        assert result.exit_code == 2
-        assert "cannot infer format" in result.output
+        code, _, err = run_cli(capsys, ["check", path])
+        assert code == 2
+        assert "cannot infer format" in err
 
-    def test_missing_file_is_fatal(self, runner, tmp_path):
-        result = runner.invoke(main, ["check", str(tmp_path / "absent.obo")])
-        assert result.exit_code == 2
+    def test_missing_file_is_fatal(self, capsys, tmp_path):
+        code, _, _ = run_cli(capsys, ["check", str(tmp_path / "absent.obo")])
+        assert code == 2
 
     def test_table_without_label_column_names_its_file_once(self, tmp_path, capsys):
         path = write(tmp_path, "x.tsv", "name\tiri\ncough\tHP:0012735\n")
@@ -179,50 +196,51 @@ class TestCheck:
         assert (code, out) == (2, "")
         assert err == f"vocab-lint: error: {path}: required label column 'label' not in header\n"
 
-    def test_bad_config_is_fatal(self, runner, tmp_path):
+    def test_bad_config_is_fatal(self, capsys, tmp_path):
         path = write(tmp_path, "clean.obo", OBO_CLEAN)
         bad = write(tmp_path, "config.json", '{"surprise": true}')
-        result = runner.invoke(main, ["check", path, "--config", bad])
-        assert result.exit_code == 2
+        code, _, _ = run_cli(capsys, ["check", path, "--config", bad])
+        assert code == 2
 
-    def test_per_file_flag(self, runner, tmp_path):
+    def test_per_file_flag(self, capsys, tmp_path):
         a = write(tmp_path, "a.obo", OBO_CLEAN)
         b = write(tmp_path, "b.obo", OBO_CLEAN.replace("HP:0012735", "HP:0099999"))
-        merged = runner.invoke(main, ["check", a, b])
-        isolated = runner.invoke(main, ["check", a, b, "--per-file"])
-        assert "C-SEMANTIC-NOISE" in merged.output
-        assert merged.exit_code == 1
-        assert "C-SEMANTIC-NOISE" not in isolated.output
-        assert isolated.exit_code == 0
+        merged_code, merged, _ = run_cli(capsys, ["check", a, b])
+        isolated_code, isolated, _ = run_cli(capsys, ["check", a, b, "--per-file"])
+        assert "C-SEMANTIC-NOISE" in merged
+        assert merged_code == 1
+        assert "C-SEMANTIC-NOISE" not in isolated
+        assert isolated_code == 0
 
-    def test_no_color_env_disables_ansi(self, runner, tmp_path, config_path):
+    def test_no_color_env_disables_ansi(self, capsys, tmp_path, config_path, monkeypatch):
         path = write(tmp_path, "lft.obo", OBO_LFT)
-        result = runner.invoke(main, ["check", path, "--config", config_path],
-                               env={"NO_COLOR": "1"})
-        assert "\x1b[" not in result.output
+        monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+        assert "\x1b[" in run_cli(capsys, ["check", path, "--config", config_path])[1]
+        monkeypatch.setenv("NO_COLOR", "1")
+        assert "\x1b[" not in run_cli(capsys, ["check", path, "--config", config_path])[1]
 
 
 class TestSuggest:
-    def test_ranked_rows(self, runner, tmp_path):
+    def test_ranked_rows(self, capsys, tmp_path):
         ref = write(tmp_path, "ref.obo", OBO_REFERENCE)
-        result = runner.invoke(main, ["suggest", "wet cough", "--references", ref])
-        assert result.exit_code == 0
-        lines = result.output.splitlines()
+        code, out, _ = run_cli(capsys, ["suggest", "wet cough", "--references", ref])
+        assert code == 0
+        lines = out.splitlines()
         assert lines[0] == "query: wet cough"
         assert lines[1] == ("  1. productive cough  score 0.900  exact_synonym  "
                             "reused-in 1  HP:0031352")
         assert lines[2].startswith("  2. cough  score 0.350  token_overlap")
 
-    def test_no_candidates(self, runner, tmp_path):
+    def test_no_candidates(self, capsys, tmp_path):
         ref = write(tmp_path, "ref.obo", OBO_REFERENCE)
-        result = runner.invoke(main, ["suggest", "zzzz", "--references", ref])
-        assert "(no candidates)" in result.output
+        _, out, _ = run_cli(capsys, ["suggest", "zzzz", "--references", ref])
+        assert "(no candidates)" in out
 
-    def test_json_output(self, runner, tmp_path):
+    def test_json_output(self, capsys, tmp_path):
         ref = write(tmp_path, "ref.obo", OBO_REFERENCE)
-        result = runner.invoke(main, ["suggest", "wet cough", "--references", ref,
-                                      "--output", "json", "-k", "1"])
-        payload = json.loads(result.output)
+        _, out, _ = run_cli(capsys, ["suggest", "wet cough", "--references", ref,
+                                     "--output", "json", "-k", "1"])
+        payload = json.loads(out)
         entry, = payload["queries"]
         assert entry["query"] == "wet cough"
         suggestion, = entry["suggestions"]
@@ -230,15 +248,31 @@ class TestSuggest:
         assert suggestion["score"] == 0.9
         assert suggestion["match_kind"] == "exact_synonym"
 
-    def test_references_from_config(self, runner, tmp_path):
+    def test_output_does_not_depend_on_reference_order(self, capsys, tmp_path):
+        # Both references carry HP:0001945, under different labels; the term
+        # shown for it must not be whichever reference came first.
+        a = write(tmp_path, "a.obo", "[Term]\nid: HP:0001945\nname: pyrexia\n")
+        b = write(tmp_path, "b.obo", '[Term]\nid: HP:0001945\nname: fever\n'
+                                     'synonym: "pyrexia" EXACT []\n')
+        shown = {}
+        for output in ("text", "json"):
+            runs = [run_cli(capsys, ["suggest", "pyrexia", "--output", output,
+                                     "--references", first, "--references", second])
+                    for first, second in ((a, b), (b, a))]
+            assert runs[0] == runs[1]
+            shown[output] = runs[0]
+        assert shown["text"][:2] == (0, "query: pyrexia\n  1. fever  score 1.000  exact_label"
+                                        "  reused-in 2  HP:0001945\n")
+
+    def test_references_from_config(self, capsys, tmp_path):
         write(tmp_path, "ref.obo", OBO_REFERENCE)
         config = write(tmp_path, "config.json",
                        json.dumps({"reference_paths": ["ref.obo"]}))
-        result = runner.invoke(main, ["suggest", "cough", "--config", config])
-        assert result.exit_code == 0 and "1. cough" in result.output
+        code, out, _ = run_cli(capsys, ["suggest", "cough", "--config", config])
+        assert code == 0 and "1. cough" in out
 
     def test_references_are_indexed_on_the_configured_prefixes(
-            self, runner, tmp_path, monkeypatch):
+            self, capsys, tmp_path, monkeypatch):
         # The TSV declares no prefixes; its HP: CURIEs expand only through the
         # built-in prefix map, which must be in place when the IRI index is
         # built, or term_for and by_iri disagree.
@@ -251,79 +285,89 @@ class TestSuggest:
             return real_build_index(vocabs)
 
         monkeypatch.setattr(vocab_lint.cli, "build_index", capture)
-        result = runner.invoke(main, ["suggest", "wet cough", "--references", ref])
-        assert result.exit_code == 0
-        assert "productive cough" in result.output
+        code, out, _ = run_cli(capsys, ["suggest", "wet cough", "--references", ref])
+        assert code == 0
+        assert "productive cough" in out
         vocab, = seen
         assert len(vocab.terms) == 2
         for t in vocab.terms:
             assert vocab.term_for(t.iri) is t
 
-    def test_no_references_is_fatal(self, runner):
-        result = runner.invoke(main, ["suggest", "cough"])
-        assert result.exit_code == 2
-        assert "no reference vocabularies" in result.output
+    def test_no_references_is_fatal(self, capsys):
+        code, _, err = run_cli(capsys, ["suggest", "cough"])
+        assert code == 2
+        assert "no reference vocabularies" in err
 
-    def test_empty_query_is_fatal(self, runner, tmp_path):
+    def test_empty_query_is_fatal(self, capsys, tmp_path):
         ref = write(tmp_path, "ref.obo", OBO_REFERENCE)
-        result = runner.invoke(main, ["suggest", "!!", "--references", ref])
-        assert result.exit_code == 2
-        assert "empty after normalization" in result.output
+        code, _, err = run_cli(capsys, ["suggest", "!!", "--references", ref])
+        assert code == 2
+        assert "empty after normalization" in err
 
 
 class TestHealth:
-    def test_verdicts_and_subscores(self, runner, tmp_path):
+    def test_verdicts_and_subscores(self, capsys, tmp_path):
         snap = write(tmp_path, "snapshot.txt", SNAPSHOT)
-        result = runner.invoke(main, ["health", "--metadata", snap])
-        assert result.exit_code == 0
-        assert "well-tended: healthy (composite 0.99)" in result.output
-        assert "dusty: stale (composite 0.00)" in result.output
-        assert "does not mean the content is of poor quality" in result.output
-        assert "activity" in result.output
+        code, out, _ = run_cli(capsys, ["health", "--metadata", snap])
+        assert code == 0
+        assert "well-tended: healthy (composite 0.99)" in out
+        assert "dusty: stale (composite 0.00)" in out
+        assert "does not mean the content is of poor quality" in out
+        assert "activity" in out
 
-    def test_metadata_from_config(self, runner, tmp_path):
+    def test_metadata_from_config(self, capsys, tmp_path):
         write(tmp_path, "snapshot.txt", SNAPSHOT)
         config = write(tmp_path, "config.json",
                        json.dumps({"metadata_path": "snapshot.txt"}))
-        result = runner.invoke(main, ["health", "--config", config])
-        assert result.exit_code == 0 and "well-tended" in result.output
+        code, out, _ = run_cli(capsys, ["health", "--config", config])
+        assert code == 0 and "well-tended" in out
 
-    def test_custom_weights_from_config(self, runner, tmp_path):
+    def test_custom_weights_from_config(self, capsys, tmp_path):
         write(tmp_path, "snapshot.txt", SNAPSHOT)
         config = write(tmp_path, "config.json", json.dumps(
             {"metadata_path": "snapshot.txt",
              "health_weights": {"identifiers": 1.0}}))
-        result = runner.invoke(main, ["health", "--config", config])
-        assert "well-tended: healthy (composite 1.00)" in result.output
+        _, out, _ = run_cli(capsys, ["health", "--config", config])
+        assert "well-tended: healthy (composite 1.00)" in out
 
-    def test_bad_weights_fatal(self, runner, tmp_path):
+    def test_bad_weights_fatal(self, capsys, tmp_path):
         snap = write(tmp_path, "snapshot.txt", SNAPSHOT)
         config = write(tmp_path, "config.json", json.dumps(
             {"health_weights": {"identifiers": 0.5}}))
-        result = runner.invoke(main, ["health", "--metadata", snap,
+        code, _, _ = run_cli(capsys, ["health", "--metadata", snap,
                                       "--config", config])
-        assert result.exit_code == 2
+        assert code == 2
 
-    def test_notes_surface(self, runner, tmp_path):
+    def test_bad_weights_fatal_without_a_usable_record(self, capsys, tmp_path):
+        # No record reaches scoring, so only the config load can reject the weights.
+        snap = write(tmp_path, "snapshot.txt", "name: dusty\n")
+        config = write(tmp_path, "config.json", json.dumps(
+            {"health_weights": {"activty": 1.0}}))
+        code, out, err = run_cli(capsys, ["health", "--metadata", snap,
+                                          "--config", config])
+        assert (code, out) == (2, "")
+        assert err == "vocab-lint: error: unknown subscore weights: ['activty']\n"
+
+    def test_notes_surface(self, capsys, tmp_path):
         snap = write(tmp_path, "snapshot.txt", SNAPSHOT + "\nmascot: owl\n")
-        result = runner.invoke(main, ["health", "--metadata", snap])
-        assert "note:" in result.output and "mascot" in result.output
+        _, out, _ = run_cli(capsys, ["health", "--metadata", snap])
+        assert "note:" in out and "mascot" in out
 
-    def test_json_output(self, runner, tmp_path):
+    def test_json_output(self, capsys, tmp_path):
         snap = write(tmp_path, "snapshot.txt", SNAPSHOT)
-        result = runner.invoke(main, ["health", "--metadata", snap,
-                                      "--output", "json"])
-        payload = json.loads(result.output)
+        _, out, _ = run_cli(capsys, ["health", "--metadata", snap,
+                                     "--output", "json"])
+        payload = json.loads(out)
         assert [o["verdict"] for o in payload["ontologies"]] == ["healthy", "stale"]
 
-    def test_no_snapshot_is_fatal(self, runner):
-        result = runner.invoke(main, ["health"])
-        assert result.exit_code == 2
+    def test_no_snapshot_is_fatal(self, capsys):
+        code, _, _ = run_cli(capsys, ["health"])
+        assert code == 2
 
-    def test_missing_snapshot_file_is_fatal(self, runner, tmp_path):
-        result = runner.invoke(main, ["health", "--metadata",
+    def test_missing_snapshot_file_is_fatal(self, capsys, tmp_path):
+        code, _, _ = run_cli(capsys, ["health", "--metadata",
                                       str(tmp_path / "absent.txt")])
-        assert result.exit_code == 2
+        assert code == 2
 
 
 def _lint_with(directory, **config):
@@ -377,19 +421,30 @@ def test_leading_byte_order_mark_changes_nothing(kind, tmp_path, capsys):
 
 
 class TestRules:
-    def test_lists_every_rule(self, runner):
-        result = runner.invoke(main, ["rules"])
-        assert result.exit_code == 0
-        lines = [line for line in result.output.splitlines() if line]
+    def test_lists_every_rule(self, capsys):
+        code, out, _ = run_cli(capsys, ["rules"])
+        assert code == 0
+        lines = [line for line in out.splitlines() if line]
         assert len(lines) == len(RULES)
         for rule_id in ("R01-REUSE", "R05-ABBREV", "C-WORD-BOMB", "PARSE"):
             assert any(line.startswith(rule_id) for line in lines)
 
-    def test_version_flag(self, runner):
-        result = runner.invoke(main, ["--version"])
-        assert result.exit_code == 0
-        assert "vocab-lint" in result.output
-        assert __version__ in result.output
+    def test_version_flag(self, capsys):
+        assert run_cli(capsys, ["--version"])[:2] == (0, f"vocab-lint, version {__version__}\n")
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(["check"], id="missing-files"),
+    pytest.param(["check", "x.obo", "--bogus"], id="unknown-option"),
+    pytest.param(["check", "x.obo", "--out", "json"], id="abbreviated-option"),
+    pytest.param(["check", "x.obo", "--format", "xml"], id="bad-choice"),
+    pytest.param(["suggest", "cough", "-k", "x"], id="non-integer-k"),
+    pytest.param([], id="no-command"),
+])
+def test_usage_error_exits_two_with_empty_stdout(args, capsys):
+    code, out, err = run_cli(capsys, args)
+    assert (code, out) == (2, "")
+    assert err
 
 
 _IMPORT_PROBE = """
@@ -407,14 +462,14 @@ def _package_env(**variables):
         filter(None, [src, os.environ.get("PYTHONPATH")])), **variables)
 
 
-def test_cli_import_loads_only_stdlib_and_click():
+def test_cli_import_loads_only_stdlib():
     # Every CLI call pays for what importing the CLI loads; a third-party
     # import creeping in shows up here before it shows up as start-up time.
     result = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=_package_env(),
                             capture_output=True, text=True, check=True, timeout=60)
     loaded = set(result.stdout.split())
     assert "vocab_lint" in loaded
-    assert loaded - set(sys.stdlib_module_names) - {"click", "vocab_lint"} == set()
+    assert loaded - set(sys.stdlib_module_names) == {"vocab_lint"}
 
 
 def test_report_bytes_do_not_depend_on_the_hash_seed(corpus_dir):

@@ -64,11 +64,6 @@ class TestPrefixMapLoading:
         pm = load_prefix_map("# heading\n\nEX\thttps://example.org/EX_\texternal\n")
         assert "EX" in pm.entries
 
-    def test_without_defaults(self):
-        pm = load_prefix_map("EX\thttps://example.org/EX_\texternal\n",
-                             extend_defaults=False)
-        assert set(pm.entries) == {"EX"}
-
     @pytest.mark.parametrize("line", [
         "EX\thttps://example.org/EX_",            # 2 fields
         "EX\thttps://example.org/EX_\tweird",     # bad kind

@@ -1,7 +1,6 @@
 import pytest
 
 from vocab_lint.ingest import (
-    ColumnMap,
     FatalParseError,
     parse_obo,
     parse_term_table,
@@ -186,11 +185,6 @@ class TestTsvParsing:
         vocab, diags = parse_term_table("label\tiri\nx\tbad iri\n", "t.tsv")
         assert vocab.terms[0].iri is None
         assert any(d.severity == "warning" for d in diags)
-
-    def test_custom_columns(self):
-        vocab, _ = parse_term_table("term\nonly label\n", "t.tsv",
-                                    ColumnMap(label_col="term"))
-        assert vocab.terms[0].label == "only label"
 
     def test_cells_stripped(self):
         vocab, _ = parse_term_table("label\tiri\n  padded  \t EX:1 \n", "t.tsv")

@@ -90,16 +90,17 @@ class TestBuildIndex:
 
     def test_phrase_kind_does_not_depend_on_reference_order(self):
         # One reference labels EX:1 "pyrexia"; the other carries it as an
-        # exact synonym. The label is the better kind either way.
+        # exact synonym. The label is the better kind either way, and the
+        # term shown is the least-keyed bearer, "fever", either way.
         labelled = vocab(term("pyrexia", "EX:1"))
         synonym = vocab(term("fever", "EX:1", synonyms=[("pyrexia", "exact")]))
         results = []
         for references in ([labelled, synonym], [synonym, labelled]):
             index = build_index(references)
             assert index.entries["https://example.org/EX_1"][1]["pyrexia"] == "label"
-            results.append([(s.term.iri, s.score, s.match_kind, s.reuse_count)
+            results.append([(s.term.label, s.term.iri, s.score, s.match_kind, s.reuse_count)
                             for s in suggest_terms(index, "pyrexia")])
-        assert results[0] == results[1] == [(Iri("EX:1"), 1.0, "exact_label", 2)]
+        assert results[0] == results[1] == [("fever", Iri("EX:1"), 1.0, "exact_label", 2)]
 
 
 class TestSuggest:
