@@ -143,7 +143,8 @@ def load_config(path: str) -> RuleConfig:
     if "health_weights" in raw:
         weights = raw["health_weights"]
         _require(isinstance(weights, dict)
-                 and all(isinstance(v, (int, float)) for v in weights.values()),
+                 and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                         for v in weights.values()),
                  "health_weights must map subscore names to numbers")
         cfg.health_weights = {k: float(v) for k, v in weights.items()}
         try:
@@ -153,7 +154,7 @@ def load_config(path: str) -> RuleConfig:
     tokens = raw.get("concept_bomb_token_threshold",
                      cfg.complexity.concept_bomb_token_threshold)
     group = raw.get("word_bomb_min_group", cfg.complexity.word_bomb_min_group)
-    _require(isinstance(tokens, int) and isinstance(group, int),
+    _require(all(isinstance(n, int) and not isinstance(n, bool) for n in (tokens, group)),
              "complexity thresholds must be integers")
     try:
         cfg.complexity = ComplexityConfig(concept_bomb_token_threshold=tokens,

@@ -5,6 +5,7 @@ line-accurate source locations. The grammar details live in docs/formats.md.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .model import (
@@ -50,26 +51,21 @@ def _strip_bom(text: str) -> str:
     return text[1:] if text.startswith("﻿") else text
 
 
+# From the first double quote to the next one that no backslash escapes.
+_QUOTED = re.compile(r'[^"]*"([^"\\]*(?:\\.[^"\\]*)*)"', re.DOTALL)
+
+
 def _parse_quoted(raw: str) -> tuple[str, str] | None:
     """Parse the first double-quoted string in `raw`, honoring backslash
-    escapes for quote and backslash. Returns (text, remainder-after-quote),
-    or None when the quote never closes (or never opens)."""
-    start = raw.find('"')
-    if start == -1:
+    escapes for quote and backslash; any other backslash stays literal.
+    Returns (text, remainder-after-quote), or None when the quote never
+    closes (or never opens)."""
+    match = _QUOTED.match(raw)
+    if match is None:
         return None
-    out: list[str] = []
-    i = start + 1
-    while i < len(raw):
-        ch = raw[i]
-        if ch == "\\" and i + 1 < len(raw) and raw[i + 1] in ('"', "\\"):
-            out.append(raw[i + 1])
-            i += 2
-        elif ch == '"':
-            return "".join(out), raw[i + 1:]
-        else:
-            out.append(ch)
-            i += 1
-    return None
+    # Every quote inside the match is escaped, and backslashes pair up from
+    # the left, so these two replaces undo exactly the escapes.
+    return match[1].replace("\\\\", "\\").replace('\\"', '"'), raw[match.end():]
 
 
 def _parse_bracket_list(raw: str) -> list[str]:

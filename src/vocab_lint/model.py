@@ -5,7 +5,6 @@ by every check.
 
 from __future__ import annotations
 
-import unicodedata
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -213,19 +212,49 @@ def find_phrases(tokens: tuple[str, ...], table: PhraseTable) -> Iterator[tuple[
                     yield start, length, values
 
 
+# Every code point that is whitespace or in a P* category under Unicode
+# 14.0.0, as hex ranges; tests/test_model.py regenerates it on a 14.0.0
+# interpreter.
+_SPACE_RANGES = """
+9-d 1c-23 25-2a 2c-2f 3a-3b 3f-40 5b-5d 5f 7b 7d 85 a0-a1 a7 ab b6-b7 bb bf 37e 387
+55a-55f 589-58a 5be 5c0 5c3 5c6 5f3-5f4 609-60a 60c-60d 61b 61d-61f 66a-66d 6d4
+700-70d 7f7-7f9 830-83e 85e 964-965 970 9fd a76 af0 c77 c84 df4 e4f e5a-e5b f04-f12
+f14 f3a-f3d f85 fd0-fd4 fd9-fda 104a-104f 10fb 1360-1368 1400 166e 1680 169b-169c
+16eb-16ed 1735-1736 17d4-17d6 17d8-17da 1800-180a 1944-1945 1a1e-1a1f 1aa0-1aa6
+1aa8-1aad 1b5a-1b60 1b7d-1b7e 1bfc-1bff 1c3b-1c3f 1c7e-1c7f 1cc0-1cc7 1cd3 2000-200a
+2010-2029 202f-2043 2045-2051 2053-205f 207d-207e 208d-208e 2308-230b 2329-232a
+2768-2775 27c5-27c6 27e6-27ef 2983-2998 29d8-29db 29fc-29fd 2cf9-2cfc 2cfe-2cff 2d70
+2e00-2e2e 2e30-2e4f 2e52-2e5d 3000-3003 3008-3011 3014-301f 3030 303d 30a0 30fb
+a4fe-a4ff a60d-a60f a673 a67e a6f2-a6f7 a874-a877 a8ce-a8cf a8f8-a8fa a8fc a92e-a92f
+a95f a9c1-a9cd a9de-a9df aa5c-aa5f aade-aadf aaf0-aaf1 abeb fd3e-fd3f fe10-fe19
+fe30-fe52 fe54-fe61 fe63 fe68 fe6a-fe6b ff01-ff03 ff05-ff0a ff0c-ff0f ff1a-ff1b
+ff1f-ff20 ff3b-ff3d ff3f ff5b ff5d ff5f-ff65 10100-10102 1039f 103d0 1056f 10857
+1091f 1093f 10a50-10a58 10a7f 10af0-10af6 10b39-10b3f 10b99-10b9c 10ead 10f55-10f59
+10f86-10f89 11047-1104d 110bb-110bc 110be-110c1 11140-11143 11174-11175 111c5-111c8
+111cd 111db 111dd-111df 11238-1123d 112a9 1144b-1144f 1145a-1145b 1145d 114c6
+115c1-115d7 11641-11643 11660-1166c 116b9 1173c-1173e 1183b 11944-11946 119e2
+11a3f-11a46 11a9a-11a9c 11a9e-11aa2 11c41-11c45 11c70-11c71 11ef7-11ef8 11fff
+12470-12474 12ff1-12ff2 16a6e-16a6f 16af5 16b37-16b3b 16b44 16e97-16e9a 16fe2 1bc9f
+1da87-1da8b 1e95e-1e95f
+"""
+
+
+def _space_points() -> Iterator[int]:
+    for item in _SPACE_RANGES.split():
+        lo, _, hi = item.partition("-")
+        yield from range(int(lo, 16), int(hi or lo, 16) + 1)
+
+
+_TABLE = dict.fromkeys(_space_points(), ord(" "))
+_TABLE.update((c, c + 32) for c in range(ord("A"), ord("Z") + 1))
+
+
 def normalize_label(raw: str) -> str:
-    """Shared comparison key: ASCII letters lowercased, punctuation (including
-    parentheses and hyphens) turned into spaces, whitespace collapsed.
-    Non-Latin characters pass through unchanged. Idempotent."""
-    out = []
-    for ch in raw:
-        if "A" <= ch <= "Z":
-            out.append(chr(ord(ch) + 32))
-        elif ch.isspace() or unicodedata.category(ch).startswith("P"):
-            out.append(" ")
-        else:
-            out.append(ch)
-    return " ".join("".join(out).split())
+    """Shared comparison key: ASCII letters lowercased, the whitespace and
+    punctuation of Unicode 14.0.0 (including parentheses and hyphens) turned
+    into spaces, spaces collapsed. Every other character, including one
+    assigned after 14.0.0, passes through unchanged. Idempotent."""
+    return " ".join(filter(None, raw.translate(_TABLE).split(" ")))
 
 
 def tokens_of(raw: str) -> list[str]:

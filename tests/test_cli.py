@@ -212,6 +212,16 @@ class TestCheck:
         assert "C-SEMANTIC-NOISE" not in isolated
         assert isolated_code == 0
 
+    def test_unicode_report_bytes_are_pinned(self, capsys, fixtures_dir, monkeypatch):
+        # U+2E53 is punctuation since Unicode 14.0 and U+11B00 only since
+        # 15.0: the pinned 14.0.0 table splits "foo⹓bar" alone, on every
+        # interpreter. CI compares the same command's output on a bare one.
+        monkeypatch.chdir(fixtures_dir.parents[1])
+        code, out, _ = run_cli(capsys, ["check", "--output", "json", "--rule", "C-*",
+                                        "tests/fixtures/unicode/labels.tsv"])
+        assert code == 1
+        assert out == (fixtures_dir / "unicode" / "expected.json").read_text(encoding="utf-8")
+
     def test_no_color_env_disables_ansi(self, capsys, tmp_path, config_path, monkeypatch):
         path = write(tmp_path, "lft.obo", OBO_LFT)
         monkeypatch.setattr(sys.stdout, "isatty", lambda: True)

@@ -156,12 +156,16 @@ BAD_CONFIGS = [
     ('{"metadata_path": ["snapshot.txt"]}', "metadata_path must be a string"),
     ('{"health_weights": {"activity": "lots"}}',
      "health_weights must map subscore names to numbers"),
+    ('{"health_weights": {"activity": true}}',
+     "health_weights must map subscore names to numbers"),
     ('{"health_weights": {"activty": 1.0}}', "unknown subscore weights: ['activty']"),
     ('{"health_weights": {"activity": 0.5}}', "weights must sum to 1, got 0.5"),
     ('{"concept_bomb_token_threshold": 1}', "complexity thresholds must be >= 2"),
     ('{"concept_bomb_token_threshold": "seven"}', "complexity thresholds must be integers"),
+    ('{"concept_bomb_token_threshold": true}', "complexity thresholds must be integers"),
     ('{"word_bomb_min_group": 1}', "complexity thresholds must be >= 2"),
     ('{"word_bomb_min_group": 4.5}', "complexity thresholds must be integers"),
+    ('{"word_bomb_min_group": false}', "complexity thresholds must be integers"),
     ('{"per_file": "yes"}', "per_file must be a boolean"),
 ]
 

@@ -1,7 +1,12 @@
+import time
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vocab_lint.ingest import (
     FatalParseError,
+    _parse_quoted,
     parse_obo,
     parse_term_table,
     serialize_obo,
@@ -236,6 +241,43 @@ def test_diagnostic(parse, text, severity, message, line):
     _, diags = parse(text, "f")
     assert [(d.severity, d.message, d.location) for d in diags] == [
         (severity, message, SourceLocation("f", line))]
+
+
+def _reference_parse_quoted(raw):
+    """The character loop that _parse_quoted replaced, kept as its oracle."""
+    start = raw.find('"')
+    if start == -1:
+        return None
+    out = []
+    i = start + 1
+    while i < len(raw):
+        ch = raw[i]
+        if ch == "\\" and i + 1 < len(raw) and raw[i + 1] in ('"', "\\"):
+            out.append(raw[i + 1])
+            i += 2
+        elif ch == '"':
+            return "".join(out), raw[i + 1:]
+        else:
+            out.append(ch)
+            i += 1
+    return None
+
+
+class TestParseQuoted:
+    @given(st.text(alphabet='a "\\\n', max_size=40))
+    def test_matches_the_reference_loop(self, raw):
+        assert _parse_quoted(raw) == _reference_parse_quoted(raw)
+
+    def test_unclosed_synonym_full_of_backslashes_is_linear(self):
+        # An odd run of backslashes escapes the last quote, so the quote
+        # that opens this 200k-character synonym never closes.
+        value = '"' + "\\a" * 50_000 + "\\" * 99_999 + '" EXACT []'
+        started = time.perf_counter()
+        _, diags = parse_obo(TERM + f"synonym: {value}\n", "f.obo")
+        elapsed = time.perf_counter() - started
+        assert [(d.severity, d.message, d.location.line) for d in diags] == [
+            ("error", "unclosed quote in synonym; stanza skipped", 4)]
+        assert elapsed < 1.0
 
 
 def _fields(term):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from vocab_lint import model
 from vocab_lint.model import (
     Definition,
     Finding,
@@ -30,6 +31,56 @@ PM = {"HP": "http://purl.obolibrary.org/obo/HP_",
       "EX": "https://example.org/vocab/EX_"}
 
 
+def _committed_space_points() -> frozenset[int]:
+    """The code points that the committed table says become spaces, parsed
+    here rather than by model's own reader, so that a slip in it shows."""
+    points = set()
+    for item in model._SPACE_RANGES.split():
+        lo, _, hi = item.partition("-")
+        points.update(range(int(lo, 16), int(hi or lo, 16) + 1))
+    return frozenset(points)
+
+
+SPACE_POINTS = _committed_space_points()
+
+
+def _ranges_text(points: list[int]) -> str:
+    """Sorted code points as the committed table writes them: hex ranges,
+    lines of at most 84 characters, between two newlines."""
+    ranges: list[list[int]] = []
+    for point in points:
+        if ranges and ranges[-1][1] == point - 1:
+            ranges[-1][1] = point
+        else:
+            ranges.append([point, point])
+    lines = [""]
+    for lo, hi in ranges:
+        item = f"{lo:x}" if lo == hi else f"{lo:x}-{hi:x}"
+        if lines[-1] and len(lines[-1]) + 1 + len(item) > 84:
+            lines.append("")
+        lines[-1] = f"{lines[-1]} {item}".lstrip()
+    return "\n" + "\n".join(lines) + "\n"
+
+
+def _reference_normalize_label(raw):
+    """The character loop that normalize_label replaced, kept as its oracle.
+    It reads the interpreter's Unicode tables, so it is the reference only
+    on a 14.0.0 interpreter."""
+    out = []
+    for ch in raw:
+        if "A" <= ch <= "Z":
+            out.append(chr(ord(ch) + 32))
+        elif ch.isspace() or unicodedata.category(ch).startswith("P"):
+            out.append(" ")
+        else:
+            out.append(ch)
+    return " ".join("".join(out).split())
+
+
+UNICODE_14 = pytest.mark.skipif(unicodedata.unidata_version != "14.0.0",
+                                reason="the table is pinned to Unicode 14.0.0")
+
+
 class TestNormalizeLabel:
     # expected values hand-derived: ASCII A-Z lowered, unicode punctuation
     # and whitespace to single spaces, collapse, strip
@@ -44,6 +95,8 @@ class TestNormalizeLabel:
         ("''", ""),
         ("", ""),
         ("non-parametric test", "non parametric test"),
+        ("foo\u2e53bar", "foo bar"),  # Po since Unicode 14.0
+        ("baz\U00011b00qux", "baz\U00011b00qux"),  # Po only since 15.0
     ])
     def test_examples(self, raw, expected):
         assert normalize_label(raw) == expected
@@ -61,10 +114,38 @@ class TestNormalizeLabel:
         for ch in out:
             if ch != " ":
                 assert not ("A" <= ch <= "Z")
-                assert not unicodedata.category(ch).startswith("P")
+                assert ord(ch) not in SPACE_POINTS
 
     def test_tokens_of(self):
         assert tokens_of("Wet (productive) cough") == ["wet", "productive", "cough"]
+
+    def test_every_code_point_follows_the_committed_table(self):
+        def expected(point):
+            if point in SPACE_POINTS:
+                return "a b"
+            if ord("A") <= point <= ord("Z"):
+                return f"a{chr(point + 32)}b"
+            return f"a{chr(point)}b"
+
+        # Each probe "a?B" starts and ends with a letter, so a block of probes
+        # normalizes to the concatenation of their expected keys.
+        wrong = [hex(start) for start in range(0, 0x110000, 0x400)
+                 if normalize_label("".join(f"a{chr(p)}B" for p in range(start, start + 0x400)))
+                 != "".join(map(expected, range(start, start + 0x400)))]
+        assert wrong == []
+
+    @UNICODE_14
+    @given(st.text(max_size=60))
+    def test_matches_the_reference_loop(self, raw):
+        assert normalize_label(raw) == _reference_normalize_label(raw)
+
+    @UNICODE_14
+    def test_committed_table_is_unicode_14_whitespace_and_punctuation(self):
+        # The only generator of model._SPACE_RANGES: on a mismatch, the
+        # diff shows the text to commit.
+        points = [point for point in range(0x110000)
+                  if chr(point).isspace() or unicodedata.category(chr(point)).startswith("P")]
+        assert model._SPACE_RANGES == _ranges_text(points)
 
 
 class TestComparisonForms:
