@@ -7,6 +7,7 @@ Exit codes: 0 clean, 1 findings at or above the fail threshold,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -213,10 +214,18 @@ def main(argv: list[str] | None = None) -> NoReturn:
                      help="the command's files and options; see vocab-lint COMMAND --help")
     parsed = top.parse_args(argv)
     args = _command_parser(parsed.command).parse_intermixed_args(parsed.args)
+    # The objects a run builds live until it ends, so the cyclic collector
+    # would only walk them again and again. The prior state comes back for a
+    # caller that runs the CLI in its own process.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         sys.exit(COMMANDS[parsed.command](args))
     except (ConfigError, LintFatalError) as exc:
         _fail(str(exc))
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -9,10 +9,20 @@ import re
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import islice
-from typing import Collection, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .catalog import INFO, WARNING
-from .model import Finding, Term, Vocabulary, find_phrases, phrase_table, shared_keys, tokens_of
+from .model import (
+    Finding,
+    Term,
+    Vocabulary,
+    bearer_order,
+    find_phrases,
+    least_bearers,
+    phrase_table,
+    shared_keys,
+    tokens_of,
+)
 
 # Bounded output on pathological inputs.
 MAX_REPORTED_CYCLES = 100
@@ -29,12 +39,15 @@ class GenusDifferentia:
 
 @dataclass(frozen=True)
 class DefinitionGraph:
-    """Mention graph: nodes are term identities, an edge T->U means the
-    definition of T contains the label of U as a contiguous token
-    subsequence (self-edges allowed)."""
+    """Mention graph: nodes are term identities, each held by its least
+    bearer. An edge T->U means the definition of a bearer of T contains the
+    label of a bearer of U as a contiguous token subsequence (self-edges
+    allowed). `self_mentions` are the terms whose definition contains their
+    own label, in input order."""
 
     nodes: dict[str, Term]
     edges: frozenset[tuple[str, str]]
+    self_mentions: tuple[Term, ...]
 
 
 def first_sentence(text: str) -> str:
@@ -68,6 +81,17 @@ def parse_genus_differentia(tokens: Sequence[str]) -> GenusDifferentia | None:
     return GenusDifferentia(tuple(subject), tuple(rest[:connective]), tuple(differentia))
 
 
+def _mentions(tokens: tuple[str, ...], phrases: Iterable[tuple[str, ...]]) -> bool:
+    """Whether some phrase is a contiguous run of `tokens`: one set probe per
+    token and phrase length, however many phrases there are. An empty phrase
+    (a label with no tokens) is never mentioned."""
+    wanted = set(filter(None, phrases))
+    for width in {len(p) for p in wanted}:
+        if any(tokens[i:i + width] in wanted for i in range(len(tokens) - width + 1)):
+            return True
+    return False
+
+
 def check_definition_present(term: Term) -> list[Finding]:
     """R07: live terms need definitions; definitions need sources."""
     if term.definition is None:
@@ -91,7 +115,7 @@ def check_genus_differentia(term: Term, vocab: Vocabulary) -> list[Finding]:
     if definition is None:
         return []
     # The sentence end is a "." and so a token break: the first sentence's
-    # tokens are the cached ones less those of the text after that period.
+    # tokens are the definition's less those of the text after that period.
     rest = definition.text[len(first_sentence(definition.text)) + 1:]
     cut = len(definition.tokens) - (len(tokens_of(rest)) if rest.strip() else 0)
     parsed = parse_genus_differentia(definition.tokens[:cut])
@@ -103,8 +127,7 @@ def check_genus_differentia(term: Term, vocab: Vocabulary) -> list[Finding]:
     parents = [p for p in map(vocab.term_for, term.parents) if p is not None]
     if not parents:
         return []
-    # A parent whose label has no tokens is resolvable but never mentioned.
-    if any(find_phrases(parsed.genus, phrase_table((p.tokens, p) for p in parents))):
+    if _mentions(parsed.genus, (p.tokens for p in parents)):
         return []
     genus_text = " ".join(parsed.genus)
     return [Finding.about(
@@ -131,15 +154,25 @@ def build_definition_graph(vocab: Vocabulary) -> DefinitionGraph:
     """Mention edges via token-subsequence matching of labels inside
     definition text (not substring matching, so "cough" never matches inside
     "coughing")."""
-    nodes: dict[str, Term] = {}
-    for term in vocab.terms:
-        nodes.setdefault(term.identity(vocab.prefix_map), term)
-    labels = phrase_table((term.tokens, node_id) for node_id, term in nodes.items())
-    edges = frozenset((node_id, target_id) for node_id, term in nodes.items()
-                      if term.definition is not None
-                      for _, _, targets in find_phrases(term.definition.tokens, labels)
-                      for target_id in targets)
-    return DefinitionGraph(nodes=nodes, edges=edges)
+    # Every bearer of an identity speaks for it, with its label and its
+    # definition, whatever the input order. A label that several bearers of
+    # one identity share names that identity once.
+    bearers = [(term.identity(vocab.prefix_map), term) for term in vocab.terms]
+    labels = phrase_table(dict.fromkeys((term.tokens, node_id) for node_id, term in bearers))
+    edges: set[tuple[str, str]] = set()
+    self_mentions: list[Term] = []
+    for node_id, term in bearers:
+        if term.definition is None:
+            continue
+        tokens = term.definition.tokens
+        mentions_itself = False
+        for start, length, targets in find_phrases(tokens, labels):
+            edges.update((node_id, target) for target in targets)
+            mentions_itself = mentions_itself or tokens[start:start + length] == term.tokens
+        if mentions_itself:
+            self_mentions.append(term)
+    return DefinitionGraph(nodes=least_bearers(bearers), edges=frozenset(edges),
+                           self_mentions=tuple(self_mentions))
 
 
 def _strong_components(succ: dict[str, list[str]],
@@ -257,8 +290,8 @@ def detect_circular_definitions(vocab: Vocabulary) -> list[Finding]:
     the first MAX_REPORTED_CYCLES of them, whatever the input order."""
     graph = build_definition_graph(vocab)
     findings: list[Finding] = []
-    for node_id in sorted(t for t, u in graph.edges if t == u):
-        term = graph.nodes[node_id]
+    for term in sorted(graph.self_mentions,
+                       key=lambda t: (t.identity(vocab.prefix_map), bearer_order(t))):
         findings.append(Finding.about(
             term, "R07-SELF-REF", WARNING,
             "definition mentions the term's own label; definitions must "

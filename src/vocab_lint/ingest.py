@@ -6,7 +6,7 @@ line-accurate source locations. The grammar details live in docs/formats.md.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from .model import (
     Definition,
@@ -264,37 +264,36 @@ def parse_term_table(text: str, file_name: str) -> tuple[Vocabulary, list[Findin
     position: dict[str, int] = {}
     for pos, name in enumerate(header):
         position.setdefault(name, pos)
-
-    def cell(cells: list[str], col: str) -> str:
-        pos = position.get(col)
-        if pos is None or pos >= len(cells):
-            return ""
-        return cells[pos].strip()
+    # Each row is padded with one header's width of empty cells, and an
+    # absent column reads index -1: both always land on padding.
+    padding = [""] * len(header)
+    (label_at, iri_at, definition_at, def_source_at, parent_at, synonyms_at, obsolete_at,
+     replaced_by_at) = [position.get(name, -1) for name in astuple(columns)]
 
     for line_no, raw in enumerate(lines[1:], start=2):
         line = raw.rstrip("\r")
         if not line.strip():
             continue
-        cells = line.split("\t")
+        cells = line.split("\t") + padding
         loc = SourceLocation(file_name, line_no)
-        label = cell(cells, columns.label_col)
+        label = cells[label_at].strip()
         if not label:
             diags.append(_diagnostic("error", "row has an empty label cell; row skipped", loc))
             continue
         iri: Iri | None = None
-        raw_iri = cell(cells, columns.iri_col)
+        raw_iri = cells[iri_at].strip()
         if raw_iri:
             iri = _make_iri(raw_iri)
             if iri is None:
                 diags.append(_diagnostic(
                     "warning", f"invalid IRI value {raw_iri!r}; term kept without IRI", loc))
         definition: Definition | None = None
-        def_text = cell(cells, columns.definition_col)
+        def_text = cells[definition_at].strip()
         if def_text:
-            sources = [s for s in cell(cells, columns.def_source_col).split("|") if s]
+            sources = [s for s in cells[def_source_at].strip().split("|") if s]
             definition = Definition(text=def_text, sources=tuple(sources))
         parents = []
-        for part in cell(cells, columns.parent_col).split("|"):
+        for part in cells[parent_at].split("|"):
             part = part.strip()
             if not part:
                 continue
@@ -305,15 +304,15 @@ def parse_term_table(text: str, file_name: str) -> tuple[Vocabulary, list[Findin
                 parents.append(parent)
         synonyms = tuple(
             Synonym(text=s.strip(), scope="exact")
-            for s in cell(cells, columns.synonyms_col).split("|") if s.strip())
-        obsolete_raw = cell(cells, columns.obsolete_col)
+            for s in cells[synonyms_at].split("|") if s.strip())
+        obsolete_raw = cells[obsolete_at].strip()
         obsolete = obsolete_raw.lower() == "true"
         if obsolete_raw.lower() not in ("", "true", "false"):
             diags.append(_diagnostic(
                 "warning", f"obsolete expects true/false, got {obsolete_raw!r}; treated as false",
                 loc))
         replaced_by: Iri | None = None
-        raw_replaced = cell(cells, columns.replaced_by_col)
+        raw_replaced = cells[replaced_by_at].strip()
         if raw_replaced:
             replaced_by = _make_iri(raw_replaced)
             if replaced_by is None:

@@ -6,8 +6,7 @@ by every check.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, fields
 
 from .catalog import RULES, SEVERITIES
 
@@ -26,7 +25,7 @@ class ReplacementCycleError(VocabError):
     """A replaced_by chain revisited an IRI."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Iri:
     """An absolute IRI or a CURIE of shape PREFIX:LOCALID."""
 
@@ -46,8 +45,35 @@ class Iri:
         return self.value
 
 
-@dataclass(frozen=True)
-class Synonym:
+class _Forms:
+    """Base of the model classes that carry comparison forms. The forms live
+    in slots that the subclasses below declare, outside the dataclass
+    fields, so equality, `replace` and `asdict` never see them. Each class's
+    __post_init__ sets them once, when the object is built; a copy or a
+    pickle is rebuilt from the fields, so it sets them too."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+class _KeyForm(_Forms):
+    __slots__ = ("key",)
+
+
+class _TokenForm(_Forms):
+    __slots__ = ("tokens",)
+
+
+class _LabelForms(_Forms):
+    __slots__ = ("key", "tokens")
+
+
+@dataclass(frozen=True, slots=True)
+class Synonym(_KeyForm):
+    """A synonym; `key` is its normalized text."""
+
     text: str
     scope: str = "related"
     is_abbreviation: bool = False
@@ -57,29 +83,23 @@ class Synonym:
             raise ValueError("synonym text must be non-empty")
         if self.scope not in SYNONYM_SCOPES:
             raise ValueError(f"unknown synonym scope: {self.scope!r}")
-
-    @cached_property
-    def key(self) -> str:
-        """The normalized text, computed once per synonym."""
-        return normalize_label(self.text)
+        object.__setattr__(self, "key", normalize_label(self.text))
 
 
-@dataclass(frozen=True)
-class Definition:
+@dataclass(frozen=True, slots=True)
+class Definition(_TokenForm):
+    """A definition; `tokens` are its normalized text's tokens."""
+
     text: str
     sources: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.text:
             raise ValueError("definition text must be non-empty")
-
-    @cached_property
-    def tokens(self) -> tuple[str, ...]:
-        """The normalized text's tokens, computed once per definition."""
-        return tuple(normalize_label(self.text).split())
+        object.__setattr__(self, "tokens", tuple(normalize_label(self.text).split()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SourceLocation:
     file: str
     line: int
@@ -89,13 +109,14 @@ class SourceLocation:
             raise ValueError("line numbers start at 1")
 
 
-@dataclass(frozen=True)
-class Term:
+@dataclass(frozen=True, slots=True)
+class Term(_LabelForms):
     """One vocabulary entry, stored exactly as the input file stated it.
 
-    `key` and `tokens` are the comparison forms every check uses. They are
-    cached on the instance, outside the dataclass fields, so equality,
-    `replace` and `asdict` never see them."""
+    `key` (the normalized label) and `tokens` (its tokens) are the comparison
+    forms every check uses. They are computed once, when the term is built,
+    and held in slots outside the dataclass fields, so equality, `replace`
+    and `asdict` never see them."""
 
     label: str
     iri: Iri | None = None
@@ -110,16 +131,9 @@ class Term:
     def __post_init__(self) -> None:
         if not self.label:
             raise ValueError("term label must be non-empty")
-
-    @cached_property
-    def key(self) -> str:
-        """The normalized label, computed once per term."""
-        return normalize_label(self.label)
-
-    @cached_property
-    def tokens(self) -> tuple[str, ...]:
-        """The normalized label's tokens."""
-        return tuple(self.key.split())
+        key = normalize_label(self.label)
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "tokens", tuple(key.split()))
 
     def identity(self, prefix_map: dict[str, str] | None = None) -> str:
         """Stable identity string: the expanded IRI, or a location-derived
@@ -131,7 +145,7 @@ class Term:
         return f"no-iri::{self.key}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Finding:
     rule_id: str
     severity: str
@@ -247,6 +261,9 @@ def _space_points() -> Iterator[int]:
 
 _TABLE = dict.fromkeys(_space_points(), ord(" "))
 _TABLE.update((c, c + 32) for c in range(ord("A"), ord("Z") + 1))
+# The same mapping for ASCII text, as bytes. It turns every ASCII whitespace
+# byte into a space, so splitting on bytes whitespace splits on spaces.
+_ASCII_TABLE = bytes(_TABLE.get(b, b) for b in range(256))
 
 
 def normalize_label(raw: str) -> str:
@@ -254,6 +271,8 @@ def normalize_label(raw: str) -> str:
     punctuation of Unicode 14.0.0 (including parentheses and hyphens) turned
     into spaces, spaces collapsed. Every other character, including one
     assigned after 14.0.0, passes through unchanged. Idempotent."""
+    if raw.isascii():
+        return b" ".join(raw.encode().translate(_ASCII_TABLE).split()).decode()
     return " ".join(filter(None, raw.translate(_TABLE).split(" ")))
 
 
@@ -286,17 +305,33 @@ class Vocabulary:
         return self.by_iri.get(expand_iri(iri, self.prefix_map))
 
 
+def bearer_order(term: Term) -> tuple[str, str, str, str, int]:
+    """Which of the terms that bear one identity stands for it: the least of
+    these, whatever the input order."""
+    loc = term.location
+    return (term.key, term.label, term.iri.value if term.iri else "",
+            loc.file if loc else "", loc.line if loc else 0)
+
+
+def least_bearers(pairs: Iterable[tuple[str, Term]]) -> dict[str, Term]:
+    """Each key's least bearer by bearer_order, whatever the order of the
+    (key, term) pairs."""
+    held: dict[str, Term] = {}
+    for key, term in pairs:
+        other = held.get(key)
+        if other is None or bearer_order(term) < bearer_order(other):
+            held[key] = term
+    return held
+
+
 def build_vocabulary(terms: list[Term] | tuple[Term, ...],
                      prefix_map: dict[str, str] | None = None) -> Vocabulary:
-    """Index a term list. On duplicate expanded IRIs the first bearer wins the
-    index slot; all bearers stay in the term list so uniqueness checks can
-    report them."""
+    """Index a term list. On duplicate expanded IRIs the least bearer wins
+    the index slot; all bearers stay in the term list so uniqueness checks
+    can report them."""
     pm = dict(prefix_map or {})
-    by_iri: dict[str, Term] = {}
-    for term in terms:
-        if term.iri is not None:
-            key = expand_iri(term.iri, pm)
-            by_iri.setdefault(key, term)
+    by_iri = least_bearers((expand_iri(term.iri, pm), term) for term in terms
+                           if term.iri is not None)
     return Vocabulary(terms=tuple(terms), prefix_map=pm, by_iri=by_iri)
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import Term, Vocabulary, normalize_label
+from .model import Term, Vocabulary, bearer_order, normalize_label
 
 EXACT_LABEL = "exact_label"
 EXACT_SYNONYM = "exact_synonym"
@@ -45,11 +45,6 @@ class ReuseIndex:
     prefix_map: dict[str, str] = field(default_factory=dict)
 
 
-def _bearer_order(term: Term) -> tuple[str, str, str]:
-    """Which of an identity's bearers the index shows: the least of these."""
-    return term.key, term.label, term.iri.value if term.iri else ""
-
-
 def build_index(references: list[Vocabulary]) -> ReuseIndex:
     """Index live terms of the reference vocabularies by normalized label and
     synonyms. A term found in several references keeps one entry, with the
@@ -66,7 +61,7 @@ def build_index(references: list[Vocabulary]) -> ReuseIndex:
             identity = term.identity(prefix_map)
             shown, phrases = index.entries.get(identity, (term, {}))
             # The least bearer is shown, whatever the reference order.
-            index.entries[identity] = (min(shown, term, key=_bearer_order), phrases)
+            index.entries[identity] = (min(shown, term, key=bearer_order), phrases)
             kinds = [(term.key, "label")] + [
                 (syn.key, "exact_synonym" if syn.scope == "exact" else "other_synonym")
                 for syn in term.synonyms]

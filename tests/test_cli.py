@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -65,6 +66,42 @@ has_permanent_iris: true
 
 name: dusty
 as_of: 2026-08-01
+"""
+
+
+# Two files that both label EX:1: "vessel" in one, "jar" in the other.
+OBO_VESSEL = """\
+[Term]
+id: EX:1
+name: vessel
+def: "A vessel is a container that holds a vessel's contents." [PMID:1]
+"""
+
+OBO_JAR = """\
+[Term]
+id: EX:1
+name: jar
+def: "A jar is a container that keeps a jar's lid on." [PMID:2]
+
+[Term]
+id: EX:2
+name: flask
+def: "A flask is a vessel that has a narrow neck." [PMID:3]
+is_a: EX:1
+
+[Term]
+id: EX:3
+name: old holder
+def: "An old holder is a container that was retired." [PMID:4]
+is_obsolete: true
+replaced_by: EX:4
+
+[Term]
+id: EX:4
+name: older holder
+def: "An older holder is a container that was retired." [PMID:5]
+is_obsolete: true
+replaced_by: EX:1
 """
 
 
@@ -221,6 +258,34 @@ class TestCheck:
                                         "tests/fixtures/unicode/labels.tsv"])
         assert code == 1
         assert out == (fixtures_dir / "unicode" / "expected.json").read_text(encoding="utf-8")
+
+    def test_example_corpus_report_bytes_are_pinned(self, capsys, fixtures_dir, monkeypatch):
+        # CI compares the same command's output on a bare interpreter of
+        # every supported version.
+        monkeypatch.chdir(fixtures_dir.parents[1])
+        corpus = "tests/fixtures/example_corpus"
+        code, out, _ = run_cli(capsys, ["check", "--output", "json",
+                                        "--config", f"{corpus}/config.json",
+                                        f"{corpus}/terms.obo", f"{corpus}/picklist.tsv"])
+        assert code == 1
+        assert out == (fixtures_dir / "example_corpus" / "expected.json").read_text(
+            encoding="utf-8")
+
+    def test_a_shared_iri_reports_alike_in_either_file_order(self, capsys, tmp_path):
+        a = write(tmp_path, "a.obo", OBO_VESSEL)
+        b = write(tmp_path, "b.obo", OBO_JAR)
+
+        def findings(*files):
+            code, out, _ = run_cli(capsys, ["check", "--output", "json", *files])
+            payload = json.loads(out)
+            return code, payload["counts"], payload["findings"]
+
+        assert findings(a, b) == findings(b, a)
+        _, counts, found = findings(a, b)
+        messages = {(f["rule_id"], f["subject_label"]): f["message"] for f in found}
+        assert "R07-GENUS-MISMATCH" in {rule_id for rule_id, _ in messages}
+        assert '"jar"' in messages["R08-CHAIN", "old holder"]
+        assert {("R07-SELF-REF", "vessel"), ("R07-SELF-REF", "jar")} <= set(messages)
 
     def test_no_color_env_disables_ansi(self, capsys, tmp_path, config_path, monkeypatch):
         path = write(tmp_path, "lft.obo", OBO_LFT)
@@ -455,6 +520,23 @@ def test_usage_error_exits_two_with_empty_stdout(args, capsys):
     code, out, err = run_cli(capsys, args)
     assert (code, out) == (2, "")
     assert err
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("args", [
+    pytest.param(["rules"], id="clean-exit"),
+    pytest.param(["check", "missing.obo"], id="fatal-error"),
+])
+def test_the_collector_state_is_restored(args, collecting, capsys):
+    # The CLI pauses the cyclic collector while it runs; a caller that runs
+    # it in its own process gets its own setting back.
+    was_enabled = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        run_cli(capsys, args)
+        assert gc.isenabled() == collecting
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 _IMPORT_PROBE = """

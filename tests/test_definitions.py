@@ -17,7 +17,17 @@ from vocab_lint.definitions import (
     first_sentence,
     parse_genus_differentia,
 )
-from vocab_lint.model import Definition, Iri, SourceLocation, Term, build_vocabulary, tokens_of
+from vocab_lint.model import (
+    Definition,
+    Iri,
+    SourceLocation,
+    Term,
+    bearer_order,
+    build_vocabulary,
+    find_phrases,
+    phrase_table,
+    tokens_of,
+)
 
 from test_acceptance import brute_force_simple_cycles
 
@@ -162,6 +172,19 @@ class TestGenusDifferentia:
         f, = check_genus_differentia(child, vocab(parent, child))
         assert f.rule_id == "R07-GENUS-MISMATCH"
 
+    @given(st.lists(st.sampled_from(["wet", "dry", "cough", "reflex"]), min_size=1, max_size=6),
+           st.lists(st.lists(st.sampled_from(["wet", "dry", "cough", "reflex"]), max_size=3),
+                    min_size=1, max_size=4))
+    def test_genus_test_matches_the_phrase_table_lookup(self, genus, parent_labels):
+        parents = [term(" ".join(words) or "--", f"EX:{i}")
+                   for i, words in enumerate(parent_labels, start=1)]
+        child = term("child", "EX:0", parents=[p.iri.value for p in parents],
+                     definition=f"A child is a {' '.join(genus)} that yields sputum.")
+        # The one-off phrase table that the direct token-run test replaced.
+        mentioned = any(find_phrases(tuple(genus), phrase_table((p.tokens, p) for p in parents)))
+        findings = check_genus_differentia(child, vocab(child, *parents))
+        assert [f.rule_id for f in findings] == ([] if mentioned else ["R07-GENUS-MISMATCH"])
+
     @given(st.text(st.one_of(st.characters(), st.sampled_from(". \n")), min_size=1))
     def test_parses_the_first_sentence_read_from_the_cached_tokens(self, text):
         t = Term(label="x", definition=Definition(text=text))
@@ -249,18 +272,27 @@ class TestDefinitionGraph:
             terms.append(term(label, f"EX:{i % 6}",
                               definition=" ".join(words) + "." if words else None))
         v = vocab(*terms)
-        nodes = {}
-        for t in v.terms:
-            nodes.setdefault(t.identity(v.prefix_map), t)
+        # Every bearer of an identity speaks for it, with its label and its
+        # definition.
         expected = set()
-        for source, t in nodes.items():
-            for target, u in nodes.items():
+        self_mentions = []
+        for t in v.terms:
+            for u in v.terms:
                 if t.definition is None or not u.tokens:
                     continue
                 run, width = t.definition.tokens, len(u.tokens)
                 if any(run[i:i + width] == u.tokens for i in range(len(run))):
-                    expected.add((source, target))
-        assert build_definition_graph(v).edges == expected
+                    expected.add((t.identity(v.prefix_map), u.identity(v.prefix_map)))
+                    if u is t:
+                        self_mentions.append(t)
+        graph = build_definition_graph(v)
+        assert graph.edges == expected
+        assert graph.self_mentions == tuple(self_mentions)
+        least = {}
+        for t in v.terms:
+            node_id = t.identity(v.prefix_map)
+            least[node_id] = min(least.get(node_id, bearer_order(t)), bearer_order(t))
+        assert {node_id: bearer_order(t) for node_id, t in graph.nodes.items()} == least
 
 
 class TestCircularDefinitions:
@@ -268,6 +300,15 @@ class TestCircularDefinitions:
         a = term("cough", "EX:1", definition="A cough that repeats.")
         f, = detect_circular_definitions(vocab(a))
         assert f.rule_id == "R07-SELF-REF" and f.subject_label == "cough"
+
+    def test_every_bearer_of_an_iri_is_tested_on_its_own_definition(self):
+        vessel = term("vessel", "EX:1", definition="A vessel that holds liquid.")
+        jar = term("jar", "EX:1", definition="A jar with a lid.")
+        mute = term("pot", "EX:1", definition="A container.")
+        for order in ((vessel, jar, mute), (mute, jar, vessel)):
+            findings = detect_circular_definitions(vocab(*order))
+            assert [(f.rule_id, f.subject_label) for f in findings] == [
+                ("R07-SELF-REF", "jar"), ("R07-SELF-REF", "vessel")]
 
     def test_two_cycle(self):
         a = term("harvest season", "EX:1",

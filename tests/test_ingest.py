@@ -11,7 +11,7 @@ from vocab_lint.ingest import (
     parse_term_table,
     serialize_obo,
 )
-from vocab_lint.model import SourceLocation
+from vocab_lint.model import Definition, Iri, SourceLocation, Synonym, Term
 
 OBO_BASIC = """format-version: 1.2
 ontology: demo
@@ -195,6 +195,27 @@ class TestTsvParsing:
         vocab, _ = parse_term_table("label\tiri\n  padded  \t EX:1 \n", "t.tsv")
         assert vocab.terms[0].label == "padded"
         assert vocab.terms[0].iri.value == "EX:1"
+
+    @pytest.mark.parametrize("text, expected", [
+        pytest.param("label\tiri\tsynonyms\ncough\tEX:1\ttussis\tEX:9\tstray\n",
+                     Term(label="cough", iri=Iri("EX:1"), synonyms=(Synonym("tussis", "exact"),),
+                          location=SourceLocation("t.tsv", 2)),
+                     id="row-longer-than-header"),
+        pytest.param("synonyms\tlabel\tiri\tobsolete\n\tcough\n",
+                     Term(label="cough", location=SourceLocation("t.tsv", 2)),
+                     id="row-shorter-than-header"),
+        pytest.param("label\n cough \tEX:1\tA reflex.\n",
+                     Term(label="cough", location=SourceLocation("t.tsv", 2)),
+                     id="header-without-optional-columns"),
+        pytest.param("definition\tlabel\n A reflex. \t cough \n",
+                     Term(label="cough", definition=Definition("A reflex."),
+                          location=SourceLocation("t.tsv", 2)),
+                     id="label-after-an-optional-column"),
+    ])
+    def test_row_width_differs_from_header(self, text, expected):
+        vocab, diags = parse_term_table(text, "t.tsv")
+        assert diags == []
+        assert vocab.terms == (expected,)
 
 
 TERM = "[Term]\nid: EX:1\nname: x\n"

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import unicodedata
 
 import pytest
@@ -128,11 +130,23 @@ class TestNormalizeLabel:
             return f"a{chr(point)}b"
 
         # Each probe "a?B" starts and ends with a letter, so a block of probes
-        # normalizes to the concatenation of their expected keys.
-        wrong = [hex(start) for start in range(0, 0x110000, 0x400)
-                 if normalize_label("".join(f"a{chr(p)}B" for p in range(start, start + 0x400)))
-                 != "".join(map(expected, range(start, start + 0x400)))]
+        # normalizes to the concatenation of their expected keys. The first
+        # block holds only ASCII, so it takes the bytes path.
+        blocks = [range(0x80)] + [range(start, start + 0x400)
+                                  for start in range(0, 0x110000, 0x400)]
+        wrong = [hex(block.start) for block in blocks
+                 if normalize_label("".join(f"a{chr(p)}B" for p in block))
+                 != "".join(map(expected, block))]
         assert wrong == []
+
+    @given(st.one_of(st.text(st.characters(max_codepoint=0x7f), max_size=60),
+                     st.text(st.one_of(st.characters(max_codepoint=0x7f), st.characters()),
+                             max_size=60)))
+    def test_ascii_path_matches_the_translate_path(self, raw):
+        # ASCII text goes through the bytes table; this is the str.translate
+        # path that every other text takes.
+        assert normalize_label(raw) == " ".join(
+            filter(None, raw.translate(model._TABLE).split(" ")))
 
     @UNICODE_14
     @given(st.text(max_size=60))
@@ -168,6 +182,35 @@ class TestComparisonForms:
         renamed = dataclasses.replace(term, label="Dry-Cough")
         assert renamed.key == "dry cough"
         assert renamed.tokens == ("dry", "cough")
+        synonym = Synonym("Wet Cough", scope="exact")
+        assert dataclasses.asdict(synonym) == {
+            "text": "Wet Cough", "scope": "exact", "is_abbreviation": False}
+        assert dataclasses.replace(synonym, text="Dry-Cough").key == "dry cough"
+        definition = Definition("A Wet Cough.", ("PMID:1",))
+        assert definition == Definition("A Wet Cough.", ("PMID:1",))
+        assert dataclasses.asdict(definition) == {"text": "A Wet Cough.", "sources": ("PMID:1",)}
+        assert dataclasses.replace(definition, text="A Dry-Cough.").tokens == ("a", "dry", "cough")
+
+    @pytest.mark.parametrize("copy_of", [
+        copy.copy, copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))],
+        ids=["copy", "deepcopy", "pickle"])
+    def test_copies_carry_the_forms(self, copy_of):
+        term = Term(label="Wet Cough", synonyms=(Synonym("Moist-Cough"),),
+                    definition=Definition("A Wet Cough."))
+        copied = copy_of(term)
+        assert copied == term
+        assert (copied.key, copied.tokens) == ("wet cough", ("wet", "cough"))
+        assert copied.synonyms[0].key == "moist cough"
+        assert copied.definition.tokens == ("a", "wet", "cough")
+
+    @pytest.mark.parametrize("instance", [
+        Iri("EX:1"), SourceLocation("a.obo", 1), Synonym("wet cough"), Definition("A cough."),
+        Term(label="cough"), Finding(rule_id="PARSE", severity="info", subject_label="",
+                                     message="m")], ids=lambda instance: type(instance).__name__)
+    def test_model_instances_have_no_dict(self, instance):
+        assert not hasattr(instance, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(instance, dataclasses.fields(instance)[0].name, None)
 
 
 class TestFindingSubjects:
@@ -303,12 +346,19 @@ def _t(label, iri=None, replaced_by=None, obsolete=False):
 
 
 class TestVocabulary:
-    def test_first_bearer_wins_index(self):
+    def test_least_bearer_wins_index(self):
         a = _t("first", "EX:1")
         b = _t("second", "EX:1")
-        vocab = build_vocabulary([a, b], PM)
-        assert vocab.term_for(Iri("EX:1")) is a
-        assert len(vocab.terms) == 2  # both stay for uniqueness checks
+        for terms in ([a, b], [b, a]):
+            vocab = build_vocabulary(terms, PM)
+            assert vocab.term_for(Iri("EX:1")) is a
+            assert len(vocab.terms) == 2  # both stay for uniqueness checks
+
+    def test_bearer_order_ends_on_the_location(self):
+        here = Term(label="cough", iri=Iri("EX:1"), location=SourceLocation("b.obo", 2))
+        there = dataclasses.replace(here, location=SourceLocation("a.obo", 9))
+        for terms in ([here, there], [there, here]):
+            assert build_vocabulary(terms, PM).term_for(Iri("EX:1")) is there
 
     def test_term_for_expands(self):
         vocab = build_vocabulary([_t("cough", "HP:0012735")], PM)
