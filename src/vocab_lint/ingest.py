@@ -6,7 +6,6 @@ line-accurate source locations. The grammar details live in docs/formats.md.
 from __future__ import annotations
 
 import re
-from dataclasses import astuple, dataclass
 
 from .model import (
     Definition,
@@ -16,7 +15,6 @@ from .model import (
     Synonym,
     Term,
     Vocabulary,
-    build_vocabulary,
 )
 
 _SCOPES = {"EXACT": "exact", "BROAD": "broad", "NARROW": "narrow", "RELATED": "related"}
@@ -32,19 +30,10 @@ def _diagnostic(severity: str, message: str, location: SourceLocation) -> Findin
                    location=location)
 
 
-@dataclass(frozen=True)
-class ColumnMap:
-    """Column names used by parse_term_table. Only the label column must be
-    present in the header; absent optional columns are simply unused."""
-
-    label_col: str = "label"
-    iri_col: str = "iri"
-    definition_col: str = "definition"
-    def_source_col: str = "definition_source"
-    parent_col: str = "parents"
-    synonyms_col: str = "synonyms"
-    obsolete_col: str = "obsolete"
-    replaced_by_col: str = "replaced_by"
+# The columns parse_term_table reads. Only the label column must be present
+# in the header; absent optional columns are simply unused.
+TSV_COLUMNS = ("label", "iri", "definition", "definition_source", "parents", "synonyms",
+               "obsolete", "replaced_by")
 
 
 def _strip_bom(text: str) -> str:
@@ -169,7 +158,7 @@ def parse_obo(text: str, file_name: str) -> tuple[Vocabulary, list[Finding]]:
         _apply_tag(state, tag.strip(), value.strip(), line_no, warn, error)
     if state is not None:
         finish(state)
-    return build_vocabulary(terms), diags
+    return Vocabulary(tuple(terms)), diags
 
 
 def _apply_tag(st: _StanzaState, tag: str, value: str, line_no: int, warn, error) -> None:
@@ -251,16 +240,14 @@ def _apply_tag(st: _StanzaState, tag: str, value: str, line_no: int, warn, error
 def parse_term_table(text: str, file_name: str) -> tuple[Vocabulary, list[Finding]]:
     """Parse a UTF-8 TSV term table. The first row is the header; "|" splits
     list-valued cells; empty cells mean absent fields."""
-    columns = ColumnMap()
     diags: list[Finding] = []
     terms: list[Term] = []
     lines = _strip_bom(text).split("\n")
     if not lines or not lines[0].strip():
         raise FatalParseError(f"{file_name}: missing header row")
     header = [cell.strip() for cell in lines[0].rstrip("\r").split("\t")]
-    if columns.label_col not in header:
-        raise FatalParseError(
-            f"{file_name}: required label column {columns.label_col!r} not in header")
+    if "label" not in header:
+        raise FatalParseError(f"{file_name}: required label column 'label' not in header")
     position: dict[str, int] = {}
     for pos, name in enumerate(header):
         position.setdefault(name, pos)
@@ -268,7 +255,7 @@ def parse_term_table(text: str, file_name: str) -> tuple[Vocabulary, list[Findin
     # absent column reads index -1: both always land on padding.
     padding = [""] * len(header)
     (label_at, iri_at, definition_at, def_source_at, parent_at, synonyms_at, obsolete_at,
-     replaced_by_at) = [position.get(name, -1) for name in astuple(columns)]
+     replaced_by_at) = [position.get(name, -1) for name in TSV_COLUMNS]
 
     for line_no, raw in enumerate(lines[1:], start=2):
         line = raw.rstrip("\r")
@@ -328,7 +315,7 @@ def parse_term_table(text: str, file_name: str) -> tuple[Vocabulary, list[Findin
             replaced_by=replaced_by,
             location=loc,
         ))
-    return build_vocabulary(terms), diags
+    return Vocabulary(tuple(terms)), diags
 
 
 def _quote(text: str) -> str:

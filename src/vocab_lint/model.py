@@ -7,21 +7,18 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 from .catalog import RULES, SEVERITIES
 
 SYNONYM_SCOPES = ("exact", "broad", "narrow", "related")
 
 
-class VocabError(Exception):
-    """Base class for model-level errors."""
-
-
-class UnknownIriError(VocabError):
+class UnknownIriError(Exception):
     """An IRI was looked up that no term in the vocabulary bears."""
 
 
-class ReplacementCycleError(VocabError):
+class ReplacementCycleError(Exception):
     """A replaced_by chain revisited an IRI."""
 
 
@@ -125,7 +122,7 @@ class Term(_LabelForms):
     parents: tuple[Iri, ...] = ()
     obsolete: bool = False
     replaced_by: Iri | None = None
-    annotations: dict[str, str] = field(default_factory=dict)
+    annotations: dict[str, str] = field(default_factory=dict, hash=False)
     location: SourceLocation | None = None
 
     def __post_init__(self) -> None:
@@ -187,8 +184,8 @@ class Finding:
 
 def shared_keys(pairs: Iterable[tuple[str, Term]]) -> list[tuple[str, list[Term]]]:
     """The keys that two or more terms share, in sorted order, each with its
-    terms in input order. A term yielding one key again before the next term's
-    pairs counts once."""
+    terms in bearer_order, whatever the input order. A term yielding one key
+    again before the next term's pairs counts once."""
     groups: dict[str, list[Term]] = {}
     for key, term in pairs:
         group = groups.get(key)
@@ -196,7 +193,8 @@ def shared_keys(pairs: Iterable[tuple[str, Term]]) -> list[tuple[str, list[Term]
             groups[key] = [term]
         elif group[-1] is not term:
             group.append(term)
-    return [(key, groups[key]) for key in sorted(k for k, g in groups.items() if len(g) > 1)]
+    return [(key, sorted(groups[key], key=bearer_order))
+            for key in sorted(k for k, g in groups.items() if len(g) > 1)]
 
 
 PhraseTable = dict[str, dict[int, dict[tuple[str, ...], list]]]
@@ -292,14 +290,21 @@ def expand_iri(iri: Iri | str, prefix_map: dict[str, str]) -> str:
     return value
 
 
-@dataclass
+@dataclass(frozen=True)
 class Vocabulary:
-    """An ordered, indexed collection of terms. Treated as immutable after
-    construction; the index is keyed by expanded IRI."""
+    """An ordered collection of terms and the prefix map their CURIEs expand
+    against."""
 
     terms: tuple[Term, ...] = ()
     prefix_map: dict[str, str] = field(default_factory=dict)
-    by_iri: dict[str, Term] = field(default_factory=dict)
+
+    @cached_property
+    def by_iri(self) -> dict[str, Term]:
+        """The terms by expanded IRI, built the first time it is read. On
+        duplicate expanded IRIs the least bearer wins the slot; all bearers
+        stay in `terms` so uniqueness checks can report them."""
+        return least_bearers((expand_iri(term.iri, self.prefix_map), term)
+                             for term in self.terms if term.iri is not None)
 
     def term_for(self, iri: Iri | str) -> Term | None:
         return self.by_iri.get(expand_iri(iri, self.prefix_map))
@@ -326,24 +331,18 @@ def least_bearers(pairs: Iterable[tuple[str, Term]]) -> dict[str, Term]:
 
 def build_vocabulary(terms: list[Term] | tuple[Term, ...],
                      prefix_map: dict[str, str] | None = None) -> Vocabulary:
-    """Index a term list. On duplicate expanded IRIs the least bearer wins
-    the index slot; all bearers stay in the term list so uniqueness checks
-    can report them."""
-    pm = dict(prefix_map or {})
-    by_iri = least_bearers((expand_iri(term.iri, pm), term) for term in terms
-                           if term.iri is not None)
-    return Vocabulary(terms=tuple(terms), prefix_map=pm, by_iri=by_iri)
+    """A vocabulary of the terms under a copy of the prefix map."""
+    return Vocabulary(tuple(terms), dict(prefix_map or {}))
 
 
 def merge_vocabularies(vocabs: list[Vocabulary],
                        prefix_map: dict[str, str] | None = None) -> Vocabulary:
+    """One vocabulary of every term, in order. The vocabularies' own prefixes
+    take precedence over `prefix_map`, the later over the earlier."""
     merged_pm: dict[str, str] = dict(prefix_map or {})
     for v in vocabs:
         merged_pm.update(v.prefix_map)
-    terms: list[Term] = []
-    for v in vocabs:
-        terms.extend(v.terms)
-    return build_vocabulary(terms, merged_pm)
+    return Vocabulary(tuple(t for v in vocabs for t in v.terms), merged_pm)
 
 
 def resolve_replacement(vocab: Vocabulary, start: Iri) -> Iri:

@@ -2,10 +2,13 @@ import dataclasses
 import json
 import re
 import sys
+import tempfile
 from itertools import permutations
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vocab_lint import definitions, identity, lexical, model
 from vocab_lint.catalog import RULES
@@ -29,7 +32,7 @@ from vocab_lint.engine import (
     run_lint,
 )
 from vocab_lint.health import _PARSERS, OntologyMetadata
-from vocab_lint.ingest import ColumnMap
+from vocab_lint.ingest import TSV_COLUMNS
 from vocab_lint.lexical import Lexicons
 from vocab_lint.model import Finding, Iri, SourceLocation, merge_vocabularies
 
@@ -234,7 +237,7 @@ def documented_names(section):
 
 
 @pytest.mark.parametrize("section, code_names", [
-    ("Tab-separated term table", [dataclasses.astuple(ColumnMap())]),
+    ("Tab-separated term table", [TSV_COLUMNS]),
     ("Lexicon override files", [[f.name for f in dataclasses.fields(Lexicons)]]),
     ("Metadata snapshot", [_PARSERS, [f.name for f in dataclasses.fields(OntologyMetadata)]]),
     ("Configuration JSON", [CONFIG_KEYS]),
@@ -494,6 +497,53 @@ class TestCheckRegistry:
                 assert emitted <= set(rule_ids)
 
 
+# Terms drawn so that bearers tie: labels from a small pool with "Wet" and
+# "wet", four IRIs written as CURIEs or expanded, definitions and synonyms
+# from the same words, and links among the same four IRIs.
+_WORDS = st.lists(st.sampled_from(["Wet", "wet", "dry", "cough", "and"]), min_size=1,
+                  max_size=3).map(" ".join)
+_IRIS = st.sampled_from([f"{form}000000{n}" for n in range(1, 5)
+                         for form in ("HP:", "http://purl.obolibrary.org/obo/HP_")])
+TERMS = st.fixed_dictionaries({
+    "label": _WORDS, "iri": st.none() | _IRIS, "definition": st.none() | _WORDS,
+    "synonym": st.none() | _WORDS, "is_a": st.none() | _IRIS, "obsolete": st.booleans(),
+    "replaced_by": st.none() | _IRIS})
+
+_BARE = dict(iri=None, definition=None, synonym=None, is_a=None, obsolete=False,
+             replaced_by=None)
+
+
+def _obo_file(terms):
+    stanzas = []
+    for t in terms:
+        lines = ["[Term]"]
+        if t["iri"]:
+            lines.append(f"id: {t['iri']}")
+        lines.append(f"name: {t['label']}")
+        if t["definition"]:
+            lines.append(f'def: "{t["definition"]}." []')
+        if t["synonym"]:
+            lines.append(f'synonym: "{t["synonym"]}" EXACT []')
+        if t["is_a"]:
+            lines.append(f"is_a: {t['is_a']}")
+        if t["obsolete"]:
+            lines.append("is_obsolete: true")
+        if t["replaced_by"]:
+            lines.append(f"replaced_by: {t['replaced_by']}")
+        stanzas.append("\n".join(lines) + "\n")
+    return "\n".join(stanzas)
+
+
+def _tsv_file(terms):
+    rows = ["label\tiri\tdefinition\tsynonyms\tparents\tobsolete\treplaced_by"]
+    for t in terms:
+        definition = f"{t['definition']}." if t["definition"] else ""
+        rows.append("\t".join([t["label"], t["iri"] or "", definition, t["synonym"] or "",
+                               t["is_a"] or "", "true" if t["obsolete"] else "",
+                               t["replaced_by"] or ""]))
+    return "\n".join(rows) + "\n"
+
+
 class TestReportOrder:
     def test_ties_on_location_rule_and_subject_sort_the_same_from_any_order(self):
         # All six tie on (file, line, rule_id, subject_label); message,
@@ -513,6 +563,30 @@ class TestReportOrder:
         ]
         orders = {tuple(sorted(order, key=_sort_key)) for order in permutations(findings)}
         assert len(orders) == 1
+
+    @settings(max_examples=30, deadline=None)
+    # A counterexample this property found: the two bearers of HP:0000002
+    # tie on identity in C-SYNONYM-CLASH, and only bearer order parts them.
+    @example(files=[("obo", [{**_BARE, "label": "Wet"},
+                             {**_BARE, "label": "Wet", "iri": "HP:0000002"}]),
+                    ("obo", [{**_BARE, "label": "Wet Wet", "iri": "HP:0000002",
+                              "synonym": "Wet"}])])
+    @given(st.lists(st.tuples(st.sampled_from(["obo", "tsv"]), st.lists(TERMS, min_size=1,
+                                                                         max_size=6)),
+                    min_size=2, max_size=3))
+    def test_report_bytes_do_not_depend_on_the_file_order(self, files):
+        # A fresh directory per example: Hypothesis runs the body many times
+        # under one function-scoped fixture.
+        with tempfile.TemporaryDirectory() as directory:
+            inputs = []
+            for n, (fmt, terms) in enumerate(files):
+                path = Path(directory) / f"f{n}.{fmt}"
+                path.write_text((_obo_file if fmt == "obo" else _tsv_file)(terms),
+                                encoding="utf-8")
+                inputs.append((str(path), None))
+            runs = (run_lint(RuleConfig(), order) for order in permutations(inputs))
+            reports = {(render_report(r, "json"), render_report(r, "text")) for r in runs}
+        assert len(reports) == 1
 
 
 class TestExitCode:

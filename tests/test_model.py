@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vocab_lint import model
+from vocab_lint.ingest import parse_obo, parse_term_table
 from vocab_lint.model import (
     Definition,
     Finding,
@@ -31,6 +32,10 @@ from vocab_lint.model import (
 
 PM = {"HP": "http://purl.obolibrary.org/obo/HP_",
       "EX": "https://example.org/vocab/EX_"}
+
+EVERY_COPY = pytest.mark.parametrize("copy_of", [
+    copy.copy, copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))],
+    ids=["copy", "deepcopy", "pickle"])
 
 
 def _committed_space_points() -> frozenset[int]:
@@ -191,9 +196,7 @@ class TestComparisonForms:
         assert dataclasses.asdict(definition) == {"text": "A Wet Cough.", "sources": ("PMID:1",)}
         assert dataclasses.replace(definition, text="A Dry-Cough.").tokens == ("a", "dry", "cough")
 
-    @pytest.mark.parametrize("copy_of", [
-        copy.copy, copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))],
-        ids=["copy", "deepcopy", "pickle"])
+    @EVERY_COPY
     def test_copies_carry_the_forms(self, copy_of):
         term = Term(label="Wet Cough", synonyms=(Synonym("Moist-Cough"),),
                     definition=Definition("A Wet Cough."))
@@ -202,6 +205,14 @@ class TestComparisonForms:
         assert (copied.key, copied.tokens) == ("wet cough", ("wet", "cough"))
         assert copied.synonyms[0].key == "moist cough"
         assert copied.definition.tokens == ("a", "wet", "cough")
+
+    @EVERY_COPY
+    def test_copies_hash_alike(self, copy_of):
+        term = Term(label="Wet Cough", iri=Iri("HP:0031352"), synonyms=(Synonym("moist"),),
+                    annotations={"comment": "kept"}, location=SourceLocation("a.obo", 3))
+        copied = copy_of(term)
+        assert hash(copied) == hash(term)
+        assert {term, copied} == {term}
 
     @pytest.mark.parametrize("instance", [
         Iri("EX:1"), SourceLocation("a.obo", 1), Synonym("wet cough"), Definition("A cough."),
@@ -237,12 +248,12 @@ class TestFindingSubjects:
 
 
 class TestSharedKeys:
-    def test_shared_keys_sorted_with_terms_in_input_order(self):
+    def test_shared_keys_sorted_with_terms_in_bearer_order(self):
         a, b, c, d = (Term(label=label) for label in "abcd")
         # c repeating "w" shares it with no one; a repeating "x" counts once.
         pairs = [("y", a), ("x", a), ("x", a), ("y", b), ("w", c), ("w", c), ("x", d),
                  ("x", b)]
-        assert shared_keys(iter(pairs)) == [("x", [a, d, b]), ("y", [a, b])]
+        assert shared_keys(iter(pairs)) == [("x", [a, b, d]), ("y", [a, b])]
 
 
 # A three-letter alphabet, so phrases nest ("a", "a b", "a b a"), overlap and
@@ -370,6 +381,26 @@ class TestVocabulary:
         merged = merge_vocabularies([v1, v2])
         assert [t.label for t in merged.terms] == ["a", "b"]
         assert merged.prefix_map["EX"] == "https://two.example/"
+
+    def test_constructed_vocabulary_indexes_its_terms(self):
+        term = _t("a", "HP:1")
+        assert Vocabulary(terms=(term,)).term_for("HP:1") is term
+
+    @pytest.mark.parametrize("parse, text", [
+        (parse_obo, "[Term]\nid: HP:0000001\nname: wet\n"),
+        (parse_term_table, "label\tiri\nwet\tHP:0000001\n")], ids=["obo", "tsv"])
+    def test_index_is_built_on_first_read_from_the_current_prefixes(self, parse, text):
+        vocab, _ = parse(text, "terms")
+        assert "by_iri" not in vars(vocab)
+        vocab.prefix_map.update(PM)
+        assert vocab.term_for("HP:0000001").label == "wet"
+        assert list(vocab.by_iri) == ["http://purl.obolibrary.org/obo/HP_0000001"]
+
+    def test_fields_cannot_be_assigned(self):
+        vocab = build_vocabulary([_t("a", "EX:1")], PM)
+        for name in ("terms", "prefix_map"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(vocab, name, None)
 
 
 class TestResolveReplacement:
