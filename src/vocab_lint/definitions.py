@@ -9,7 +9,7 @@ import re
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import islice
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .catalog import INFO, WARNING
 from .model import (
@@ -30,8 +30,7 @@ MAX_REPORTED_CYCLES = 100
 _SENTENCE_END = re.compile(r"\.(?=\s|$)")
 
 
-@dataclass(frozen=True)
-class GenusDifferentia:
+class GenusDifferentia(NamedTuple):
     subject: tuple[str, ...]
     genus: tuple[str, ...]
     differentia: tuple[str, ...]
@@ -59,26 +58,25 @@ def parse_genus_differentia(tokens: Sequence[str]) -> GenusDifferentia | None:
     """Match the tokens of a first sentence against: optional article, subject
     phrase, "is a"/"is an", genus phrase, "that"/"which", non-empty
     differentia."""
-    copula = None
-    for i in range(len(tokens) - 1):
-        if tokens[i] == "is" and tokens[i + 1] in ("a", "an"):
-            copula = i
+    copula = -1
+    while True:
+        try:
+            copula = tokens.index("is", copula + 1)
+        except ValueError:
+            return None
+        if copula + 1 < len(tokens) and tokens[copula + 1] in ("a", "an"):
             break
-    if copula is None:
-        return None
-    subject = tokens[:copula]
-    if subject and subject[0] in ("a", "an"):
-        subject = subject[1:]
-    if not subject:
+    start = 1 if tokens[0] in ("a", "an") else 0
+    if start == copula:
         return None
     rest = tokens[copula + 2:]
-    connective = next((j for j, tok in enumerate(rest) if tok in ("that", "which")), None)
-    if connective is None or connective == 0:
+    connective = rest.index("that") if "that" in rest else len(rest)
+    if "which" in rest[:connective]:
+        connective = rest.index("which")
+    if connective == 0 or connective >= len(rest) - 1:
         return None
-    differentia = rest[connective + 1:]
-    if not differentia:
-        return None
-    return GenusDifferentia(tuple(subject), tuple(rest[:connective]), tuple(differentia))
+    return GenusDifferentia(tuple(tokens[start:copula]), tuple(rest[:connective]),
+                            tuple(rest[connective + 1:]))
 
 
 def _mentions(tokens: tuple[str, ...], phrases: Iterable[tuple[str, ...]]) -> bool:

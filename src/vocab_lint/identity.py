@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .catalog import ERROR, INFO, WARNING
 from .model import Finding, Term, Vocabulary, expand_iri, shared_keys
@@ -52,6 +53,15 @@ class PrefixMap:
         if unknown:
             raise PrefixMapError(f"obo prefixes without entries: {sorted(unknown)}")
 
+    @cached_property
+    def _obo_mention(self) -> re.Pattern[str]:
+        """Matches an IRI containing "/P_", "#P_" or "/P/" for some obo
+        prefix P; with no obo prefix, matches nothing."""
+        if not self.obo_prefixes:
+            return re.compile(r"(?!)")
+        names = "|".join(map(re.escape, self.obo_prefixes))
+        return re.compile(f"[/#](?:{names})_|/(?:{names})/")
+
 
 def default_prefix_map() -> PrefixMap:
     return PrefixMap(entries=dict(DEFAULT_PREFIXES),
@@ -88,7 +98,8 @@ def load_prefix_map(text: str) -> PrefixMap:
 
 def check_iri(term: Term, prefixes: PrefixMap) -> list[Finding]:
     """R06: every term needs an IRI; compact IRIs must use a registered
-    prefix; obo-registered terms should sit behind a persistent URL."""
+    prefix; obo-registered terms should sit behind a persistent URL. An
+    absolute IRI that mentions no obo prefix (one pattern search) is clean."""
     if term.iri is None:
         return [Finding.about(term, "R06-MISSING-IRI", WARNING,
                               "term has no IRI; mint a resolvable identifier")]
@@ -99,6 +110,8 @@ def check_iri(term: Term, prefixes: PrefixMap) -> list[Finding]:
             return [Finding.about(
                 term, "R06-BAD-IRI", ERROR,
                 f'compact identifier "{value}" uses an unregistered prefix')]
+        return []
+    if not prefixes._obo_mention.search(value):
         return []
     m = _PURL.match(value)
     if m and m.group("prefix") in prefixes.obo_prefixes:

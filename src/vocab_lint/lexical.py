@@ -147,6 +147,7 @@ def apply_lexicon_overrides(lex: Lexicons, name: str, text: str) -> Lexicons:
 
 
 _PARENTHETICAL = re.compile(r"\([^()]*\)")
+_UPPER = re.compile(r"[A-Z]")
 _EXPANSION_STYLE = re.compile(r"^(?P<words>.*\S)\s*\((?P<abbr>[A-Z0-9]{2,5})\)\s*$")
 
 
@@ -160,7 +161,10 @@ def _is_abbrev_token(token: str) -> bool:
 
 def check_abbreviation(term: Term, lex: Lexicons) -> list[Finding]:
     """R05: unexpanded abbreviations in labels; parenthesized-abbreviation
-    style gets a milder nudge toward an abbreviation synonym."""
+    style gets a milder nudge toward an abbreviation synonym. Both need an
+    ASCII capital in the label, so a label without one is clean."""
+    if not _UPPER.search(term.label):
+        return []
     findings: list[Finding] = []
     stripped = _PARENTHETICAL.sub(" ", term.label)
     offenders = [tok for tok in stripped.split()
@@ -184,8 +188,11 @@ def check_abbreviation(term: Term, lex: Lexicons) -> list[Finding]:
 
 
 def check_negative_phrasing(term: Term, lex: Lexicons) -> list[Finding]:
-    """R02: negative determiners (warning) and non- prefixes (info) in labels."""
+    """R02: negative determiners (warning) and non- prefixes (info) in labels.
+    A label with no determiner token and no "non" in its key is clean."""
     tokens = term.tokens
+    if lex.negative_determiners.isdisjoint(tokens) and "non" not in term.key:
+        return []
     determiners = sorted(set(tok for tok in tokens if tok in lex.negative_determiners))
     if determiners:
         listed = ", ".join(f'"{t}"' for t in determiners)
@@ -193,8 +200,6 @@ def check_negative_phrasing(term: Term, lex: Lexicons) -> list[Finding]:
             term, "R02-NEGATIVE", WARNING,
             f"label is phrased negatively (negative determiner {listed}); "
             "state what the term is, not what it is not")]
-    if not any(tok.startswith("non") for tok in tokens):
-        return []
     covered = {i for start, width, _ in find_phrases(tokens, lex.negative_prefix_table)
                for i in range(start, start + width)}
     offenders = sorted(set(
@@ -210,9 +215,9 @@ def check_negative_phrasing(term: Term, lex: Lexicons) -> list[Finding]:
 
 
 def check_conjunction(term: Term, lex: Lexicons) -> list[Finding]:
-    """R02: 'and'/'or' in labels, with a proper-noun escape hatch."""
-    conjunctions = [tok for tok in term.tokens if tok in ("and", "or")]
-    if not conjunctions:
+    """R02: 'and'/'or' in labels, with a proper-noun escape hatch. A label
+    with neither token is clean."""
+    if "and" not in term.tokens and "or" not in term.tokens:
         return []
     if term.key in lex.proper_noun_allowlist:
         return []
@@ -227,7 +232,7 @@ def check_conjunction(term: Term, lex: Lexicons) -> list[Finding]:
                 neighbors.append(raw_words[i + 1])
         if neighbors and all(w[:1].isupper() for w in neighbors):
             return []  # reads as a proper noun
-    if "or" in conjunctions:
+    if "or" in term.tokens:
         message = ('label offers alternatives with "or"; prefer a broader label '
                    "that encompasses all the alternatives")
     else:
@@ -253,7 +258,8 @@ def check_plural(term: Term, lex: Lexicons) -> list[Finding]:
 
 def check_colloquial(term: Term, lex: Lexicons) -> list[Finding]:
     """R03: colloquial phrases with standardized equivalents. A hit on the
-    label is a warning; a hit on a synonym alone is info."""
+    label is a warning; a hit on a synonym alone is info. After the label
+    lookup, a term without synonyms is clean."""
     preferred = lex.colloquial_map.get(term.key)
     if preferred is not None:
         return [Finding.about(
@@ -261,6 +267,8 @@ def check_colloquial(term: Term, lex: Lexicons) -> list[Finding]:
             f'label "{term.label}" is colloquial; prefer the standardized '
             f'phrase "{preferred}"',
             suggestion=preferred)]
+    if not term.synonyms:
+        return []
     findings: list[Finding] = []
     for phrase in sorted({s.key for s in term.synonyms}):
         preferred = lex.colloquial_map.get(phrase)
@@ -275,7 +283,10 @@ def check_colloquial(term: Term, lex: Lexicons) -> list[Finding]:
 
 def check_timeline(term: Term, lex: Lexicons) -> list[Finding]:
     """Timeline pathology: relative-time phrases whose meaning moves as data
-    accumulates."""
+    accumulates. A label with no token that starts a timeline phrase is
+    clean."""
+    if lex.timeline_table.keys().isdisjoint(term.tokens):
+        return []
     # The longest phrase found, then the least; each phrase is its own value.
     found = sorted((-length, phrases[0])
                    for _, length, phrases in find_phrases(term.tokens, lex.timeline_table))
@@ -288,9 +299,13 @@ def check_timeline(term: Term, lex: Lexicons) -> list[Finding]:
 
 
 def check_concept_bomb(term: Term, cfg: ComplexityConfig, lex: Lexicons) -> list[Finding]:
-    """Concept-bomb pathology: one label packing several assertions."""
+    """Concept-bomb pathology: one label packing several assertions. A label
+    under the threshold with no token that starts a timeline phrase is
+    clean."""
     tokens = term.tokens
     too_long = len(tokens) >= cfg.concept_bomb_token_threshold
+    if not too_long and lex.timeline_table.keys().isdisjoint(tokens):
+        return []
     compound_temporal = (any(tok.isdigit() for tok in tokens)
                          and any(find_phrases(tokens, lex.timeline_table)))
     if not too_long and not compound_temporal:
@@ -377,8 +392,8 @@ def check_redundant_narrowing(vocab: Vocabulary) -> list[Finding]:
 def check_tag_style(term: Term, lex: Lexicons) -> list[Finding]:
     """R09: a live term's annotation values (its comment aside) should be
     self-describing phrases, not booleans, and should tag what is present
-    rather than what is absent."""
-    if term.obsolete:
+    rather than what is absent. A term without annotations is clean."""
+    if term.obsolete or not term.annotations:
         return []
     findings: list[Finding] = []
     for key in sorted(term.annotations.keys() - {"comment"}):

@@ -291,6 +291,18 @@ class TestCheck:
         assert code == 1
         assert out == (fixtures_dir / "unicode" / "expected.json").read_text(encoding="utf-8")
 
+    def test_unicode_definition_report_bytes_are_pinned(self, capsys, fixtures_dir,
+                                                        monkeypatch):
+        # Two definitions differ only by U+2E53 versus a space and share one
+        # normalized text; two differ by U+11B00 and stay distinct. CI
+        # compares the same command's output on a bare interpreter.
+        monkeypatch.chdir(fixtures_dir.parents[1])
+        code, out, _ = run_cli(capsys, ["check", "--output", "json",
+                                        "tests/fixtures/unicode/definitions.tsv"])
+        assert code == 1
+        assert out == (fixtures_dir / "unicode" / "expected-definitions.json").read_text(
+            encoding="utf-8")
+
     def test_example_corpus_report_bytes_are_pinned(self, capsys, fixtures_dir, monkeypatch):
         # CI compares the same command's output on a bare interpreter of
         # every supported version.

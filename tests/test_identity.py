@@ -110,6 +110,19 @@ class TestCheckIri:
         assert f.rule_id == "R06-NONPURL" and f.severity == "info"
         assert '"HP"' in f.message
 
+    def test_nonpurl_names_the_least_mentioned_prefix(self):
+        f, = check_iri(term("heart", "https://example.org/HP/UBERON_0000948"),
+                       default_prefix_map())
+        assert '"HP"' in f.message and "UBERON" not in f.message
+
+    @pytest.mark.parametrize("iri", [
+        "https://hpo.example.org/HP/0012735",
+        "http://purl.obolibrary.org/obo/HP_0012735",
+    ])
+    def test_no_obo_prefix_holds_no_iri_to_the_purl_form(self, iri):
+        pm = PrefixMap(entries=dict(DEFAULT_PREFIXES))
+        assert check_iri(term("cough", iri), pm) == []
+
     def test_foreign_absolute_iri_passes(self):
         assert check_iri(term("widget", "https://example.org/vocab/widget"),
                          default_prefix_map()) == []
