@@ -35,7 +35,7 @@ DEFAULT_PREFIXES: dict[str, str] = {
     "UBERON": "http://purl.obolibrary.org/obo/UBERON_",
 }
 
-_PURL = re.compile(r"^http://purl\.obolibrary\.org/obo/(?P<prefix>[A-Za-z0-9]+)_.+$")
+_PURL = re.compile(r"^https?://purl\.obolibrary\.org/obo/(?P<prefix>[A-Za-z0-9]+)_.+$")
 
 
 @dataclass(frozen=True)
@@ -116,14 +116,13 @@ def check_iri(term: Term, prefixes: PrefixMap) -> list[Finding]:
     m = _PURL.match(value)
     if m and m.group("prefix") in prefixes.obo_prefixes:
         return []
-    for prefix in sorted(prefixes.obo_prefixes):
-        if f"/{prefix}_" in value or f"#{prefix}_" in value or f"/{prefix}/" in value:
-            return [Finding.about(
-                term, "R06-NONPURL", INFO,
-                f'IRI mentions the registered ontology prefix "{prefix}" but '
-                "is not its persistent URL form "
-                f"(http://purl.obolibrary.org/obo/{prefix}_...)")]
-    return []
+    prefix = min(p for p in prefixes.obo_prefixes
+                 if f"/{p}_" in value or f"#{p}_" in value or f"/{p}/" in value)
+    return [Finding.about(
+        term, "R06-NONPURL", INFO,
+        f'IRI mentions the registered ontology prefix "{prefix}" but '
+        "is not its persistent URL form "
+        f"(http://purl.obolibrary.org/obo/{prefix}_...)")]
 
 
 def check_iri_uniqueness(vocab: Vocabulary) -> list[Finding]:
@@ -131,11 +130,10 @@ def check_iri_uniqueness(vocab: Vocabulary) -> list[Finding]:
     findings: list[Finding] = []
     for identity, members in shared_keys((t.identity(vocab.prefix_map), t)
                                          for t in vocab.terms if t.iri is not None):
-        ordered = sorted(members, key=lambda t: (t.key, t.label))
-        labels = "; ".join(t.label for t in ordered)
+        labels = "; ".join(t.label for t in members)
         findings.append(Finding.about_terms(
-            ordered, "R06-DUP-IRI", ERROR, ordered[0].label,
-            f"{len(ordered)} terms share the IRI {identity} ({labels})"))
+            members, "R06-DUP-IRI", ERROR, members[0].label,
+            f"{len(members)} terms share the IRI {identity} ({labels})"))
     return findings
 
 

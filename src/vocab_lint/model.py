@@ -6,7 +6,7 @@ by every check.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .catalog import RULES, SEVERITIES
@@ -42,38 +42,15 @@ class Iri:
         return self.value
 
 
-class _Forms:
-    """Base of the model classes that carry comparison forms. The forms live
-    in slots that the subclasses below declare, outside the dataclass
-    fields, so equality, `replace` and `asdict` never see them. Each class's
-    __post_init__ sets them once, when the object is built; a copy or a
-    pickle is rebuilt from the fields, so it sets them too."""
-
-    __slots__ = ()
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
-
-
-class _KeyForm(_Forms):
-    __slots__ = ("key",)
-
-
-class _TokenForm(_Forms):
-    __slots__ = ("tokens",)
-
-
-class _LabelForms(_Forms):
-    __slots__ = ("key", "tokens")
-
-
 @dataclass(frozen=True, slots=True)
-class Synonym(_KeyForm):
-    """A synonym; `key` is its normalized text."""
+class Synonym:
+    """A synonym; `key` is its normalized text. Construction, equality, hash
+    and repr do not see `key`; `fields()` and `asdict()` do."""
 
     text: str
     scope: str = "related"
     is_abbreviation: bool = False
+    key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.text:
@@ -84,16 +61,19 @@ class Synonym(_KeyForm):
 
 
 @dataclass(frozen=True, slots=True)
-class Definition(_TokenForm):
-    """A definition; `tokens` are its normalized text's tokens."""
+class Definition:
+    """A definition; `tokens` are its normalized text's tokens. Construction,
+    equality, hash and repr do not see `tokens`; `fields()` and `asdict()`
+    do."""
 
     text: str
     sources: tuple[str, ...] = ()
+    tokens: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.text:
             raise ValueError("definition text must be non-empty")
-        object.__setattr__(self, "tokens", tuple(_split(self.text)))
+        object.__setattr__(self, "tokens", tuple(tokens_of(self.text)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,13 +87,13 @@ class SourceLocation:
 
 
 @dataclass(frozen=True, slots=True)
-class Term(_LabelForms):
+class Term:
     """One vocabulary entry, stored exactly as the input file stated it.
 
     `key` (the normalized label) and `tokens` (its tokens) are the comparison
-    forms every check uses. They are computed once, when the term is built,
-    and held in slots outside the dataclass fields, so equality, `replace`
-    and `asdict` never see them."""
+    forms every check uses. They are computed once, when the term is built.
+    Construction, equality, hash, repr and `replace` do not see them;
+    `fields()` and `asdict()` do."""
 
     label: str
     iri: Iri | None = None
@@ -124,11 +104,13 @@ class Term(_LabelForms):
     replaced_by: Iri | None = None
     annotations: dict[str, str] = field(default_factory=dict, hash=False)
     location: SourceLocation | None = None
+    key: str = field(init=False, repr=False, compare=False)
+    tokens: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.label:
             raise ValueError("term label must be non-empty")
-        tokens = tuple(_split(self.label))
+        tokens = tuple(tokens_of(self.label))
         object.__setattr__(self, "key", " ".join(tokens))
         object.__setattr__(self, "tokens", tokens)
 
@@ -269,22 +251,15 @@ def normalize_label(raw: str) -> str:
     punctuation of Unicode 14.0.0 (including parentheses and hyphens) turned
     into spaces, spaces collapsed. Every other character, including one
     assigned after 14.0.0, passes through unchanged. Idempotent."""
-    if raw.isascii():
-        return b" ".join(raw.encode().translate(_ASCII_TABLE).split()).decode()
-    return " ".join(filter(None, raw.translate(_TABLE).split(" ")))
-
-
-def _split(raw: str) -> list[str]:
-    """normalize_label(raw).split(), through the same tables in one split.
-    The ASCII table leaves no whitespace but the space, so str.split() splits
-    on spaces alone there."""
-    if raw.isascii():
-        return raw.encode().translate(_ASCII_TABLE).decode().split()
-    return [token for token in raw.translate(_TABLE).split(" ") if token]
+    return " ".join(tokens_of(raw))
 
 
 def tokens_of(raw: str) -> list[str]:
-    return normalize_label(raw).split()
+    """normalize_label(raw).split(), in one split. The ASCII table leaves no
+    whitespace but the space, so str.split() splits on spaces alone there."""
+    if raw.isascii():
+        return raw.encode().translate(_ASCII_TABLE).decode().split()
+    return [token for token in raw.translate(_TABLE).split(" ") if token]
 
 
 def expand_iri(iri: Iri | str, prefix_map: dict[str, str]) -> str:

@@ -489,6 +489,12 @@ class TestHealth:
         assert (code, out) == (2, "")
         assert err == "vocab-lint: error: unknown subscore weights: ['activty']\n"
 
+    def test_no_usable_record(self, capsys, tmp_path):
+        snap = write(tmp_path, "snapshot.txt", "name: dusty\n")
+        code, out, _ = run_cli(capsys, ["health", "--metadata", snap])
+        assert (code, out) == (0, "note: record at line 1: missing name or as_of; skipped\n"
+                                  "no usable metadata records\n")
+
     def test_notes_surface(self, capsys, tmp_path):
         snap = write(tmp_path, "snapshot.txt", SNAPSHOT + "\nmascot: owl\n")
         _, out, _ = run_cli(capsys, ["health", "--metadata", snap])

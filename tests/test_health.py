@@ -242,6 +242,12 @@ class TestLoadMetadata:
         assert records == []
         assert any("not a key: value pair" in n for n in notes)
 
+    @pytest.mark.parametrize("key", ["terms_reused_elsewhere", "releases_last_24_months"])
+    def test_negative_count_skips_record(self, key):
+        records, notes = load_metadata(f"name: x\nas_of: 2026-01-01\n{key}: -1\n")
+        assert records == []
+        assert notes == [f"record at line 1: {key} must be non-negative; skipped"]
+
     def test_semantic_error_skips_record(self):
         text = "name: x\nas_of: 2026-01-01\nlast_release: 2027-01-01\n"
         records, notes = load_metadata(text)

@@ -100,6 +100,10 @@ class TestCheckIri:
         assert check_iri(term("cough", "http://purl.obolibrary.org/obo/HP_0012735"),
                          default_prefix_map()) == []
 
+    def test_https_purl_for_obo_prefix_passes(self):
+        assert check_iri(term("cough", "https://purl.obolibrary.org/obo/HP_0012735"),
+                         default_prefix_map()) == []
+
     @pytest.mark.parametrize("iri", [
         "https://hpo.example.org/ontology/HP_0012735",
         "https://hpo.example.org/terms#HP_0012735",
@@ -109,6 +113,7 @@ class TestCheckIri:
         f, = check_iri(term("cough", iri), default_prefix_map())
         assert f.rule_id == "R06-NONPURL" and f.severity == "info"
         assert '"HP"' in f.message
+        assert "(http://purl.obolibrary.org/obo/HP_...)" in f.message
 
     def test_nonpurl_names_the_least_mentioned_prefix(self):
         f, = check_iri(term("heart", "https://example.org/HP/UBERON_0000948"),

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from vocab_lint.definitions import check_definition_present
 from vocab_lint.ingest import (
     FatalParseError,
     _parse_quoted,
@@ -81,6 +82,15 @@ class TestOboParsing:
         vocab, diags = parse_obo(text, "f.obo")
         assert diags == []
         assert vocab.terms[0].definition.text == 'a "quoted" part and a \\ slash'
+
+    @pytest.mark.parametrize("tail", ["", " [PMID:1"], ids=["no-list", "unclosed-list"])
+    def test_def_without_a_closed_source_list_has_no_sources(self, tail):
+        vocab, diags = parse_obo(f'[Term]\nid: EX:1\nname: x\ndef: "A thing."{tail}\n', "f.obo")
+        assert diags == []
+        term, = vocab.terms
+        assert term.definition == Definition("A thing.")
+        f, = check_definition_present(term)
+        assert f.rule_id == "R07-MISSING-SOURCE"
 
     def test_unclosed_quote_skips_stanza(self):
         text = '[Term]\nid: EX:1\nname: x\ndef: "never closes [S:1]\n\n[Term]\nid: EX:2\nname: y\n'

@@ -124,7 +124,7 @@ class TestPlural:
         assert f.rule_id == "R02-PLURAL" and f.severity == "info"
 
     @pytest.mark.parametrize("label", [
-        "goggles", "species", "glass", "bus", "analysis", "dry cough",
+        "goggles", "species", "glass", "bus", "analysis", "dry cough", "--",
     ])
     def test_exemptions(self, label):
         assert check_plural(term(label), LEX) == []

@@ -189,12 +189,24 @@ class TestComparisonForms:
         assert renamed.tokens == ("dry", "cough")
         synonym = Synonym("Wet Cough", scope="exact")
         assert dataclasses.asdict(synonym) == {
-            "text": "Wet Cough", "scope": "exact", "is_abbreviation": False}
+            "text": "Wet Cough", "scope": "exact", "is_abbreviation": False, "key": "wet cough"}
         assert dataclasses.replace(synonym, text="Dry-Cough").key == "dry cough"
         definition = Definition("A Wet Cough.", ("PMID:1",))
         assert definition == Definition("A Wet Cough.", ("PMID:1",))
-        assert dataclasses.asdict(definition) == {"text": "A Wet Cough.", "sources": ("PMID:1",)}
+        assert dataclasses.asdict(definition) == {
+            "text": "A Wet Cough.", "sources": ("PMID:1",), "tokens": ("a", "wet", "cough")}
         assert dataclasses.replace(definition, text="A Dry-Cough.").tokens == ("a", "dry", "cough")
+
+    def test_forms_are_neither_arguments_nor_shown(self):
+        with pytest.raises(TypeError):
+            Synonym("x", key="y")
+        with pytest.raises(TypeError):
+            Definition("x", tokens=("y",))
+        with pytest.raises(TypeError):
+            Term(label="x", key="y")
+        term = Term(label="Wet Cough", synonyms=(Synonym("moist"),),
+                    definition=Definition("A cough."))
+        assert "key" not in repr(term) and "tokens" not in repr(term)
 
     @EVERY_COPY
     def test_copies_carry_the_forms(self, copy_of):
@@ -315,6 +327,10 @@ class TestValidation:
         assert Synonym("x").scope == "related"
         with pytest.raises(ValueError):
             Synonym("x", scope="bogus")
+
+    def test_synonym_text(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            Synonym("")
 
     def test_definition_text(self):
         with pytest.raises(ValueError):

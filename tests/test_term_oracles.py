@@ -181,7 +181,7 @@ def tag_style(term, ctx):
     return found
 
 
-PURL = "http://purl.obolibrary.org/obo/"
+PURL = "://purl.obolibrary.org/obo/"
 
 
 def iri(term, ctx):
@@ -195,8 +195,9 @@ def iri(term, ctx):
             return []
         return [("R06-BAD-IRI", ERROR, term.label, None,
                  f'"{value}" uses an unregistered prefix')]
-    prefix, sep, local = value[len(PURL):].partition("_")
-    if (value.startswith(PURL) and sep and local and prefix
+    scheme, purl, rest = value.partition(PURL)
+    prefix, sep, local = rest.partition("_")
+    if (scheme in ("http", "https") and purl and sep and local and prefix
             and set(prefix) <= ASCII_ALNUM and prefix in pm.obo_prefixes):
         return []
     mentioned = [p for p in pm.obo_prefixes
