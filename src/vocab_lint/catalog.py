@@ -1,10 +1,10 @@
 """Rule catalog: stable public identifiers for every finding the linter can emit.
 
 Rule ids are part of the public API. Severities listed here are editorial
-defaults and can be overridden per run; the numbered groups (R02, R05, ...)
-follow the tool's published guidance themes, and the C- group covers the
-contextual-data pathologies (semantic noise, word/concept bombs, timeline
-terms).
+defaults, which the checks emit and a run can override; the numbered groups
+(R02, R05, ...) follow the tool's published guidance themes, and the C- group
+covers the contextual-data pathologies (semantic noise, word/concept bombs,
+timeline terms).
 """
 
 from __future__ import annotations

@@ -163,6 +163,15 @@ def rules(args: argparse.Namespace) -> int:
 COMMANDS = {command.__name__: command for command in (check, suggest, health, rules)}
 
 
+def count(text: str) -> int:
+    """The value of -k: an integer of at least 1. argparse names this type in
+    its error for a value that is no integer."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _command_parser(name: str) -> argparse.ArgumentParser:
     """The argument parser of one subcommand. Options may come between
     positional arguments, and must be spelled out in full."""
@@ -186,7 +195,7 @@ def _command_parser(name: str) -> argparse.ArgumentParser:
         add("queries", nargs="+", metavar="QUERIES")
         add("--references", action="append", default=[],
             help="Reference vocabulary to search (repeatable).")
-        add("-k", dest="top_k", type=int, default=5,
+        add("-k", dest="top_k", type=count, default=5,
             help="Suggestions per query (default: 5).")
     elif name == "health":
         add("--metadata", help="Metadata snapshot file (overrides the config).")

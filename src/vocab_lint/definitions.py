@@ -11,7 +11,6 @@ from heapq import heapify, heappop, heappush
 from itertools import islice
 from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
-from .catalog import INFO, WARNING
 from .model import (
     Finding,
     Term,
@@ -95,11 +94,10 @@ def check_definition_present(term: Term) -> list[Finding]:
     if term.definition is None:
         if term.obsolete:
             return []
-        return [Finding.about(term, "R07-MISSING-DEF", WARNING,
-                              "live term has no definition")]
+        return [Finding.about(term, "R07-MISSING-DEF", "live term has no definition")]
     if not term.definition.sources:
         return [Finding.about(
-            term, "R07-MISSING-SOURCE", INFO,
+            term, "R07-MISSING-SOURCE",
             "definition cites no source; provide sources for definitions")]
     return []
 
@@ -119,7 +117,7 @@ def check_genus_differentia(term: Term, vocab: Vocabulary) -> list[Finding]:
     parsed = parse_genus_differentia(definition.tokens[:cut])
     if parsed is None:
         return [Finding.about(
-            term, "R07-FORM", INFO,
+            term, "R07-FORM",
             'definition does not follow the "X is a <parent> that/which '
             '<differentia>" form')]
     parents = [p for p in map(vocab.term_for, term.parents) if p is not None]
@@ -129,7 +127,7 @@ def check_genus_differentia(term: Term, vocab: Vocabulary) -> list[Finding]:
         return []
     genus_text = " ".join(parsed.genus)
     return [Finding.about(
-        term, "R07-GENUS-MISMATCH", INFO,
+        term, "R07-GENUS-MISMATCH",
         f'definition genus "{genus_text}" does not mention any declared '
         "parent; the defining sentence should state the parent class")]
 
@@ -137,13 +135,13 @@ def check_genus_differentia(term: Term, vocab: Vocabulary) -> list[Finding]:
 def check_definition_uniqueness(vocab: Vocabulary) -> list[Finding]:
     """R07: identical normalized definition text across live terms."""
     findings: list[Finding] = []
-    for _, members in shared_keys((" ".join(t.definition.tokens), t) for t in vocab.terms
-                                  if not t.obsolete and t.definition is not None):
-        ordered = sorted(members, key=lambda t: (t.key, t.identity(vocab.prefix_map)))
-        labels = "; ".join(t.label for t in ordered)
+    for _, members in shared_keys(((" ".join(t.definition.tokens), t) for t in vocab.terms
+                                   if not t.obsolete and t.definition is not None),
+                                  vocab.prefix_map):
+        labels = "; ".join(t.label for t in members)
         findings.append(Finding.about_terms(
-            ordered, "R07-DUPLICATE-DEF", WARNING, ordered[0].label,
-            f"{len(ordered)} terms share one definition ({labels}); "
+            members, "R07-DUPLICATE-DEF", members[0].label,
+            f"{len(members)} terms share one definition ({labels}); "
             "combine them via synonymy or differentiate the definitions"))
     return findings
 
@@ -291,14 +289,14 @@ def detect_circular_definitions(vocab: Vocabulary) -> list[Finding]:
     for term in sorted(graph.self_mentions,
                        key=lambda t: (t.identity(vocab.prefix_map), bearer_order(t))):
         findings.append(Finding.about(
-            term, "R07-SELF-REF", WARNING,
+            term, "R07-SELF-REF",
             "definition mentions the term's own label; definitions must "
             "be non-circular"))
     for rotation in islice(_simple_cycles(graph.edges), MAX_REPORTED_CYCLES):
         members = [graph.nodes[node_id] for node_id in rotation]
         chain = " -> ".join(t.label for t in members)
         findings.append(Finding.about_terms(
-            members, "R07-CIRCULAR", WARNING, chain,
+            members, "R07-CIRCULAR", chain,
             f"definitions mention each other in a cycle ({chain} -> "
             f"{members[0].label}); definitions must be non-circular"))
     return findings

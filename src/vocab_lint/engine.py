@@ -305,6 +305,14 @@ def run_lint(config: RuleConfig, inputs: Sequence[tuple[str, str | None]]) -> Re
     report."""
     lex = build_lexicons(config)
     prefixes = build_prefix_map(config)
+    # Only checks that can emit a selected rule run; the filter below still
+    # drops PARSE findings and the unselected ids of checks that emit several.
+    matches = {pattern: {rule_id for rule_id in RULES if fnmatchcase(rule_id, pattern)}
+               for pattern in config.enabled_rules}
+    unmatched = ", ".join(repr(pattern) for pattern, rule_ids in matches.items() if not rule_ids)
+    _require(not unmatched, f"rule patterns match no rule: {unmatched}")
+    selected = set().union(*matches.values())
+    checks = [c for c in CHECKS if selected.intersection(c[0])]
     findings: list[Finding] = []
     vocabs: list[Vocabulary] = []
     summaries: list[InputSummary] = []
@@ -315,11 +323,6 @@ def run_lint(config: RuleConfig, inputs: Sequence[tuple[str, str | None]]) -> Re
         summaries.append(InputSummary(file=path, format=resolved_fmt,
                                       term_count=len(vocab.terms)))
         findings.extend(parse_findings)
-    # Only checks that can emit a selected rule run; the filter below still
-    # drops PARSE findings and the unselected ids of checks that emit several.
-    selected = {rule_id for rule_id in RULES
-                if any(fnmatchcase(rule_id, pattern) for pattern in config.enabled_rules)}
-    checks = [c for c in CHECKS if selected.intersection(c[0])]
     groups = [[vocab] for vocab in vocabs] if config.per_file else [vocabs]
     for group in groups:
         unit = merge_vocabularies(group, prefixes.entries)

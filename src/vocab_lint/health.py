@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
+from itertools import groupby
 
 SUBSCORE_NAMES = ("activity", "responsiveness", "documentation", "reuse", "identifiers")
 
@@ -86,57 +87,41 @@ _PARSERS = {
 
 def load_metadata(text: str) -> tuple[list[OntologyMetadata], list[str]]:
     """Parse a snapshot file of "key: value" records separated by blank
-    lines. Returns the usable records plus human-readable notes for anything
-    skipped or ignored; a bad record never aborts the whole file."""
+    lines, with "#" comment lines. Returns the usable records plus notes for
+    anything skipped or ignored; a bad record never aborts the whole file."""
     records: list[OntologyMetadata] = []
     notes: list[str] = []
-    block: dict[str, object] = {}
-    in_block = False
-    block_line = 0
-    bad_block = False
-
-    def finish():
-        nonlocal block, in_block, block_line, bad_block
-        if in_block and not bad_block:
-            if "name" not in block or "as_of" not in block:
-                notes.append(f"record at line {block_line}: missing name or as_of; skipped")
-            else:
-                try:
-                    records.append(OntologyMetadata(**block))  # type: ignore[arg-type]
-                except MetadataError as exc:
-                    notes.append(f"record at line {block_line}: {exc}; skipped")
-        block = {}
-        in_block = False
-        block_line = 0
-        bad_block = False
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            finish()
+    lines = ((lineno, raw.strip()) for lineno, raw in enumerate(text.splitlines(), start=1))
+    for filled, run in groupby(lines, key=lambda item: bool(item[1])):
+        entries = [(lineno, line) for lineno, line in run if not line.startswith("#")]
+        if not filled or not entries:
             continue
-        if line.startswith("#"):
+        block: dict[str, object] = {}
+        usable = True
+        for lineno, line in entries:
+            key, sep, value = map(str.strip, line.partition(":"))
+            if not sep:
+                notes.append(f"line {lineno}: not a key: value pair; record skipped")
+                usable = False
+                continue
+            parse = _PARSERS.get(key)
+            if parse is None:
+                notes.append(f"line {lineno}: unknown key {key!r} ignored")
+                continue
+            try:
+                block[key] = parse(value)
+            except ValueError as exc:
+                notes.append(f"line {lineno}: bad value for {key!r} ({exc}); record skipped")
+                usable = False
+        if not usable:
             continue
-        if not in_block:
-            in_block = True
-            block_line = lineno
-        key, sep, value = line.partition(":")
-        key = key.strip()
-        value = value.strip()
-        if not sep:
-            notes.append(f"line {lineno}: not a key: value pair; record skipped")
-            bad_block = True
-            continue
-        parse = _PARSERS.get(key)
-        if parse is None:
-            notes.append(f"line {lineno}: unknown key {key!r} ignored")
+        if "name" not in block or "as_of" not in block:
+            notes.append(f"record at line {entries[0][0]}: missing name or as_of; skipped")
             continue
         try:
-            block[key] = parse(value)
-        except ValueError as exc:
-            notes.append(f"line {lineno}: bad value for {key!r} ({exc}); record skipped")
-            bad_block = True
-    finish()
+            records.append(OntologyMetadata(**block))  # type: ignore[arg-type]
+        except MetadataError as exc:
+            notes.append(f"record at line {entries[0][0]}: {exc}; skipped")
     return records, notes
 
 

@@ -9,7 +9,6 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .catalog import ERROR, INFO, WARNING
 from .model import Finding, Term, Vocabulary, expand_iri, shared_keys
 
 
@@ -101,14 +100,14 @@ def check_iri(term: Term, prefixes: PrefixMap) -> list[Finding]:
     prefix; obo-registered terms should sit behind a persistent URL. An
     absolute IRI that mentions no obo prefix (one pattern search) is clean."""
     if term.iri is None:
-        return [Finding.about(term, "R06-MISSING-IRI", WARNING,
+        return [Finding.about(term, "R06-MISSING-IRI",
                               "term has no IRI; mint a resolvable identifier")]
     value = term.iri.value
     if not term.iri.is_absolute:
         prefix, sep, _ = value.partition(":")
         if not sep or prefix not in prefixes.entries:
             return [Finding.about(
-                term, "R06-BAD-IRI", ERROR,
+                term, "R06-BAD-IRI",
                 f'compact identifier "{value}" uses an unregistered prefix')]
         return []
     if not prefixes._obo_mention.search(value):
@@ -119,7 +118,7 @@ def check_iri(term: Term, prefixes: PrefixMap) -> list[Finding]:
     prefix = min(p for p in prefixes.obo_prefixes
                  if f"/{p}_" in value or f"#{p}_" in value or f"/{p}/" in value)
     return [Finding.about(
-        term, "R06-NONPURL", INFO,
+        term, "R06-NONPURL",
         f'IRI mentions the registered ontology prefix "{prefix}" but '
         "is not its persistent URL form "
         f"(http://purl.obolibrary.org/obo/{prefix}_...)")]
@@ -128,11 +127,12 @@ def check_iri(term: Term, prefixes: PrefixMap) -> list[Finding]:
 def check_iri_uniqueness(vocab: Vocabulary) -> list[Finding]:
     """R06: one IRI, one term."""
     findings: list[Finding] = []
-    for identity, members in shared_keys((t.identity(vocab.prefix_map), t)
-                                         for t in vocab.terms if t.iri is not None):
+    for identity, members in shared_keys(((t.identity(vocab.prefix_map), t)
+                                          for t in vocab.terms if t.iri is not None),
+                                         vocab.prefix_map):
         labels = "; ".join(t.label for t in members)
         findings.append(Finding.about_terms(
-            members, "R06-DUP-IRI", ERROR, members[0].label,
+            members, "R06-DUP-IRI", members[0].label,
             f"{len(members)} terms share the IRI {identity} ({labels})"))
     return findings
 
@@ -140,15 +140,15 @@ def check_iri_uniqueness(vocab: Vocabulary) -> list[Finding]:
 def check_label_collisions(vocab: Vocabulary) -> list[Finding]:
     """One label naming several identified concepts is semantic noise."""
     findings: list[Finding] = []
-    for _, members in shared_keys((t.key, t) for t in vocab.terms if not t.obsolete):
+    for _, members in shared_keys(((t.key, t) for t in vocab.terms if not t.obsolete),
+                                  vocab.prefix_map):
         identities = sorted({t.identity(vocab.prefix_map) for t in members
                              if t.iri is not None})
         if len(identities) < 2:
             continue
-        ordered = sorted(members, key=lambda t: t.identity(vocab.prefix_map))
         findings.append(Finding.about_terms(
-            ordered, "C-SEMANTIC-NOISE", WARNING, ordered[0].label,
-            f'label "{ordered[0].label}" denotes {len(identities)} distinct '
+            members, "C-SEMANTIC-NOISE", members[0].label,
+            f'label "{members[0].label}" denotes {len(identities)} distinct '
             f"terms ({', '.join(identities)}); a shared spelling hides "
             "different meanings"))
     return findings
@@ -162,15 +162,14 @@ def check_synonym_collisions(vocab: Vocabulary) -> list[Finding]:
     synonym_keys = {syn.key for t in live for syn in t.synonyms}
     findings: list[Finding] = []
     for phrase, members in shared_keys(
-            (key, t) for t in live for key in (t.key, *(syn.key for syn in t.synonyms))):
-        if phrase not in synonym_keys:
-            continue
+            ((key, t) for t in live for key in (t.key, *(syn.key for syn in t.synonyms))
+             if key in synonym_keys), vocab.prefix_map):
         ordered = sorted(members, key=lambda t: t.identity(vocab.prefix_map))
         quoted = [f'"{t.label}"' for t in ordered]
         carriers = (f"both {quoted[0]} and {quoted[1]}" if len(quoted) == 2
                     else f"{len(quoted)} terms ({', '.join(quoted)})")
         findings.append(Finding.about_terms(
-            ordered, "C-SYNONYM-CLASH", INFO, ordered[0].label,
+            ordered, "C-SYNONYM-CLASH", ordered[0].label,
             f'phrase "{phrase}" appears on {carriers}; shared synonyms blur term boundaries'))
     return findings
 
@@ -206,15 +205,13 @@ def check_deprecation(vocab: Vocabulary) -> list[Finding]:
         if term.obsolete:
             if not term.tokens or term.tokens[0] != "obsolete":
                 findings.append(Finding.about(
-                    term, "R08-LABEL", WARNING,
-                    'obsolete term label does not start with "obsolete"'))
+                    term, "R08-LABEL", 'obsolete term label does not start with "obsolete"'))
             if term.replaced_by is None:
                 findings.append(Finding.about(
-                    term, "R08-NO-REPLACEMENT", INFO,
-                    "obsolete term names no replacement"))
+                    term, "R08-NO-REPLACEMENT", "obsolete term names no replacement"))
         elif term.replaced_by is not None:
             findings.append(Finding.about(
-                term, "R08-LIVE-REPLACED", WARNING,
+                term, "R08-LIVE-REPLACED",
                 "live term carries a replacement pointer; either obsolete "
                 "the term or drop the pointer"))
         if term.replaced_by is not None:
@@ -222,20 +219,19 @@ def check_deprecation(vocab: Vocabulary) -> list[Finding]:
             target = vocab.by_iri.get(key)
             if target is None:
                 findings.append(Finding.about(
-                    term, "R08-DANGLING", ERROR,
+                    term, "R08-DANGLING",
                     f'replacement target "{term.replaced_by.value}" is not '
                     "in the vocabulary"))
             elif target.obsolete:
                 end = _chain_end(vocab, key, ends)
                 if end is None:
                     findings.append(Finding.about(
-                        term, "R08-CYCLE", ERROR,
-                        "replacement pointers form a cycle; no live "
+                        term, "R08-CYCLE", "replacement pointers form a cycle; no live "
                         "replacement can be reached"))
                 elif end in vocab.by_iri:  # else a later link dangles (R08-DANGLING)
                     final = vocab.by_iri[end]
                     findings.append(Finding.about(
-                        term, "R08-CHAIN", INFO,
+                        term, "R08-CHAIN",
                         f'replacement target "{target.label}" is itself '
                         f'obsolete; the chain resolves to "{final.label}" '
                         f"({final.iri.value}); point directly at the live term",
@@ -245,7 +241,7 @@ def check_deprecation(vocab: Vocabulary) -> list[Finding]:
                 parent_term = vocab.term_for(parent)
                 if parent_term is not None and parent_term.obsolete:
                     findings.append(Finding.about(
-                        term, "R08-OBSOLETE-PARENT", WARNING,
+                        term, "R08-OBSOLETE-PARENT",
                         f'live term lists the obsolete term "{parent_term.label}" '
                         "as a parent"))
     return findings

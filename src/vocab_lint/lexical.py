@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
-from .catalog import INFO, WARNING
+from .catalog import INFO
 from .model import (Finding, PhraseTable, Term, Vocabulary, expand_iri, find_phrases,
                     normalize_label, phrase_table, shared_keys)
 
@@ -172,7 +172,7 @@ def check_abbreviation(term: Term, lex: Lexicons) -> list[Finding]:
     if offenders:
         listed = ", ".join(f'"{t}"' for t in offenders)
         findings.append(Finding.about(
-            term, "R05-ABBREV", WARNING,
+            term, "R05-ABBREV",
             f"label contains unexpanded abbreviation {listed}; "
             "use the fully expanded phrase as the label",
             suggestion="expand the abbreviation and keep the short form as an "
@@ -180,7 +180,7 @@ def check_abbreviation(term: Term, lex: Lexicons) -> list[Finding]:
     m = _EXPANSION_STYLE.match(term.label)
     if m and any(ch.isalpha() for ch in m.group("abbr")):
         findings.append(Finding.about(
-            term, "R05-EXPANSION-STYLE", INFO,
+            term, "R05-EXPANSION-STYLE",
             f'label embeds the abbreviation "{m.group("abbr")}" in parentheses',
             suggestion=f'keep the label "{m.group("words").strip()}" and record '
                        f'"{m.group("abbr")}" as a synonym with is_abbreviation=true'))
@@ -197,7 +197,7 @@ def check_negative_phrasing(term: Term, lex: Lexicons) -> list[Finding]:
     if determiners:
         listed = ", ".join(f'"{t}"' for t in determiners)
         return [Finding.about(
-            term, "R02-NEGATIVE", WARNING,
+            term, "R02-NEGATIVE",
             f"label is phrased negatively (negative determiner {listed}); "
             "state what the term is, not what it is not")]
     covered = {i for start, width, _ in find_phrases(tokens, lex.negative_prefix_table)
@@ -208,9 +208,9 @@ def check_negative_phrasing(term: Term, lex: Lexicons) -> list[Finding]:
     if offenders:
         listed = ", ".join(f'"{t}"' for t in offenders)
         return [Finding.about(
-            term, "R02-NEGATIVE", INFO,
+            term, "R02-NEGATIVE",
             f"label uses a negative prefix ({listed}); prefer a positive "
-            "phrasing unless the word is standard technical vocabulary")]
+            "phrasing unless the word is standard technical vocabulary", severity=INFO)]
     return []
 
 
@@ -238,7 +238,7 @@ def check_conjunction(term: Term, lex: Lexicons) -> list[Finding]:
     else:
         message = ('label joins concepts with "and"; split the concepts into '
                    "separate terms or fields")
-    return [Finding.about(term, "R02-CONJUNCTION", WARNING, message)]
+    return [Finding.about(term, "R02-CONJUNCTION", message)]
 
 
 def check_plural(term: Term, lex: Lexicons) -> list[Finding]:
@@ -251,7 +251,7 @@ def check_plural(term: Term, lex: Lexicons) -> list[Finding]:
     if final in lex.plural_by_nature:
         return []
     return [Finding.about(
-        term, "R02-PLURAL", INFO,
+        term, "R02-PLURAL",
         f'label ends in the plural "{final}"; use the singular unless '
         "the noun is plural by nature")]
 
@@ -263,7 +263,7 @@ def check_colloquial(term: Term, lex: Lexicons) -> list[Finding]:
     preferred = lex.colloquial_map.get(term.key)
     if preferred is not None:
         return [Finding.about(
-            term, "R03-COLLOQUIAL", WARNING,
+            term, "R03-COLLOQUIAL",
             f'label "{term.label}" is colloquial; prefer the standardized '
             f'phrase "{preferred}"',
             suggestion=preferred)]
@@ -274,10 +274,10 @@ def check_colloquial(term: Term, lex: Lexicons) -> list[Finding]:
         preferred = lex.colloquial_map.get(phrase)
         if preferred is not None:
             findings.append(Finding.about(
-                term, "R03-COLLOQUIAL", INFO,
+                term, "R03-COLLOQUIAL",
                 f'synonym "{phrase}" is colloquial; if it must stay, keep '
                 f'it as a synonym of "{preferred}"',
-                suggestion=preferred))
+                suggestion=preferred, severity=INFO))
     return findings
 
 
@@ -293,7 +293,7 @@ def check_timeline(term: Term, lex: Lexicons) -> list[Finding]:
     if not found:
         return []
     return [Finding.about(
-        term, "C-TIMELINE", WARNING,
+        term, "C-TIMELINE",
         f'label is anchored to a moving point in time ("{found[0][1]}"); '
         "record an absolute date or interval instead")]
 
@@ -316,7 +316,7 @@ def check_concept_bomb(term: Term, cfg: ComplexityConfig, lex: Lexicons) -> list
     else:
         reason = "combines a relative-time phrase with a numeric quantity"
     return [Finding.about(
-        term, "C-CONCEPT-BOMB", WARNING,
+        term, "C-CONCEPT-BOMB",
         f"label packs multiple assertions into one value ({reason}); "
         "recommend separation into individual fields")]
 
@@ -327,8 +327,8 @@ def detect_word_bombs(vocab: Vocabulary, cfg: ComplexityConfig) -> list[Finding]
     qualifies when a member contains a conjunction or when at least that many
     members are strict modifier-extensions of a common base label."""
     findings: list[Finding] = []
-    for head, members in shared_keys((t.tokens[-1], t) for t in vocab.terms
-                                     if not t.obsolete and t.tokens):
+    for head, members in shared_keys(((t.tokens[-1], t) for t in vocab.terms
+                                      if not t.obsolete and t.tokens), vocab.prefix_map):
         if len(members) < cfg.word_bomb_min_group:
             continue
         token_lists = [t.tokens for t in members]
@@ -340,22 +340,25 @@ def detect_word_bombs(vocab: Vocabulary, cfg: ComplexityConfig) -> list[Finding]
                                  if n < len(toks) and toks[-n:] in bases)
             if not any(count >= cfg.word_bomb_min_group for count in extensions.values()):
                 continue
-        ordered = sorted(members, key=lambda t: (t.key, t.identity(vocab.prefix_map)))
-        labels = "; ".join(t.label for t in ordered)
+        labels = "; ".join(t.label for t in members)
         findings.append(Finding.about_terms(
-            ordered, "C-WORD-BOMB", INFO, head,
-            f'{len(ordered)} labels share the head noun "{head}" ({labels}); '
+            members, "C-WORD-BOMB", head,
+            f'{len(members)} labels share the head noun "{head}" ({labels}); '
             "combinatorial picklist; model the modifiers as separate fields"))
     return findings
 
 
 def _labels_and_suffixes(terms: tuple[Term, ...]) -> Iterator[tuple[str, Term]]:
-    """Each live term's label, then every proper suffix of it (longest first)."""
-    for term in terms:
-        if not term.obsolete:
-            yield term.key, term
-            for cut in range(1, len(term.tokens)):
-                yield " ".join(term.tokens[cut:]), term
+    """Each live term's label, then every proper suffix of it that is a live
+    term's label (longest first)."""
+    live = [term for term in terms if not term.obsolete]
+    labels = {term.key for term in live}
+    for term in live:
+        yield term.key, term
+        for cut in range(1, len(term.tokens)):
+            suffix = " ".join(term.tokens[cut:])
+            if suffix in labels:
+                yield suffix, term
 
 
 def check_redundant_narrowing(vocab: Vocabulary) -> list[Finding]:
@@ -363,12 +366,11 @@ def check_redundant_narrowing(vocab: Vocabulary) -> list[Finding]:
     is_a B link. Parent-child pairs are exempt. One finding per (A, B's label)
     names the bearer of that label with the least identity and counts the rest."""
     results: list[tuple[tuple, Finding]] = []
-    for label, members in shared_keys(_labels_and_suffixes(vocab.terms)):
+    for label, members in shared_keys(_labels_and_suffixes(vocab.terms), vocab.prefix_map):
         narrowers = [t for t in members if t.key != label]
-        if not narrowers or len(narrowers) == len(members):
+        if not narrowers:
             continue
-        bearers = sorted(((t.identity(vocab.prefix_map), t) for t in members if t.key == label),
-                         key=lambda pair: pair[0])
+        bearers = [(t.identity(vocab.prefix_map), t) for t in members if t.key == label]
         bearer_iris = Counter(identity for identity, b in bearers if b.iri is not None)
         for a in narrowers:
             parents = [vocab.term_for(p) for p in a.parents]
@@ -381,7 +383,7 @@ def check_redundant_narrowing(vocab: Vocabulary) -> list[Finding]:
             b = next(b for identity, b in bearers if b.iri is None or identity not in parent_ids)
             shared = "" if kept == 1 else f" (the label of {kept} terms)"
             results.append(((a.key, a.identity(vocab.prefix_map), label), Finding.about(
-                a, "R04-NARROW", INFO,
+                a, "R04-NARROW",
                 f'label narrows "{b.label}"{shared} with leading modifiers but '
                 "declares no relation to it; reuse the broader term or "
                 "record the modifier in its own field",
@@ -401,11 +403,11 @@ def check_tag_style(term: Term, lex: Lexicons) -> list[Finding]:
         norm = normalize_label(value)
         if norm in _BOOLEAN_VALUES:
             findings.append(Finding.about_terms(
-                (term,), "R09-BOOLEAN", WARNING, value,
+                (term,), "R09-BOOLEAN", value,
                 f'tag value "{value}" is a bare boolean; replace the '
                 "question-plus-boolean with a tag naming what is asserted"))
         elif norm.partition(" ")[0] in lex.negative_determiners:
             findings.append(Finding.about_terms(
-                (term,), "R09-NEGATIVE-TAG", INFO, value,
+                (term,), "R09-NEGATIVE-TAG", value,
                 f'tag value "{value}" records an absence; tag what is present instead'))
     return findings

@@ -143,31 +143,36 @@ class Finding:
             raise ValueError("finding message must be non-empty")
 
     @classmethod
-    def about(cls, term: Term, rule_id: str, severity: str, message: str,
-              suggestion: str | None = None) -> Finding:
+    def about(cls, term: Term, rule_id: str, message: str, suggestion: str | None = None,
+              *, severity: str | None = None) -> Finding:
         """A finding whose subject is one term: its label, its IRI if it has
         one, and its location."""
-        return cls.about_terms((term,), rule_id, severity, term.label, message, suggestion)
+        return cls.about_terms((term,), rule_id, term.label, message, suggestion,
+                               severity=severity)
 
     @classmethod
-    def about_terms(cls, terms: tuple[Term, ...] | list[Term], rule_id: str, severity: str,
-                    subject_label: str, message: str,
-                    suggestion: str | None = None) -> Finding:
+    def about_terms(cls, terms: tuple[Term, ...] | list[Term], rule_id: str,
+                    subject_label: str, message: str, suggestion: str | None = None,
+                    *, severity: str | None = None) -> Finding:
         """A finding about a group of terms: the IRIs of those that have one,
-        in the given order, and the earliest location by (file, line)."""
+        in the given order, and the earliest location by (file, line). The
+        severity defaults to the rule's in the catalog."""
         locations = [t.location for t in terms if t.location is not None]
-        return cls(rule_id=rule_id, severity=severity, subject_label=subject_label,
-                   message=message,
+        return cls(rule_id=rule_id,
+                   severity=RULES[rule_id].default_severity if severity is None else severity,
+                   subject_label=subject_label, message=message,
                    subject_iris=tuple(t.iri for t in terms if t.iri is not None),
                    location=min(locations, key=lambda loc: (loc.file, loc.line),
                                 default=None),
                    suggestion=suggestion)
 
 
-def shared_keys(pairs: Iterable[tuple[str, Term]]) -> list[tuple[str, list[Term]]]:
+def shared_keys(pairs: Iterable[tuple[str, Term]],
+                prefix_map: dict[str, str]) -> list[tuple[str, list[Term]]]:
     """The keys that two or more terms share, in sorted order, each with its
-    terms in bearer_order, whatever the input order. A term yielding one key
-    again before the next term's pairs counts once."""
+    terms ordered by normalized label, then identity under `prefix_map`, then
+    bearer_order, whatever the input order. A term yielding one key again
+    before the next term's pairs counts once."""
     groups: dict[str, list[Term]] = {}
     for key, term in pairs:
         group = groups.get(key)
@@ -175,7 +180,8 @@ def shared_keys(pairs: Iterable[tuple[str, Term]]) -> list[tuple[str, list[Term]
             groups[key] = [term]
         elif group[-1] is not term:
             group.append(term)
-    return [(key, sorted(groups[key], key=bearer_order))
+    return [(key, sorted(groups[key], key=lambda t: (t.key, t.identity(prefix_map),
+                                                     bearer_order(t))))
             for key in sorted(k for k, g in groups.items() if len(g) > 1)]
 
 

@@ -12,6 +12,8 @@ from vocab_lint import __version__
 from vocab_lint.catalog import RULES
 from vocab_lint.cli import main
 
+CLINICAL_OBO = str(Path(__file__).parent / "fixtures" / "reference" / "clinical.obo")
+
 PREFIX_FILE = "EX\thttps://example.org/EX_\texternal\n"
 
 OBO_LFT = """\
@@ -186,6 +188,13 @@ class TestCheck:
                                         "--rule", "R06-*"])
         assert code == 0
         assert "R05-ABBREV" not in out
+
+    def test_rule_pattern_matching_no_rule_is_fatal(self, capsys, tmp_path):
+        path = write(tmp_path, "lft.obo", OBO_LFT)
+        code, out, err = run_cli(capsys, ["check", path, "--rule", "R6-*",
+                                          "--rule", "R06-*"])
+        assert (code, out) == (2, "")
+        assert err == "vocab-lint: error: rule patterns match no rule: 'R6-*'\n"
 
     def test_rule_and_suppress_repeat(self, capsys, tmp_path):
         # Without a prefix map, lft.obo has an R05 warning and an R06 error.
@@ -586,6 +595,9 @@ class TestRules:
     pytest.param(["check", "x.obo", "--out", "json"], id="abbreviated-option"),
     pytest.param(["check", "x.obo", "--format", "xml"], id="bad-choice"),
     pytest.param(["suggest", "cough", "-k", "x"], id="non-integer-k"),
+    pytest.param(["suggest", "cough", "--references", CLINICAL_OBO, "-k", "0"], id="zero-k"),
+    pytest.param(["suggest", "cough", "--references", CLINICAL_OBO, "-k", "-3"],
+                 id="negative-k"),
     pytest.param([], id="no-command"),
 ])
 def test_usage_error_exits_two_with_empty_stdout(args, capsys):

@@ -15,6 +15,7 @@ from vocab_lint.catalog import RULES
 from vocab_lint.engine import (
     CHECKS,
     CONFIG_KEYS,
+    PHRASING,
     VOCABULARY,
     CheckContext,
     ConfigError,
@@ -122,6 +123,26 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+# The findings whose severity is not their rule's catalog default: a non-
+# prefix note, a colloquial-synonym note, and a phrasing finding on an
+# obsolete term.
+OBO_SEVERITY_NOTES = """\
+[Term]
+id: EX:1
+name: nonsmoker
+synonym: "tummy" EXACT []
+
+[Term]
+id: EX:2
+name: obsolete cats and dogs
+is_obsolete: true
+"""
+
+# (rule id, message prefix) of the two info notes.
+INFO_NOTES = (("R02-NEGATIVE", "label uses a negative prefix"),
+              ("R03-COLLOQUIAL", "synonym "))
 
 
 @pytest.fixture
@@ -350,6 +371,12 @@ class TestRunLint:
         report = run_lint(ex_config, [(path, None)])
         assert rule_ids(report) == ["R06-MISSING-IRI", "R06-DUP-IRI"]
 
+    def test_rule_pattern_matching_no_rule_is_an_error(self, tmp_path, ex_config):
+        path = write(tmp_path, "broken.obo", OBO_PARSE)
+        ex_config.enabled_rules = ("R06-*", "R6-*", "X")
+        with pytest.raises(ConfigError, match=r"^rule patterns match no rule: 'R6-\*', 'X'$"):
+            run_lint(ex_config, [(path, None)])
+
     def test_enabled_rules_can_select_parse(self, tmp_path, ex_config):
         path = write(tmp_path, "broken.obo", OBO_PARSE)
         ex_config.enabled_rules = ("PARSE",)
@@ -482,6 +509,32 @@ class TestCheckRegistry:
         declared = [rule_id for rule_ids, _, _ in CHECKS for rule_id in rule_ids]
         assert len(declared) == len(set(declared))
         assert set(declared) == set(RULES) - {"R01-REUSE", "PARSE"}
+
+    def test_findings_carry_their_catalog_severity(self, corpus_dir, tmp_path):
+        # Under the default configuration, a finding's severity is its rule's
+        # catalog default, bar the two info notes, PARSE warnings and
+        # phrasing findings on obsolete terms.
+        phrasing = {rule_id for rule_ids, scope, _ in CHECKS if scope == PHRASING
+                    for rule_id in rule_ids}
+        notes = [(write(tmp_path, "notes.obo", OBO_SEVERITY_NOTES), None)]
+        exceptions = set()
+        for inputs in (corpus_inputs(corpus_dir), scale_inputs(tmp_path), notes):
+            obsolete = {t.location for path, fmt in inputs
+                        for t in parse_input(path, fmt)[0].terms if t.obsolete}
+            for f in run_lint(RuleConfig(), inputs).findings:
+                if f.rule_id in phrasing and f.location in obsolete:
+                    exception, severity = "obsolete", "info"
+                elif f.rule_id == "PARSE" and f.severity == "warning":
+                    exception, severity = "PARSE", "warning"
+                elif any(f.rule_id == rule_id and f.message.startswith(prefix)
+                         for rule_id, prefix in INFO_NOTES):
+                    exception, severity = f.rule_id, "info"
+                else:
+                    assert f.severity == RULES[f.rule_id].default_severity, f
+                    continue
+                exceptions.add(exception)
+                assert f.severity == severity, f
+        assert exceptions == {"obsolete", "PARSE", "R02-NEGATIVE", "R03-COLLOQUIAL"}
 
     def test_checks_emit_only_their_declared_rules(self, corpus_dir, tmp_path):
         runs = [(load_config(str(corpus_dir / "config.json")), corpus_inputs(corpus_dir)),

@@ -254,6 +254,15 @@ class TestLoadMetadata:
         assert records == []
         assert any("postdate" in n for n in notes)
 
+    def test_comment_lines_inside_and_between_records(self):
+        # A record starts at its first line that is not a comment; a block
+        # of comments alone is no record.
+        text = ("# header\n\n# lead\nname: x\n# inside\nas_of: 2026-01-01\n"
+                "# between\n\n  # only\n# comments\n\n#\nname: y\n")
+        records, notes = load_metadata(text)
+        assert [r.name for r in records] == ["x"]
+        assert notes == ["record at line 13: missing name or as_of; skipped"]
+
     def test_empty_text(self):
         assert load_metadata("") == ([], [])
 

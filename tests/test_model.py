@@ -240,10 +240,10 @@ class TestFindingSubjects:
     def test_about_cites_label_iri_and_location(self):
         loc = SourceLocation("a.tsv", 3)
         f = Finding.about(Term(label="cough", iri=Iri("HP:1"), location=loc),
-                          "R02-PLURAL", "info", "m", suggestion="s")
+                          "R02-PLURAL", "m", suggestion="s")
         assert (f.subject_label, f.subject_iris, f.location, f.suggestion) == (
             "cough", (Iri("HP:1"),), loc, "s")
-        bare = Finding.about(Term(label="cough"), "R02-PLURAL", "info", "m")
+        bare = Finding.about(Term(label="cough"), "R02-PLURAL", "m")
         assert (bare.subject_iris, bare.location) == ((), None)
 
     def test_about_terms_keeps_order_and_takes_earliest_location(self):
@@ -251,11 +251,11 @@ class TestFindingSubjects:
                  Term(label="x"),
                  Term(label="a", iri=Iri("EX:1"), location=SourceLocation("a.tsv", 9)),
                  Term(label="c", location=SourceLocation("a.tsv", 4))]
-        f = Finding.about_terms(terms, "C-SEMANTIC-NOISE", "warning", "group", "m")
+        f = Finding.about_terms(terms, "C-SEMANTIC-NOISE", "group", "m")
         assert f.subject_label == "group"
         assert f.subject_iris == (Iri("EX:2"), Iri("EX:1"))
         assert f.location == SourceLocation("a.tsv", 4)
-        assert Finding.about_terms([Term(label="x")], "C-SEMANTIC-NOISE", "warning",
+        assert Finding.about_terms([Term(label="x")], "C-SEMANTIC-NOISE",
                                    "x", "m").location is None
 
 
@@ -265,7 +265,17 @@ class TestSharedKeys:
         # c repeating "w" shares it with no one; a repeating "x" counts once.
         pairs = [("y", a), ("x", a), ("x", a), ("y", b), ("w", c), ("w", c), ("x", d),
                  ("x", b)]
-        assert shared_keys(iter(pairs)) == [("x", [a, b, d]), ("y", [a, b])]
+        assert shared_keys(iter(pairs), {}) == [("x", [a, b, d]), ("y", [a, b])]
+
+    def test_members_order_by_label_then_identity_then_bearer_order(self):
+        # Bearer order would give EX:1, EX:2, http://a.org/1: "Wet" sorts
+        # first, then the IRIs as written. Expanded, both EX IRIs follow it.
+        first = Term(label="wet", iri=Iri("EX:2"))
+        second = Term(label="wet", iri=Iri("http://a.org/1"))
+        third = Term(label="Wet", iri=Iri("EX:1"))
+        pairs = [("k", t) for t in (first, second, third)]
+        ((_, members),) = shared_keys(pairs, {"EX": "http://b.org/"})
+        assert [t.iri.value for t in members] == ["http://a.org/1", "EX:1", "EX:2"]
 
 
 # A three-letter alphabet, so phrases nest ("a", "a b", "a b a"), overlap and
