@@ -303,6 +303,7 @@ def run_lint(config: RuleConfig, inputs: Sequence[tuple[str, str | None]]) -> Re
     """Parse every input, lint the merged vocabulary (or each file alone when
     per_file is set), and return the filtered, deterministically ordered
     report."""
+    _require(bool(config.enabled_rules), "enabled_rules gives no rule pattern")
     lex = build_lexicons(config)
     prefixes = build_prefix_map(config)
     # Only checks that can emit a selected rule run; the filter below still

@@ -79,20 +79,69 @@ def _make_iri(value: str) -> Iri | None:
         return None
 
 
-class _StanzaState:
-    """Accumulates one [Term] stanza; mutated line by line."""
+# The Term field each recognized OBO tag fills. A stanza opens with an empty
+# list for each list field, which takes every value; every other field keeps
+# its first value, and a repeat warns.
+_OBO_FIELDS = {"id": "iri", "name": "label", "def": "definition", "synonym": "synonyms",
+               "is_a": "parents", "is_obsolete": "obsolete", "replaced_by": "replaced_by"}
+_LIST_FIELDS = ("synonyms", "parents")
+_BOOLEANS = {"true": True, "false": False}
+_UNCLOSED = object()  # the value of a quoted tag whose quote never closes
 
-    def __init__(self, file_name: str, start_line: int) -> None:
-        self.location = SourceLocation(file_name, start_line)
-        self.iri: Iri | None = None
-        self.label: str | None = None
-        self.definition: Definition | None = None
-        self.synonyms: list[Synonym] = []
-        self.parents: list[Iri] = []
-        self.obsolete = False
-        self.replaced_by: Iri | None = None
-        self.annotations: dict[str, str] = {}
-        self.skip = False  # set on irrecoverable structure damage
+
+def _obo_value(tag: str, value: str) -> tuple[object, str | None]:
+    """Convert a recognized tag's value into the value of its Term field.
+    Returns (value, None); (None, warning) when the line is dropped;
+    (_UNCLOSED, error) when the rest of the stanza is; or (synonym, warning)
+    for a synonym kept under an unknown scope."""
+    if tag == "name":
+        return (value, None) if value else (None, "empty name value ignored")
+    if tag in ("id", "is_a", "replaced_by"):
+        iri = _make_iri(_strip_trailing_comment(value))
+        return (iri, None) if iri is not None else (None, f"invalid {tag} value: {value!r}")
+    if tag == "is_obsolete":
+        flag = _BOOLEANS.get(_strip_trailing_comment(value).lower())
+        if flag is None:
+            return None, f"is_obsolete expects true/false, got {value!r}; treated as false"
+        return flag, None
+    parsed = _parse_quoted(value)
+    if parsed is None:
+        return _UNCLOSED, f"unclosed quote in {tag}; stanza skipped"
+    text, rest = parsed
+    if not text:
+        return None, f"empty {'definition' if tag == 'def' else tag} text ignored"
+    bracket = _parse_bracket_list(rest)
+    if tag == "def":
+        return Definition(text=text, sources=tuple(bracket)), None
+    head = rest.split("[", 1)[0].split()
+    scope = _SCOPES.get(head[0]) if head else "related"
+    synonym = Synonym(text=text, scope=scope or "related",
+                      is_abbreviation="ABBREVIATION" in bracket or "ABBREVIATION" in head[1:])
+    return synonym, None if scope else f"unknown synonym scope {head[0]!r}; treated as related"
+
+
+def _obo_term(fields: dict, seen_ids: dict[str, int], diags: list[Finding]) -> Term | None:
+    """The term a closed [Term] stanza states, after the diagnostics that its
+    id and name draw at the stanza's line."""
+    location, iri = fields["location"], fields.get("iri")
+    if "label" not in fields:
+        if iri is None:
+            diags.append(_diagnostic(
+                "warning", "[Term] stanza has neither id nor name; skipped", location))
+            return None
+        diags.append(_diagnostic("warning", "[Term] stanza has no name; id used as label",
+                                 location))
+        fields["label"] = iri.value
+    if iri is None:
+        diags.append(_diagnostic("warning", "[Term] stanza has no id", location))
+    elif iri.value in seen_ids:
+        diags.append(_diagnostic(
+            "error", f"duplicate id {iri.value} (first seen on line {seen_ids[iri.value]})",
+            location))
+    else:
+        seen_ids[iri.value] = location.line
+    fields.update(synonyms=tuple(fields["synonyms"]), parents=tuple(fields["parents"]))
+    return Term(**fields)
 
 
 def parse_obo(text: str, file_name: str) -> tuple[Vocabulary, list[Finding]]:
@@ -102,139 +151,47 @@ def parse_obo(text: str, file_name: str) -> tuple[Vocabulary, list[Finding]]:
     diags: list[Finding] = []
     terms: list[Term] = []
     seen_ids: dict[str, int] = {}
-
-    def warn(line: int, message: str) -> None:
-        diags.append(_diagnostic("warning", message, SourceLocation(file_name, line)))
-
-    def error(line: int, message: str) -> None:
-        diags.append(_diagnostic("error", message, SourceLocation(file_name, line)))
-
-    def finish(st: _StanzaState) -> None:
-        if st.skip:
-            return
-        if st.iri is None and st.label is None:
-            warn(st.location.line, "[Term] stanza has neither id nor name; skipped")
-            return
-        if st.label is None:
-            warn(st.location.line, "[Term] stanza has no name; id used as label")
-            st.label = st.iri.value
-        if st.iri is None:
-            warn(st.location.line, "[Term] stanza has no id")
-        elif st.iri.value in seen_ids:
-            error(st.location.line,
-                  f"duplicate id {st.iri.value} (first seen on line {seen_ids[st.iri.value]})")
-        else:
-            seen_ids[st.iri.value] = st.location.line
-        terms.append(Term(
-            label=st.label,
-            iri=st.iri,
-            synonyms=tuple(st.synonyms),
-            definition=st.definition,
-            parents=tuple(st.parents),
-            obsolete=st.obsolete,
-            replaced_by=st.replaced_by,
-            annotations=st.annotations,
-            location=st.location,
-        ))
-
-    state: _StanzaState | None = None
-    lines = _strip_bom(text).split("\n")
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\r")
-        stripped = line.strip()
+    stanza: dict | None = None  # the open [Term] stanza's fields; None outside one
+    # A header line after the last closes the last stanza like every other.
+    for line_no, raw in enumerate(_strip_bom(text).split("\n") + ["[]"], start=1):
+        stripped = raw.strip()
         if stripped.startswith("[") and stripped.endswith("]"):
-            if state is not None:
-                finish(state)
-            state = _StanzaState(file_name, line_no) if stripped == "[Term]" else None
+            if stanza is not None and (term := _obo_term(stanza, seen_ids, diags)) is not None:
+                terms.append(term)
+            stanza = None
+            if stripped == "[Term]":
+                stanza = {"location": SourceLocation(file_name, line_no), "annotations": {},
+                          "synonyms": [], "parents": []}
             continue
-        if state is None or state.skip:
+        if stanza is None or not stripped or stripped.startswith("!"):
             continue
-        if not stripped or stripped.startswith("!"):
-            continue
-        tag, sep, value = line.partition(":")
+        tag, sep, value = stripped.partition(":")
+        tag, value = tag.strip(), value.strip()
+        field = _OBO_FIELDS.get(tag)
         if not sep:
-            warn(line_no, f"line is not a tag: value pair: {stripped!r}")
+            new, message = None, f"line is not a tag: value pair: {stripped!r}"
+        elif field is None:
+            # comment and all unrecognized tags are preserved opaquely; repeated
+            # tags concatenate with "|" so nothing is silently dropped.
+            notes = stanza["annotations"]
+            notes[tag] = notes[tag] + "|" + value if tag in notes else value
             continue
-        _apply_tag(state, tag.strip(), value.strip(), line_no, warn, error)
-    if state is not None:
-        finish(state)
+        else:
+            new, message = _obo_value(tag, value)
+        if new is _UNCLOSED:
+            stanza = None
+        elif new is None:
+            pass  # the line is dropped
+        elif field not in stanza:
+            stanza[field] = new
+        elif field in _LIST_FIELDS:
+            stanza[field].append(new)
+        else:
+            message = f"duplicate {tag} tag in stanza; first kept"
+        if message is not None:
+            diags.append(_diagnostic("error" if new is _UNCLOSED else "warning", message,
+                                     SourceLocation(file_name, line_no)))
     return Vocabulary(tuple(terms)), diags
-
-
-def _apply_tag(st: _StanzaState, tag: str, value: str, line_no: int, warn, error) -> None:
-    if tag == "id":
-        iri = _make_iri(_strip_trailing_comment(value))
-        if iri is None:
-            warn(line_no, f"invalid id value: {value!r}")
-        elif st.iri is not None:
-            warn(line_no, "duplicate id tag in stanza; first kept")
-        else:
-            st.iri = iri
-    elif tag == "name":
-        if not value:
-            warn(line_no, "empty name value ignored")
-        elif st.label is not None:
-            warn(line_no, "duplicate name tag in stanza; first kept")
-        else:
-            st.label = value
-    elif tag == "def":
-        parsed = _parse_quoted(value)
-        if parsed is None:
-            error(line_no, "unclosed quote in def; stanza skipped")
-            st.skip = True
-            return
-        text, rest = parsed
-        if not text:
-            warn(line_no, "empty definition text ignored")
-            return
-        if st.definition is not None:
-            warn(line_no, "duplicate def tag in stanza; first kept")
-            return
-        st.definition = Definition(text=text, sources=tuple(_parse_bracket_list(rest)))
-    elif tag == "synonym":
-        parsed = _parse_quoted(value)
-        if parsed is None:
-            error(line_no, "unclosed quote in synonym; stanza skipped")
-            st.skip = True
-            return
-        text, rest = parsed
-        if not text:
-            warn(line_no, "empty synonym text ignored")
-            return
-        bracket = _parse_bracket_list(rest)
-        head = rest.split("[", 1)[0].split()
-        if head and head[0] not in _SCOPES:
-            warn(line_no, f"unknown synonym scope {head[0]!r}; treated as related")
-        scope = _SCOPES.get(head[0], "related") if head else "related"
-        is_abbrev = "ABBREVIATION" in bracket or "ABBREVIATION" in head[1:]
-        st.synonyms.append(Synonym(text=text, scope=scope, is_abbreviation=is_abbrev))
-    elif tag == "is_a":
-        iri = _make_iri(_strip_trailing_comment(value))
-        if iri is None:
-            warn(line_no, f"invalid is_a value: {value!r}")
-        else:
-            st.parents.append(iri)
-    elif tag == "is_obsolete":
-        lowered = _strip_trailing_comment(value).lower()
-        if lowered == "true":
-            st.obsolete = True
-        elif lowered != "false":
-            warn(line_no, f"is_obsolete expects true/false, got {value!r}; treated as false")
-    elif tag == "replaced_by":
-        iri = _make_iri(_strip_trailing_comment(value))
-        if iri is None:
-            warn(line_no, f"invalid replaced_by value: {value!r}")
-        elif st.replaced_by is not None:
-            warn(line_no, "duplicate replaced_by tag in stanza; first kept")
-        else:
-            st.replaced_by = iri
-    else:
-        # comment and all unrecognized tags are preserved opaquely; repeated
-        # tags concatenate with "|" so nothing is silently dropped.
-        if tag in st.annotations:
-            st.annotations[tag] = st.annotations[tag] + "|" + value
-        else:
-            st.annotations[tag] = value
 
 
 def parse_term_table(text: str, file_name: str) -> tuple[Vocabulary, list[Finding]]:

@@ -377,6 +377,12 @@ class TestRunLint:
         with pytest.raises(ConfigError, match=r"^rule patterns match no rule: 'R6-\*', 'X'$"):
             run_lint(ex_config, [(path, None)])
 
+    def test_no_rule_pattern_is_an_error(self, tmp_path, ex_config):
+        path = write(tmp_path, "broken.obo", OBO_PARSE)
+        ex_config.enabled_rules = ()
+        with pytest.raises(ConfigError, match=r"^enabled_rules gives no rule pattern$"):
+            run_lint(ex_config, [(path, None)])
+
     def test_enabled_rules_can_select_parse(self, tmp_path, ex_config):
         path = write(tmp_path, "broken.obo", OBO_PARSE)
         ex_config.enabled_rules = ("PARSE",)

@@ -74,6 +74,11 @@ class TestPrefixMapLoading:
         with pytest.raises(PrefixMapError):
             load_prefix_map(line + "\n")
 
+    @pytest.mark.parametrize("prefix", ["", " EX", "EX "])
+    def test_empty_or_padded_prefix_raises(self, prefix):
+        with pytest.raises(PrefixMapError, match="^invalid prefix"):
+            PrefixMap(entries={prefix: "https://example.org/EX_"})
+
     def test_obo_prefix_must_have_entry(self):
         with pytest.raises(PrefixMapError):
             PrefixMap(entries={}, obo_prefixes=frozenset({"HP"}))

@@ -1,18 +1,22 @@
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from vocab_lint.definitions import check_definition_present
+from vocab_lint.engine import RuleConfig, run_lint
 from vocab_lint.ingest import (
+    TSV_COLUMNS,
     FatalParseError,
     _parse_quoted,
     parse_obo,
     parse_term_table,
     serialize_obo,
 )
-from vocab_lint.model import Definition, Iri, SourceLocation, Synonym, Term
+from vocab_lint.model import Definition, Iri, SourceLocation, Synonym, Term, Vocabulary
 
 OBO_BASIC = """format-version: 1.2
 ontology: demo
@@ -146,6 +150,15 @@ class TestOboParsing:
         assert vocab.terms[0].obsolete is False
         assert any("is_obsolete" in d.message for d in diags)
 
+    @pytest.mark.parametrize("values, obsolete", [
+        (("maybe", "true"), True), (("false", "true"), False), (("true", "false"), True),
+    ])
+    def test_is_obsolete_keeps_its_first_valid_value(self, values, obsolete):
+        tags = "".join(f"is_obsolete: {v}\n" for v in values)
+        vocab, diags = parse_obo(TERM + tags, "f.obo")
+        assert vocab.terms[0].obsolete is obsolete
+        assert len(diags) == 1
+
     def test_header_only(self):
         vocab, diags = parse_obo("format-version: 1.2\n", "f.obo")
         assert vocab.terms == ()
@@ -257,6 +270,33 @@ DIAGNOSTICS = [
     pytest.param(parse_obo, TERM + 'synonym: "never closes EXACT []\n',
                  "error", "unclosed quote in synonym; stanza skipped", 4,
                  id="obo-unclosed-synonym"),
+    pytest.param(parse_obo, TERM + "name: y\n",
+                 "warning", "duplicate name tag in stanza; first kept", 4, id="obo-second-name"),
+    pytest.param(parse_obo, TERM + "is_obsolete: true\nis_obsolete: false\n",
+                 "warning", "duplicate is_obsolete tag in stanza; first kept", 5,
+                 id="obo-second-is-obsolete"),
+    pytest.param(parse_obo, TERM + 'def: "never closes [S:1]\n',
+                 "error", "unclosed quote in def; stanza skipped", 4, id="obo-unclosed-def"),
+    pytest.param(parse_obo, TERM + 'synonym: "y" WIDE []\n',
+                 "warning", "unknown synonym scope 'WIDE'; treated as related", 4,
+                 id="obo-unknown-scope"),
+    pytest.param(parse_obo, TERM + "is_obsolete: maybe\n",
+                 "warning", "is_obsolete expects true/false, got 'maybe'; treated as false", 4,
+                 id="obo-bad-is-obsolete"),
+    pytest.param(parse_obo, "[Term]\nis_obsolete: true\n",
+                 "warning", "[Term] stanza has neither id nor name; skipped", 1,
+                 id="obo-no-id-no-name"),
+    pytest.param(parse_obo, "[Term]\nid: EX:1\n",
+                 "warning", "[Term] stanza has no name; id used as label", 1, id="obo-no-name"),
+    pytest.param(parse_obo, "[Term]\nname: x\n",
+                 "warning", "[Term] stanza has no id", 1, id="obo-no-id"),
+    pytest.param(parse_obo, TERM + "\n[Term]\nid: EX:1\nname: y\n",
+                 "error", "duplicate id EX:1 (first seen on line 1)", 5, id="obo-duplicate-id"),
+    pytest.param(parse_term_table, "label\tiri\n\tEX:1\n",
+                 "error", "row has an empty label cell; row skipped", 2, id="tsv-empty-label"),
+    pytest.param(parse_term_table, "label\tiri\nx\tbad iri\n",
+                 "warning", "invalid IRI value 'bad iri'; term kept without IRI", 2,
+                 id="tsv-bad-iri"),
     pytest.param(parse_term_table, "label\tparents\nx\tEX:1|EX 2\n",
                  "warning", "invalid parent IRI 'EX 2'", 2, id="tsv-bad-parent"),
     pytest.param(parse_term_table, "label\tobsolete\nx\tMaybe\n",
@@ -338,3 +378,80 @@ class TestRoundTrip:
         again, diags = parse_obo(serialize_obo(vocab), "f.obo")
         assert diags == []
         assert again.terms[0].definition.text == vocab.terms[0].definition.text
+
+
+# Strategies for the two carriers, from the grammar in docs/formats.md. Free
+# text draws on the characters the grammar gives a meaning to.
+_FREE = st.text(alphabet='ab :!"\\[],|\t\r\ufeff', max_size=8)
+_IRIS = st.sampled_from(["EX:1", "EX:2", "HP:0000001", "http://example.org/a", "EX 3"]) | _FREE
+_LABELS = st.sampled_from(["cough", "wet cough", "coughs", "non cough", "cough and fever",
+                           "a", "Cough"]) | _FREE
+_BOOLEAN_TEXT = st.sampled_from(["true", "false", "TRUE", "maybe", "true ! a note"]) | _FREE
+_QUOTED = st.builds(
+    lambda text, closed, scope, markers, tail: (
+        '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"' * closed
+        + f" {scope} [{', '.join(markers)}]{tail}"),
+    _LABELS, st.sampled_from([True, True, True, False]),
+    st.sampled_from(["EXACT", "BROAD", "NARROW", "RELATED", "WIDE", "", "ABBREVIATION"]),
+    st.lists(st.sampled_from(["ABBREVIATION", "PMID:1", "x y", ""]), max_size=3), _FREE)
+_OBO_TAG_VALUES = {"id": _IRIS, "name": _LABELS, "def": _QUOTED, "synonym": _QUOTED,
+                   "is_a": _IRIS, "is_obsolete": _BOOLEAN_TEXT, "replaced_by": _IRIS,
+                   "comment": _FREE, "xref": _IRIS}
+_OBO_TAG_LINES = st.one_of([st.builds(f"{tag}: {{}}".format, values)
+                            for tag, values in _OBO_TAG_VALUES.items()]
+                           + [st.builds("{}:{}".format, _FREE, _FREE)])
+_OBO_OTHER_LINES = st.sampled_from(["", "! a comment", "just words"]) | _FREE
+_OBO_STANZAS = st.builds(
+    lambda header, head, lines: [header, *head, *lines],
+    st.sampled_from(["[Term]", "[Term]", "[Term]", "[Typedef]"]),
+    st.just(()) | st.tuples(st.builds("id: {}".format, _IRIS),
+                            st.builds("name: {}".format, _LABELS)),
+    st.lists(st.one_of(_OBO_TAG_LINES, _OBO_TAG_LINES, _OBO_OTHER_LINES), max_size=6))
+OBO_TEXTS = st.builds(
+    lambda bom, stanzas, newline: bom + newline.join(
+        ["format-version: 1.2"] + [line for stanza in stanzas for line in stanza]) + newline,
+    st.sampled_from(["", "\ufeff"]), st.lists(_OBO_STANZAS, max_size=4),
+    st.sampled_from(["\n", "\r\n"]))
+
+_TSV_CELLS = {"label": _LABELS, "iri": _IRIS, "definition": _LABELS,
+              "definition_source": _IRIS, "parents": st.lists(_IRIS, max_size=2).map("|".join),
+              "synonyms": st.lists(_LABELS, max_size=2).map("|".join),
+              "obsolete": _BOOLEAN_TEXT, "replaced_by": _IRIS, "note": _FREE}
+_TSV_HEADERS = st.builds(
+    lambda label, others: ["label"] * label + others, st.sampled_from([1, 1, 1, 0]),
+    st.lists(st.sampled_from(sorted(_TSV_CELLS)), max_size=8))
+TSV_TEXTS = _TSV_HEADERS.flatmap(lambda header: st.builds(
+    lambda rows, tails, newline: newline.join(
+        ["\t".join(header)] + ["\t".join(row) + tail for row, tail in zip(rows, tails)])
+    + newline,
+    st.lists(st.tuples(*[_TSV_CELLS[column] for column in header]), max_size=6),
+    st.lists(st.sampled_from(["", "", "\tstray", "\t"]), min_size=6, max_size=6),
+    st.sampled_from(["\n", "\r\n"]))) | _FREE
+
+
+def _lint_file(text, suffix):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / f"vocabulary{suffix}"
+        path.write_text(text, encoding="utf-8")
+        run_lint(RuleConfig(), [(str(path), None)])
+
+
+class TestParseProperties:
+    @given(OBO_TEXTS)
+    def test_obo_parses_lints_and_reparses_from_its_serialization(self, text):
+        vocab, diags = parse_obo(text, "f.obo")
+        assert isinstance(vocab, Vocabulary)
+        assert all(d.rule_id == "PARSE" for d in diags)
+        _lint_file(text, ".obo")
+        again, _ = parse_obo(serialize_obo(vocab), "f.obo")
+        assert [_fields(t) for t in again.terms] == [_fields(t) for t in vocab.terms]
+
+    @given(TSV_TEXTS)
+    def test_tsv_parses_or_is_fatal_and_lints(self, text):
+        try:
+            vocab, diags = parse_term_table(text, "f.tsv")
+        except FatalParseError:
+            return
+        assert isinstance(vocab, Vocabulary)
+        assert all(d.rule_id == "PARSE" for d in diags)
+        _lint_file(text, ".tsv")

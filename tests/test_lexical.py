@@ -259,6 +259,12 @@ class TestRedundantNarrowing:
                   term("wet cough", "EX:2", parents=["https://example.org/EX_1"]))
         assert check_redundant_narrowing(v) == []
 
+    def test_parent_iri_exempts_when_its_term_has_another_label(self):
+        # "a" stands for EX:1, so only the IRI ties "wet cough" to its parent "cough".
+        v = vocab(term("a", "EX:1"), term("cough", "EX:1"),
+                  term("wet cough", "EX:2", parents=["EX:1"]))
+        assert check_redundant_narrowing(v) == []
+
     def test_multiple_pairs_sorted(self):
         v = vocab(term("site", "EX:1"), term("farm site", "EX:2"),
                   term("old farm site", "EX:3"))
