@@ -9,7 +9,7 @@ import re
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import islice
-from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
+from typing import Collection, Iterator, NamedTuple, Sequence
 
 from .model import (
     Finding,
@@ -78,17 +78,6 @@ def parse_genus_differentia(tokens: Sequence[str]) -> GenusDifferentia | None:
                             tuple(rest[connective + 1:]))
 
 
-def _mentions(tokens: tuple[str, ...], phrases: Iterable[tuple[str, ...]]) -> bool:
-    """Whether some phrase is a contiguous run of `tokens`: one set probe per
-    token and phrase length, however many phrases there are. An empty phrase
-    (a label with no tokens) is never mentioned."""
-    wanted = set(filter(None, phrases))
-    for width in {len(p) for p in wanted}:
-        if any(tokens[i:i + width] in wanted for i in range(len(tokens) - width + 1)):
-            return True
-    return False
-
-
 def check_definition_present(term: Term) -> list[Finding]:
     """R07: live terms need definitions; definitions need sources."""
     if term.definition is None:
@@ -123,7 +112,7 @@ def check_genus_differentia(term: Term, vocab: Vocabulary) -> list[Finding]:
     parents = [p for p in map(vocab.term_for, term.parents) if p is not None]
     if not parents:
         return []
-    if _mentions(parsed.genus, (p.tokens for p in parents)):
+    if any(find_phrases(parsed.genus, phrase_table((p.tokens, p) for p in parents))):
         return []
     genus_text = " ".join(parsed.genus)
     return [Finding.about(
@@ -136,8 +125,7 @@ def check_definition_uniqueness(vocab: Vocabulary) -> list[Finding]:
     """R07: identical normalized definition text across live terms."""
     findings: list[Finding] = []
     for _, members in shared_keys(((" ".join(t.definition.tokens), t) for t in vocab.terms
-                                   if not t.obsolete and t.definition is not None),
-                                  vocab.prefix_map):
+                                   if not t.obsolete and t.definition is not None), vocab):
         labels = "; ".join(t.label for t in members)
         findings.append(Finding.about_terms(
             members, "R07-DUPLICATE-DEF", members[0].label,
@@ -153,7 +141,7 @@ def build_definition_graph(vocab: Vocabulary) -> DefinitionGraph:
     # Every bearer of an identity speaks for it, with its label and its
     # definition, whatever the input order. A label that several bearers of
     # one identity share names that identity once.
-    bearers = [(term.identity(vocab.prefix_map), term) for term in vocab.terms]
+    bearers = [(vocab.identity(term), term) for term in vocab.terms]
     labels = phrase_table(dict.fromkeys((term.tokens, node_id) for node_id, term in bearers))
     edges: set[tuple[str, str]] = set()
     self_mentions: list[Term] = []
@@ -286,8 +274,7 @@ def detect_circular_definitions(vocab: Vocabulary) -> list[Finding]:
     the first MAX_REPORTED_CYCLES of them, whatever the input order."""
     graph = build_definition_graph(vocab)
     findings: list[Finding] = []
-    for term in sorted(graph.self_mentions,
-                       key=lambda t: (t.identity(vocab.prefix_map), bearer_order(t))):
+    for term in sorted(graph.self_mentions, key=lambda t: (vocab.identity(t), bearer_order(t))):
         findings.append(Finding.about(
             term, "R07-SELF-REF",
             "definition mentions the term's own label; definitions must "

@@ -127,9 +127,8 @@ def check_iri(term: Term, prefixes: PrefixMap) -> list[Finding]:
 def check_iri_uniqueness(vocab: Vocabulary) -> list[Finding]:
     """R06: one IRI, one term."""
     findings: list[Finding] = []
-    for identity, members in shared_keys(((t.identity(vocab.prefix_map), t)
-                                          for t in vocab.terms if t.iri is not None),
-                                         vocab.prefix_map):
+    for identity, members in shared_keys(((vocab.identity(t), t)
+                                          for t in vocab.terms if t.iri is not None), vocab):
         labels = "; ".join(t.label for t in members)
         findings.append(Finding.about_terms(
             members, "R06-DUP-IRI", members[0].label,
@@ -140,10 +139,8 @@ def check_iri_uniqueness(vocab: Vocabulary) -> list[Finding]:
 def check_label_collisions(vocab: Vocabulary) -> list[Finding]:
     """One label naming several identified concepts is semantic noise."""
     findings: list[Finding] = []
-    for _, members in shared_keys(((t.key, t) for t in vocab.terms if not t.obsolete),
-                                  vocab.prefix_map):
-        identities = sorted({t.identity(vocab.prefix_map) for t in members
-                             if t.iri is not None})
+    for _, members in shared_keys(((t.key, t) for t in vocab.terms if not t.obsolete), vocab):
+        identities = sorted({vocab.identity(t) for t in members if t.iri is not None})
         if len(identities) < 2:
             continue
         findings.append(Finding.about_terms(
@@ -163,8 +160,8 @@ def check_synonym_collisions(vocab: Vocabulary) -> list[Finding]:
     findings: list[Finding] = []
     for phrase, members in shared_keys(
             ((key, t) for t in live for key in (t.key, *(syn.key for syn in t.synonyms))
-             if key in synonym_keys), vocab.prefix_map):
-        ordered = sorted(members, key=lambda t: t.identity(vocab.prefix_map))
+             if key in synonym_keys), vocab):
+        ordered = sorted(members, key=vocab.identity)
         quoted = [f'"{t.label}"' for t in ordered]
         carriers = (f"both {quoted[0]} and {quoted[1]}" if len(quoted) == 2
                     else f"{len(quoted)} terms ({', '.join(quoted)})")

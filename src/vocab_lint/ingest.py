@@ -36,8 +36,11 @@ TSV_COLUMNS = ("label", "iri", "definition", "definition_source", "parents", "sy
                "obsolete", "replaced_by")
 
 
-def _strip_bom(text: str) -> str:
-    return text[1:] if text.startswith("﻿") else text
+def _lines(text: str) -> list[str]:
+    """The lines of `text` less its leading byte-order marks, each ended at
+    "\r\n", "\r" or "\n" as reading a file in text mode ends it, so that a
+    file and its text parse alike."""
+    return text.lstrip("\ufeff").replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 # From the first double quote to the next one that no backslash escapes.
@@ -102,7 +105,7 @@ def _obo_value(tag: str, value: str) -> tuple[object, str | None]:
     if tag == "is_obsolete":
         flag = _BOOLEANS.get(_strip_trailing_comment(value).lower())
         if flag is None:
-            return None, f"is_obsolete expects true/false, got {value!r}; treated as false"
+            return None, f"invalid is_obsolete value: {value!r}"
         return flag, None
     parsed = _parse_quoted(value)
     if parsed is None:
@@ -153,7 +156,7 @@ def parse_obo(text: str, file_name: str) -> tuple[Vocabulary, list[Finding]]:
     seen_ids: dict[str, int] = {}
     stanza: dict | None = None  # the open [Term] stanza's fields; None outside one
     # A header line after the last closes the last stanza like every other.
-    for line_no, raw in enumerate(_strip_bom(text).split("\n") + ["[]"], start=1):
+    for line_no, raw in enumerate(_lines(text) + ["[]"], start=1):
         stripped = raw.strip()
         if stripped.startswith("[") and stripped.endswith("]"):
             if stanza is not None and (term := _obo_term(stanza, seen_ids, diags)) is not None:
@@ -199,10 +202,10 @@ def parse_term_table(text: str, file_name: str) -> tuple[Vocabulary, list[Findin
     list-valued cells; empty cells mean absent fields."""
     diags: list[Finding] = []
     terms: list[Term] = []
-    lines = _strip_bom(text).split("\n")
+    lines = _lines(text)
     if not lines or not lines[0].strip():
         raise FatalParseError(f"{file_name}: missing header row")
-    header = [cell.strip() for cell in lines[0].rstrip("\r").split("\t")]
+    header = [cell.strip() for cell in lines[0].split("\t")]
     if "label" not in header:
         raise FatalParseError(f"{file_name}: required label column 'label' not in header")
     position: dict[str, int] = {}
@@ -214,8 +217,7 @@ def parse_term_table(text: str, file_name: str) -> tuple[Vocabulary, list[Findin
     (label_at, iri_at, definition_at, def_source_at, parent_at, synonyms_at, obsolete_at,
      replaced_by_at) = [position.get(name, -1) for name in TSV_COLUMNS]
 
-    for line_no, raw in enumerate(lines[1:], start=2):
-        line = raw.rstrip("\r")
+    for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         cells = line.split("\t") + padding

@@ -16,8 +16,8 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from .catalog import INFO
-from .model import (Finding, PhraseTable, Term, Vocabulary, expand_iri, find_phrases,
-                    normalize_label, phrase_table, shared_keys)
+from .model import (Finding, PhraseTable, Term, Vocabulary, find_phrases, normalize_label,
+                    phrase_table, shared_keys)
 
 
 class LexiconError(Exception):
@@ -328,7 +328,7 @@ def detect_word_bombs(vocab: Vocabulary, cfg: ComplexityConfig) -> list[Finding]
     members are strict modifier-extensions of a common base label."""
     findings: list[Finding] = []
     for head, members in shared_keys(((t.tokens[-1], t) for t in vocab.terms
-                                      if not t.obsolete and t.tokens), vocab.prefix_map):
+                                      if not t.obsolete and t.tokens), vocab):
         if len(members) < cfg.word_bomb_min_group:
             continue
         token_lists = [t.tokens for t in members]
@@ -366,23 +366,23 @@ def check_redundant_narrowing(vocab: Vocabulary) -> list[Finding]:
     is_a B link. Parent-child pairs are exempt. One finding per (A, B's label)
     names the bearer of that label with the least identity and counts the rest."""
     results: list[tuple[tuple, Finding]] = []
-    for label, members in shared_keys(_labels_and_suffixes(vocab.terms), vocab.prefix_map):
+    for label, members in shared_keys(_labels_and_suffixes(vocab.terms), vocab):
         narrowers = [t for t in members if t.key != label]
         if not narrowers:
             continue
-        bearers = [(t.identity(vocab.prefix_map), t) for t in members if t.key == label]
+        bearers = [(vocab.identity(t), t) for t in members if t.key == label]
         bearer_iris = Counter(identity for identity, b in bearers if b.iri is not None)
         for a in narrowers:
-            parents = [vocab.term_for(p) for p in a.parents]
-            if any(parent is not None and parent.key == label for parent in parents):
+            parents = [p for p in map(vocab.term_for, a.parents) if p is not None]
+            if any(parent.key == label for parent in parents):
                 continue
-            parent_ids = {expand_iri(p, vocab.prefix_map) for p in a.parents}
+            parent_ids = {vocab.identity(p) for p in parents}
             kept = len(bearers) - sum(bearer_iris[p] for p in parent_ids)
             if kept == 0:
                 continue
             b = next(b for identity, b in bearers if b.iri is None or identity not in parent_ids)
             shared = "" if kept == 1 else f" (the label of {kept} terms)"
-            results.append(((a.key, a.identity(vocab.prefix_map), label), Finding.about(
+            results.append(((a.key, vocab.identity(a), label), Finding.about(
                 a, "R04-NARROW",
                 f'label narrows "{b.label}"{shared} with leading modifiers but '
                 "declares no relation to it; reuse the broader term or "

@@ -114,15 +114,6 @@ class Term:
         object.__setattr__(self, "key", " ".join(tokens))
         object.__setattr__(self, "tokens", tokens)
 
-    def identity(self, prefix_map: dict[str, str] | None = None) -> str:
-        """Stable identity string: the expanded IRI, or a location-derived
-        placeholder for IRI-less terms."""
-        if self.iri is not None:
-            return expand_iri(self.iri, prefix_map or {})
-        if self.location is not None:
-            return f"no-iri:{self.location.file}:{self.location.line}"
-        return f"no-iri::{self.key}"
-
 
 @dataclass(frozen=True, slots=True)
 class Finding:
@@ -168,9 +159,9 @@ class Finding:
 
 
 def shared_keys(pairs: Iterable[tuple[str, Term]],
-                prefix_map: dict[str, str]) -> list[tuple[str, list[Term]]]:
+                vocab: Vocabulary) -> list[tuple[str, list[Term]]]:
     """The keys that two or more terms share, in sorted order, each with its
-    terms ordered by normalized label, then identity under `prefix_map`, then
+    terms ordered by normalized label, then identity in `vocab`, then
     bearer_order, whatever the input order. A term yielding one key again
     before the next term's pairs counts once."""
     groups: dict[str, list[Term]] = {}
@@ -180,7 +171,7 @@ def shared_keys(pairs: Iterable[tuple[str, Term]],
             groups[key] = [term]
         elif group[-1] is not term:
             group.append(term)
-    return [(key, sorted(groups[key], key=lambda t: (t.key, t.identity(prefix_map),
+    return [(key, sorted(groups[key], key=lambda t: (t.key, vocab.identity(t),
                                                      bearer_order(t))))
             for key in sorted(k for k, g in groups.items() if len(g) > 1)]
 
@@ -283,9 +274,9 @@ def expand_iri(iri: Iri | str, prefix_map: dict[str, str]) -> str:
 @dataclass(frozen=True)
 class Vocabulary:
     """An ordered collection of terms and the prefix map their CURIEs expand
-    against.
+    against, which fixes each term's `identity`.
 
-    `prefix_map` is read once, when `by_iri` is first built: an update made
+    `by_iri` reads `prefix_map` once, when it is first built: an update made
     after that first read never reaches the index. To look terms up under a
     different map, build a new Vocabulary, as `cli.suggest` does. The map
     stays a plain `dict`, the type `expand_iri` and every caller pass
@@ -295,12 +286,21 @@ class Vocabulary:
     terms: tuple[Term, ...] = ()
     prefix_map: dict[str, str] = field(default_factory=dict)
 
+    def identity(self, term: Term) -> str:
+        """The term's identity: its IRI expanded under `prefix_map` or, for a
+        term without one, a placeholder from its location or its key."""
+        if term.iri is not None:
+            return expand_iri(term.iri, self.prefix_map)
+        if term.location is not None:
+            return f"no-iri:{term.location.file}:{term.location.line}"
+        return f"no-iri::{term.key}"
+
     @cached_property
     def by_iri(self) -> dict[str, Term]:
-        """The terms by expanded IRI, built the first time it is read. On
-        duplicate expanded IRIs the least bearer wins the slot; all bearers
+        """The terms with an IRI by identity, built the first time it is read.
+        On duplicate identities the least bearer wins the slot; all bearers
         stay in `terms` so uniqueness checks can report them."""
-        return least_bearers((expand_iri(term.iri, self.prefix_map), term)
+        return least_bearers((self.identity(term), term)
                              for term in self.terms if term.iri is not None)
 
     def term_for(self, iri: Iri | str) -> Term | None:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import Term, Vocabulary, bearer_order, normalize_label
+from .model import Term, Vocabulary, bearer_order, merge_vocabularies, normalize_label
 
 EXACT_LABEL = "exact_label"
 EXACT_SYNONYM = "exact_synonym"
@@ -49,16 +49,14 @@ def build_index(references: list[Vocabulary]) -> ReuseIndex:
     """Index live terms of the reference vocabularies by normalized label and
     synonyms. A term found in several references keeps one entry, with the
     phrases of every bearer and a higher source count."""
-    prefix_map: dict[str, str] = {}
-    for vocab in references:
-        prefix_map.update(vocab.prefix_map)
-    index = ReuseIndex(prefix_map=prefix_map)
+    merged = merge_vocabularies(references)
+    index = ReuseIndex(prefix_map=merged.prefix_map)
     for vocab in references:
         seen_here: set[str] = set()
         for term in vocab.terms:
             if term.obsolete:
                 continue
-            identity = term.identity(prefix_map)
+            identity = merged.identity(term)
             shown, phrases = index.entries.get(identity, (term, {}))
             # The least bearer is shown, whatever the reference order.
             index.entries[identity] = (min(shown, term, key=bearer_order), phrases)

@@ -33,6 +33,7 @@ from vocab_lint.model import (
     Synonym,
     Term,
     build_vocabulary,
+    expand_iri,
     normalize_label,
     resolve_replacement,
 )
@@ -270,7 +271,7 @@ def test_criterion_4_suggester_matches_oracle(reference_dir):
             expected = brute_force_ranking(index, query)
             got = suggest_terms(index, query, k=len(index.entries))
             got_rows = [(s.score, s.reuse_count, s.match_kind,
-                         s.term.identity(index.prefix_map)) for s in got]
+                         expand_iri(s.term.iri, index.prefix_map)) for s in got]
             assert [row[3] for row in got_rows] == [row[3] for row in expected]
             assert [row[2] for row in got_rows] == [row[2] for row in expected]
             assert [row[1] for row in got_rows] == [row[1] for row in expected]

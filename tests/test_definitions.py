@@ -24,6 +24,7 @@ from vocab_lint.model import (
     Term,
     bearer_order,
     build_vocabulary,
+    expand_iri,
     find_phrases,
     phrase_table,
     tokens_of,
@@ -282,7 +283,7 @@ class TestDefinitionGraph:
                     continue
                 run, width = t.definition.tokens, len(u.tokens)
                 if any(run[i:i + width] == u.tokens for i in range(len(run))):
-                    expected.add((t.identity(v.prefix_map), u.identity(v.prefix_map)))
+                    expected.add((expand_iri(t.iri, v.prefix_map), expand_iri(u.iri, v.prefix_map)))
                     if u is t:
                         self_mentions.append(t)
         graph = build_definition_graph(v)
@@ -290,7 +291,7 @@ class TestDefinitionGraph:
         assert graph.self_mentions == tuple(self_mentions)
         least = {}
         for t in v.terms:
-            node_id = t.identity(v.prefix_map)
+            node_id = expand_iri(t.iri, v.prefix_map)
             least[node_id] = min(least.get(node_id, bearer_order(t)), bearer_order(t))
         assert {node_id: bearer_order(t) for node_id, t in graph.nodes.items()} == least
 

@@ -3,11 +3,11 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vocab_lint.definitions import check_definition_present
-from vocab_lint.engine import RuleConfig, run_lint
+from vocab_lint.engine import LintFatalError, RuleConfig, parse_input, run_lint
 from vocab_lint.ingest import (
     TSV_COLUMNS,
     FatalParseError,
@@ -281,7 +281,7 @@ DIAGNOSTICS = [
                  "warning", "unknown synonym scope 'WIDE'; treated as related", 4,
                  id="obo-unknown-scope"),
     pytest.param(parse_obo, TERM + "is_obsolete: maybe\n",
-                 "warning", "is_obsolete expects true/false, got 'maybe'; treated as false", 4,
+                 "warning", "invalid is_obsolete value: 'maybe'", 4,
                  id="obo-bad-is-obsolete"),
     pytest.param(parse_obo, "[Term]\nis_obsolete: true\n",
                  "warning", "[Term] stanza has neither id nor name; skipped", 1,
@@ -429,6 +429,16 @@ TSV_TEXTS = _TSV_HEADERS.flatmap(lambda header: st.builds(
     st.sampled_from(["\n", "\r\n"]))) | _FREE
 
 
+def _parsed(parse, *args):
+    """What a parse gives: the terms, with their locations, and the
+    diagnostics; or the message of its fatal error."""
+    try:
+        vocab, diags = parse(*args)
+    except (FatalParseError, LintFatalError) as exc:
+        return str(exc)
+    return vocab.terms, diags
+
+
 def _lint_file(text, suffix):
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / f"vocabulary{suffix}"
@@ -455,3 +465,17 @@ class TestParseProperties:
         assert isinstance(vocab, Vocabulary)
         assert all(d.rule_id == "PARSE" for d in diags)
         _lint_file(text, ".tsv")
+
+    # The file keeps the text's bytes, line ends and marks included; reading
+    # it back in text mode must not change what the parser sees.
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(OBO_TEXTS.map(lambda text: (parse_obo, ".obo", text)),
+                     TSV_TEXTS.map(lambda text: (parse_term_table, ".tsv", text))))
+    @example((parse_obo, ".obo", "[Term]\nid: EX:1\nname: wet\rcough\n"))
+    @example((parse_term_table, ".tsv", "\ufeff\ufefflabel\rcough\r\n"))
+    def test_a_file_parses_as_its_text_does(self, drawn):
+        parse, suffix, text = drawn
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / f"vocabulary{suffix}"
+            path.write_text(text, encoding="utf-8", newline="")
+            assert _parsed(parse_input, str(path), None) == _parsed(parse, text, str(path))

@@ -265,7 +265,7 @@ class TestSharedKeys:
         # c repeating "w" shares it with no one; a repeating "x" counts once.
         pairs = [("y", a), ("x", a), ("x", a), ("y", b), ("w", c), ("w", c), ("x", d),
                  ("x", b)]
-        assert shared_keys(iter(pairs), {}) == [("x", [a, b, d]), ("y", [a, b])]
+        assert shared_keys(iter(pairs), Vocabulary()) == [("x", [a, b, d]), ("y", [a, b])]
 
     def test_members_order_by_label_then_identity_then_bearer_order(self):
         # Bearer order would give EX:1, EX:2, http://a.org/1: "Wet" sorts
@@ -274,7 +274,7 @@ class TestSharedKeys:
         second = Term(label="wet", iri=Iri("http://a.org/1"))
         third = Term(label="Wet", iri=Iri("EX:1"))
         pairs = [("k", t) for t in (first, second, third)]
-        ((_, members),) = shared_keys(pairs, {"EX": "http://b.org/"})
+        ((_, members),) = shared_keys(pairs, Vocabulary(prefix_map={"EX": "http://b.org/"}))
         assert [t.iri.value for t in members] == ["http://a.org/1", "EX:1", "EX:2"]
 
 
@@ -366,14 +366,15 @@ class TestValidation:
 class TestIdentity:
     def test_prefers_expanded_iri(self):
         term = Term(label="cough", iri=Iri("HP:0012735"))
-        assert term.identity(PM) == "http://purl.obolibrary.org/obo/HP_0012735"
+        assert (Vocabulary((term,), PM).identity(term)
+                == "http://purl.obolibrary.org/obo/HP_0012735")
 
     def test_location_placeholder(self):
         term = Term(label="x", location=SourceLocation("f.tsv", 7))
-        assert term.identity(PM) == "no-iri:f.tsv:7"
+        assert Vocabulary((term,), PM).identity(term) == "no-iri:f.tsv:7"
 
     def test_label_placeholder(self):
-        assert Term(label="Wet Cough").identity(PM) == "no-iri::wet cough"
+        assert Vocabulary((), PM).identity(Term(label="Wet Cough")) == "no-iri::wet cough"
 
 
 def _t(label, iri=None, replaced_by=None, obsolete=False):

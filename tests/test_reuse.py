@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vocab_lint.model import Iri, Synonym, Term, build_vocabulary, normalize_label
+from vocab_lint.model import Iri, Synonym, Term, build_vocabulary, expand_iri, normalize_label
 from vocab_lint.reuse import (
     FUZZY_DISTANCE_CEILING,
     EmptyQueryError,
@@ -210,7 +210,7 @@ def test_property_scores_match_brute_force(parts):
     query = " ".join(parts)
     expected = brute_force_best(index, query)
     results = suggest_terms(index, query, k=len(index.entries))
-    got = {s.term.identity(index.prefix_map): s.score for s in results}
+    got = {expand_iri(s.term.iri, index.prefix_map): s.score for s in results}
     assert set(got) == set(expected)
     for identity, score in got.items():
         assert score == pytest.approx(expected[identity][0], abs=1e-9)
