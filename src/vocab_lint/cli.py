@@ -22,6 +22,7 @@ from .engine import (
     RuleConfig,
     build_prefix_map,
     exit_code,
+    format_finding,
     load_config,
     parse_input,
     read_text,
@@ -85,7 +86,11 @@ def suggest(args: argparse.Namespace) -> int:
     prefixes = build_prefix_map(config)
     vocabs = []
     for path in paths:
-        vocab, _ = parse_input(path, None)
+        vocab, problems = parse_input(path, None)
+        # A reference's parse problems go to stderr in check's form, so
+        # stdout holds only the suggestions.
+        for finding in sorted(problems, key=lambda f: f.location.line):
+            print(format_finding(finding), file=sys.stderr)
         vocabs.append(build_vocabulary(vocab.terms, {**vocab.prefix_map, **prefixes.entries}))
     index = build_index(vocabs)
     rows = []

@@ -369,6 +369,15 @@ _ANSI = {"error": "\x1b[31m", "warning": "\x1b[33m", "info": "\x1b[36m"}
 _ANSI_RESET = "\x1b[0m"
 
 
+def format_finding(f: Finding, color: bool = False) -> str:
+    """One finding as a line of the text report."""
+    where = f"{f.location.file}:{f.location.line}" if f.location else "-"
+    severity = f"{_ANSI[f.severity]}{f.severity}{_ANSI_RESET}" if color else f.severity
+    subject = f" {f.subject_label}" if f.subject_label else ""
+    message = f"{f.message} (suggestion: {f.suggestion})" if f.suggestion else f.message
+    return f"{where}: {severity} {f.rule_id}{subject}: {message}"
+
+
 def render_report(report: Report, output: str = "text", color: bool = False) -> str:
     """Byte-deterministic rendering of a report; color only when asked."""
     if output == "json":
@@ -394,17 +403,7 @@ def render_report(report: Report, output: str = "text", color: bool = False) -> 
         return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
     if output != "text":
         raise ValueError(f"unknown output format {output!r}")
-    lines = []
-    for f in report.findings:
-        where = f"{f.location.file}:{f.location.line}" if f.location else "-"
-        severity = f.severity
-        if color:
-            severity = f"{_ANSI[f.severity]}{f.severity}{_ANSI_RESET}"
-        subject = f" {f.subject_label}" if f.subject_label else ""
-        message = f.message
-        if f.suggestion:
-            message = f"{message} (suggestion: {f.suggestion})"
-        lines.append(f"{where}: {severity} {f.rule_id}{subject}: {message}")
+    lines = [format_finding(f, color) for f in report.findings]
     lines.append(f"{report.counts['error']} error(s), {report.counts['warning']} "
                  f"warning(s), {report.counts['info']} info note(s) in "
                  f"{len(report.inputs)} input(s)")

@@ -88,6 +88,34 @@ def edit_distance(a: str, b: str) -> int:
     return previous[-1]
 
 
+def _distance_within(a: str, b: str, k: int) -> int:
+    """edit_distance(a, b) if it is at most k, else k + 1. Only cells within k
+    of the diagonal are filled, and the walk stops at the first row whose
+    every cell exceeds k (Ukkonen's cut-off)."""
+    if len(a) < len(b):
+        a, b = b, a
+    m = len(b)
+    if len(a) - m > k:
+        return k + 1
+    # A cell outside the band holds k + 1, a lower bound on its distance cut
+    # at k + 1, so no cell whose distance is at most k is misjudged.
+    previous = list(range(m + 1))
+    for i, ca in enumerate(a, start=1):
+        current = [k + 1] * (m + 1)
+        current[0] = left = i
+        for j in range(max(1, i - k), min(m, i + k) + 1):
+            # The least of a deletion, an insertion and a substitution,
+            # compared in place: a call to min() per cell costs about 40% more
+            # on CPython 3.11.
+            left = (previous[j] if previous[j] < left else left) + 1
+            substitution = previous[j - 1] + (ca != b[j - 1])
+            current[j] = left = substitution if substitution < left else left
+        if min(current) > k:
+            return k + 1
+        previous = current
+    return min(previous[-1], k + 1)
+
+
 def _score_phrase(query: str, query_tokens: frozenset[str], phrase: str,
                   phrase_kind: str) -> tuple[float, str] | None:
     if phrase == query:
@@ -99,8 +127,14 @@ def _score_phrase(query: str, query_tokens: frozenset[str], phrase: str,
     if union and overlap:
         best = (0.7 * overlap / len(union), TOKEN_OVERLAP)
     longest = max(len(query), len(phrase))
-    if longest:
-        ratio = edit_distance(query, phrase) / longest
+    # The length difference is a lower bound on the distance, so a pair it
+    # already puts past the ceiling is never scored; any other distance is
+    # needed only up to the ceiling. The cut-off is one above the floor of
+    # the ceiling's distance, so a product rounded just below a whole number
+    # cannot cut off a distance that the ratio test below accepts.
+    if longest and abs(len(query) - len(phrase)) / longest <= FUZZY_DISTANCE_CEILING:
+        cut_off = int(FUZZY_DISTANCE_CEILING * longest) + 1
+        ratio = _distance_within(query, phrase, cut_off) / longest
         if ratio <= FUZZY_DISTANCE_CEILING:
             fuzzy = (0.6 * (1.0 - ratio), FUZZY)
             if best is None or fuzzy[0] > best[0]:

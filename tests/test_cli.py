@@ -333,7 +333,7 @@ class TestCheck:
                                         "--references", f"{refs}/clinical.obo",
                                         "--references", f"{refs}/surveillance.tsv",
                                         "wet cough", "fever", "sewage sample", "nasal swab",
-                                        "zzzz"])
+                                        "zzzz", "feverr", "wastewater sampel", "pyrexa"])
         assert code == 0
         assert out == (fixtures_dir / "reference" / "expected.json").read_text(encoding="utf-8")
 
@@ -442,6 +442,21 @@ class TestSuggest:
         assert len(vocab.terms) == 2
         for t in vocab.terms:
             assert vocab.term_for(t.iri) is t
+
+    def test_reference_parse_problems_go_to_stderr(self, capsys, tmp_path):
+        ref = write(tmp_path, "ref.obo", "[Term]\nid: not a curie\nname: fever\n")
+        _, checked, _ = run_cli(capsys, ["check", ref])
+        problems = "".join(line + "\n" for line in checked.splitlines() if " PARSE: " in line)
+        assert problems == (f"{ref}:1: warning PARSE: [Term] stanza has no id\n"
+                            f"{ref}:2: warning PARSE: invalid id value: 'not a curie'\n")
+        code, out, err = run_cli(capsys, ["suggest", "fever", "--references", ref])
+        assert (code, out, err) == (
+            0, "query: fever\n  1. fever  score 1.000  exact_label  reused-in 1  (no iri)\n",
+            problems)
+        code, out, err = run_cli(capsys, ["suggest", "fever", "--references", ref,
+                                          "--output", "json"])
+        assert (code, err) == (0, problems)
+        assert json.loads(out)["queries"][0]["suggestions"][0]["iri"] is None
 
     def test_no_references_is_fatal(self, capsys):
         code, _, err = run_cli(capsys, ["suggest", "cough"])

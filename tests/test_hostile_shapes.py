@@ -2,7 +2,8 @@
 with an explicit time bound. A vocabulary check that turns quadratic in a
 realistic group size fails its row, as does a per-term check that turns
 quadratic in the length of a label, definition or annotation value; a new
-check fails the coverage test until it has a row here."""
+check fails the coverage test until it has a row here. The suggester has
+rows of its own, for queries that its fuzzy tier might score in full."""
 
 import time
 from itertools import cycle, islice
@@ -14,6 +15,7 @@ from vocab_lint.engine import CHECKS, VOCABULARY, CheckContext
 from vocab_lint.identity import default_prefix_map
 from vocab_lint.lexical import ComplexityConfig, default_lexicons
 from vocab_lint.model import Definition, Iri, Synonym, Term, build_vocabulary
+from vocab_lint.reuse import build_index, suggest_terms
 
 
 def term(label, i, **fields):
@@ -146,4 +148,37 @@ def test_worst_shape_runs_within_its_bound(rule_ids, shape):
                 for f in run(subject, ctx)]
     elapsed = time.perf_counter() - started
     assert len(findings) == shape.findings
+    assert elapsed < shape.seconds
+
+
+class SuggestShape(NamedTuple):
+    width: int        # characters in each of the 1,000 reference labels
+    query: str
+    seconds: float
+    suggestions: int
+
+
+SUGGEST_SHAPES = {
+    # Scoring a 400-character query against every label in full took about
+    # 20 s; its length alone puts each label past the fuzzy ceiling, and the
+    # query takes about 7 ms, on a 2-vCPU host.
+    "long-query": SuggestShape(120, "sample " * 57 + "s", 0.15, 5),
+    "one-character": SuggestShape(120, "q", 0.1, 0),          # about 5 ms
+    # Each label is within the ceiling in length but shares no character with
+    # the query, so the cut-off ends each distance only after a quarter of
+    # its rows: about 90 ms, against 0.4 s in full.
+    "disjoint-characters": SuggestShape(40, "quz" * 13 + "q", 2.0, 0),
+}
+
+
+@pytest.mark.parametrize("shape", [
+    pytest.param(shape, id=name) for name, shape in SUGGEST_SHAPES.items()])
+def test_worst_suggest_shape_runs_within_its_bound(shape):
+    labels = [(f"sample site{i:04d} " * 8)[:shape.width] for i in range(1000)]
+    index = build_index([build_vocabulary([term(label, i) for i, label in enumerate(labels)],
+                                          {"EX": "https://example.org/EX_"})])
+    started = time.perf_counter()
+    suggestions = suggest_terms(index, shape.query)
+    elapsed = time.perf_counter() - started
+    assert len(suggestions) == shape.suggestions
     assert elapsed < shape.seconds

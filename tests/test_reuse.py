@@ -1,11 +1,12 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vocab_lint.model import Iri, Synonym, Term, build_vocabulary, expand_iri, normalize_label
 from vocab_lint.reuse import (
     FUZZY_DISTANCE_CEILING,
     EmptyQueryError,
+    _distance_within,
     build_index,
     edit_distance,
     suggest_terms,
@@ -56,6 +57,23 @@ class TestEditDistance:
     @given(st.text(max_size=10), st.text(max_size=10), st.text(max_size=10))
     def test_triangle_inequality(self, a, b, c):
         assert edit_distance(a, c) <= edit_distance(a, b) + edit_distance(b, c)
+
+    # Any text, or text over a few characters (one outside the BMP), where
+    # small distances are common.
+    TEXT = st.text(max_size=12) | st.text("ab c\u00e9\U0001d518", max_size=12)
+
+    @given(TEXT, TEXT, st.data())
+    def test_distance_within_is_the_distance_cut_at_k_plus_one(self, a, b, data):
+        k = data.draw(st.integers(0, max(len(a), len(b)) + 1))
+        assert _distance_within(a, b, k) == min(edit_distance(a, b), k + 1)
+
+    @pytest.mark.parametrize("a,b,k,expected", [
+        ("", "", 0, 0), ("abc", "", 2, 3), ("", "abc", 3, 3),
+        ("kitten", "sitting", 2, 3), ("kitten", "sitting", 3, 3),
+        ("abcd", "abxy", 1, 2), ("abcd", "abcx", 1, 1),
+    ])
+    def test_distance_within_known_cases(self, a, b, k, expected):
+        assert _distance_within(a, b, k) == expected
 
 
 class TestBuildIndex:
@@ -201,13 +219,24 @@ def brute_force_best(index, query):
     return best_by_identity
 
 
-@given(st.lists(st.sampled_from(["cough", "wet cough", "dry cough", "fever",
-                                 "pyrexia", "sample", "swab", "fevr",
-                                 "wastewater", "belly"]),
-                min_size=1, max_size=3))
-def test_property_scores_match_brute_force(parts):
-    index = reference_index()
-    query = " ".join(parts)
+WORDS = st.sampled_from(["cough", "wet cough", "dry cough", "fever", "pyrexia", "sample",
+                         "swab", "fevr", "wastewater", "belly"])
+# Phrases over two or three letters, at lengths where a distance or a length
+# difference of exactly a quarter of the longer phrase is common.
+BOUNDARY_PHRASES = st.tuples(st.sampled_from(["ab", "abc"]),
+                             st.sampled_from([3, 4, 6, 8, 9, 12])).flatmap(
+    lambda shape: st.text(shape[0], min_size=shape[1], max_size=shape[1]))
+
+
+# Enough examples that a cut-off off by one at either boundary fails.
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(st.lists(WORDS, min_size=1, max_size=3).map(" ".join), st.just([]))
+       | st.tuples(BOUNDARY_PHRASES, st.lists(BOUNDARY_PHRASES, min_size=1, max_size=8)))
+def test_property_scores_match_brute_force(case):
+    # A query against the reference index, or against labels of its own.
+    query, labels = case
+    index = (build_index([vocab(*(term(label, f"EX:{i}") for i, label in enumerate(labels)))])
+             if labels else reference_index())
     expected = brute_force_best(index, query)
     results = suggest_terms(index, query, k=len(index.entries))
     got = {expand_iri(s.term.iri, index.prefix_map): s.score for s in results}
