@@ -1,13 +1,12 @@
 """Command-line interface: check, suggest, health, rules.
 
 Exit codes: 0 clean, 1 findings at or above the fail threshold,
-2 unusable input or configuration.
+2 unusable input or configuration, 3 an internal error.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import os
 import sys
@@ -21,6 +20,7 @@ from .engine import (
     LintFatalError,
     RuleConfig,
     build_prefix_map,
+    collector_paused,
     exit_code,
     format_finding,
     load_config,
@@ -34,6 +34,7 @@ from .model import build_vocabulary
 from .reuse import EmptyQueryError, build_index, suggest_terms
 
 FATAL_EXIT = 2
+INTERNAL_EXIT = 3
 
 
 def _fail(message: str) -> NoReturn:
@@ -213,7 +214,9 @@ def _command_parser(name: str) -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> NoReturn:
     """Parse argv, run one subcommand and exit with its code. An error the
-    program raises itself prints as "vocab-lint: error: ..." and exits 2."""
+    program raises itself prints as "vocab-lint: error: ..." and exits 2; any
+    other exception prints its traceback and exits 3, so that it cannot pass
+    for findings."""
     top = argparse.ArgumentParser(
         prog="vocab-lint", allow_abbrev=False,
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -228,18 +231,17 @@ def main(argv: list[str] | None = None) -> NoReturn:
                      help="the command's files and options; see vocab-lint COMMAND --help")
     parsed = top.parse_args(argv)
     args = _command_parser(parsed.command).parse_intermixed_args(parsed.args)
-    # The objects a run builds live until it ends, so the cyclic collector
-    # would only walk them again and again. The prior state comes back for a
-    # caller that runs the CLI in its own process.
-    collecting = gc.isenabled()
-    gc.disable()
     try:
-        sys.exit(COMMANDS[parsed.command](args))
+        with collector_paused():
+            code = COMMANDS[parsed.command](args)
     except (ConfigError, LintFatalError) as exc:
         _fail(str(exc))
-    finally:
-        if collecting:
-            gc.enable()
+    except Exception:
+        import traceback  # only a failing run pays for this import
+
+        traceback.print_exc()
+        sys.exit(INTERNAL_EXIT)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -6,7 +6,10 @@ and rendering deterministic text or JSON reports.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from pathlib import Path
@@ -73,7 +76,9 @@ def read_text(what: str, path: str, error: type[Exception] = ConfigError) -> str
     "{what}{path}"."""
     try:
         return Path(path).read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError: bytes that are not UTF-8 (UnicodeDecodeError), or a
+        # path holding a NUL character.
         raise error(f"cannot read {what}{path}: {exc}") from exc
 
 
@@ -299,10 +304,26 @@ def _sort_key(finding: Finding):
             finding.severity)
 
 
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause the cyclic collector for the block, then restore the caller's
+    setting, on every exit. A run's objects live until it ends and form no
+    cycles, so the collector would only walk them again and again. A nested
+    pause leaves the outer one's setting alone."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
+
+@collector_paused()
 def run_lint(config: RuleConfig, inputs: Sequence[tuple[str, str | None]]) -> Report:
     """Parse every input, lint the merged vocabulary (or each file alone when
     per_file is set), and return the filtered, deterministically ordered
-    report."""
+    report. The cyclic collector is paused for the run."""
     _require(bool(config.enabled_rules), "enabled_rules gives no rule pattern")
     lex = build_lexicons(config)
     prefixes = build_prefix_map(config)

@@ -164,16 +164,21 @@ def shared_keys(pairs: Iterable[tuple[str, Term]],
     terms ordered by normalized label, then identity in `vocab`, then
     bearer_order, whatever the input order. A term yielding one key again
     before the next term's pairs counts once."""
+    # A key's first bearer waits in `first`; a list starts at its second.
+    first: dict[str, Term] = {}
     groups: dict[str, list[Term]] = {}
     for key, term in pairs:
         group = groups.get(key)
-        if group is None:
-            groups[key] = [term]
-        elif group[-1] is not term:
-            group.append(term)
+        if group is not None:
+            if group[-1] is not term:
+                group.append(term)
+        else:
+            held = first.setdefault(key, term)
+            if held is not term:
+                groups[key] = [held, term]
     return [(key, sorted(groups[key], key=lambda t: (t.key, vocab.identity(t),
                                                      bearer_order(t))))
-            for key in sorted(k for k, g in groups.items() if len(g) > 1)]
+            for key in sorted(groups)]
 
 
 PhraseTable = dict[str, dict[int, dict[tuple[str, ...], list]]]

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import vocab_lint
-from vocab_lint import __version__
+from vocab_lint import __version__, cli
 from vocab_lint.catalog import RULES
 from vocab_lint.cli import main
 
@@ -578,6 +578,44 @@ def test_unreadable_file_exits_two_and_names_it(kind, content, tmp_path, capsys)
     assert (code, out) == (2, "")
     assert err.startswith(f"vocab-lint: error: cannot read {what}{path}: ")
     assert "Traceback" not in err
+
+
+# Every configuration key that names a file: its value as a path holding a
+# NUL character, how the error names the file, and a command line that reads
+# it. A reference path needs a known suffix to reach the read.
+NUL_PATH_KEYS = {
+    "prefix_map_path": ("\x00", "prefix map ", lambda d, config: _lint_with(d, **config)),
+    "lexicon_overrides": ({"accepted_abbreviation_words": "\x00"}, "lexicon file ",
+                          lambda d, config: _lint_with(d, **config)),
+    "metadata_path": ("\x00", "metadata ", lambda d, config: [
+        "health", "--config", write(d, "run.json", json.dumps(config))]),
+    "reference_paths": (["\x00.obo"], "", lambda d, config: [
+        "suggest", "cough", "--config", write(d, "run.json", json.dumps(config))]),
+}
+
+
+@pytest.mark.parametrize("key", NUL_PATH_KEYS)
+def test_a_config_path_holding_a_nul_exits_two_and_names_it(key, tmp_path, capsys):
+    write(tmp_path, "prefixes.tsv", PREFIX_FILE)
+    value, what, command = NUL_PATH_KEYS[key]
+    code, out, err = run_cli(capsys, command(tmp_path, {key: value}))
+    # The config is written into tmp_path, and its relative paths resolve there.
+    nul_name = "\x00.obo" if key == "reference_paths" else "\x00"
+    assert (code, out) == (2, "")
+    assert err.startswith(
+        f"vocab-lint: error: cannot read {what}{tmp_path.resolve() / nul_name}: ")
+    assert "Traceback" not in err
+
+
+def test_an_internal_error_exits_three_with_its_traceback(tmp_path, capsys, monkeypatch):
+    def broken(config, inputs):
+        raise RuntimeError("planted fault")
+
+    monkeypatch.setattr(cli, "run_lint", broken)
+    code, out, err = run_cli(capsys, ["check", write(tmp_path, "lft.obo", OBO_LFT)])
+    assert (code, out) == (3, "")
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith("RuntimeError: planted fault\n")
 
 
 @pytest.mark.parametrize("kind", FILE_KINDS)

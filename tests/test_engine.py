@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import re
 import sys
@@ -450,6 +451,63 @@ class TestRunLint:
         first = run_lint(ex_config, [(a, None), (b, None)])
         second = run_lint(ex_config, [(b, None), (a, None)])
         assert render_report(first, "json") == render_report(second, "json")
+
+    def test_an_input_path_holding_a_nul_is_fatal(self):
+        with pytest.raises(LintFatalError, match=re.escape("cannot read a\x00.tsv: ")):
+            run_lint(RuleConfig(), [("a\x00.tsv", None)])
+
+
+@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+def collecting(request):
+    """The collector state the caller set; the prior state comes back after
+    the test."""
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_enabled else gc.disable)()
+
+
+# A run that ends cleanly, on a ConfigError and on a LintFatalError.
+RUN_ENDINGS = {
+    "clean": (RuleConfig(), None),
+    "config-error": (RuleConfig(enabled_rules=()), ConfigError),
+    "fatal-error": (RuleConfig(), LintFatalError),
+}
+
+
+@pytest.mark.parametrize("ending", RUN_ENDINGS)
+def test_run_lint_pauses_the_collector_and_restores_it(ending, collecting, corpus_dir,
+                                                       monkeypatch):
+    config, error = RUN_ENDINGS[ending]
+    inputs = corpus_inputs(corpus_dir)
+    if error is LintFatalError:
+        inputs.append((str(corpus_dir / "absent.obo"), None))
+    during = []
+    monkeypatch.setattr(lexical, "check_abbreviation",
+                        lambda term, lex: during.append(gc.isenabled()) or [])
+    if error is None:
+        run_lint(config, inputs)
+        assert during and not any(during)
+    else:
+        with pytest.raises(error):
+            run_lint(config, inputs)
+    assert gc.isenabled() == collecting
+
+
+def test_a_lint_run_leaves_no_cyclic_garbage(corpus_dir):
+    # run_lint pauses the collector on the premise that a run makes no
+    # reference cycles, so that the pause holds no memory.
+    config = load_config(str(corpus_dir / "config.json"))
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        report = run_lint(config, corpus_inputs(corpus_dir))
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert report.findings
 
 
 def test_labels_are_normalized_a_few_times_per_term(corpus_dir, monkeypatch):

@@ -74,6 +74,10 @@ class TestPrefixMapLoading:
         with pytest.raises(PrefixMapError):
             load_prefix_map(line + "\n")
 
+    def test_errors_name_their_line(self):
+        with pytest.raises(PrefixMapError, match="^line 3: expected 3 tab-separated fields$"):
+            load_prefix_map("# heading\n\nEX only\n")
+
     @pytest.mark.parametrize("prefix", ["", " EX", "EX "])
     def test_empty_or_padded_prefix_raises(self, prefix):
         with pytest.raises(PrefixMapError, match="^invalid prefix"):

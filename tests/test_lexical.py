@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -53,6 +55,14 @@ class TestAbbreviation:
     def test_lowercase_and_long_tokens_pass(self):
         assert check_abbreviation(term("pH measurement"), LEX) == []
         assert check_abbreviation(term("COVID-19 positive"), LEX) == []
+
+    # An abbreviation is 2 to 5 capitals or digits, any capital from A to Z.
+    @pytest.mark.parametrize("token,flagged", [
+        ("Q", False), ("CT", True), ("ABCDE", True), ("ABCDEF", False), ("XYZ", True),
+    ])
+    def test_abbreviation_bounds(self, token, flagged):
+        assert rule_ids(check_abbreviation(term(f"{token} panel"), LEX)) == (
+            ["R05-ABBREV"] if flagged else [])
 
     def test_expansion_style(self):
         f, = check_abbreviation(term("Bronchoalveolar lavage (BAL)"), LEX)
@@ -188,6 +198,9 @@ class TestConceptBomb:
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             ComplexityConfig(concept_bomb_token_threshold=1)
+        with pytest.raises(ValueError):
+            ComplexityConfig(word_bomb_min_group=1)
+        ComplexityConfig(concept_bomb_token_threshold=2, word_bomb_min_group=2)
 
     @given(st.integers(min_value=0, max_value=5))
     def test_monotone_in_added_tokens(self, extra):
@@ -352,6 +365,13 @@ class TestLexiconConstruction:
     def test_override_bad_pair_raises(self):
         with pytest.raises(LexiconError):
             apply_lexicon_overrides(LEX, "colloquial_map", "no arrow here\n")
+
+    @pytest.mark.parametrize("line", ["no arrow here", "icky stuff ->"])
+    def test_override_bad_pair_names_its_line(self, line):
+        message = f"colloquial_map line 3: expected 'colloquial -> preferred', got {line!r}"
+        with pytest.raises(LexiconError, match=f"^{re.escape(message)}$"):
+            apply_lexicon_overrides(LEX, "colloquial_map",
+                                    f"# slang\nicky -> contamination\n{line}\n")
 
     def test_override_unknown_name_raises(self):
         with pytest.raises(LexiconError):
