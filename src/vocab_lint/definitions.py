@@ -53,29 +53,42 @@ def first_sentence(text: str) -> str:
     return text[:m.start()] if m else text
 
 
-def parse_genus_differentia(tokens: Sequence[str]) -> GenusDifferentia | None:
-    """Match the tokens of a first sentence against: optional article, subject
+def _genus_span(tokens: Sequence[str]) -> tuple[int, int, int, int] | None:
+    """Where the tokens of a first sentence match: optional article, subject
     phrase, "is a"/"is an", genus phrase, "that"/"which", non-empty
-    differentia."""
-    copula = -1
-    while True:
-        try:
-            copula = tokens.index("is", copula + 1)
-        except ValueError:
+    differentia. Returns the subject's start, the copula ("is"), the genus's
+    start and the connective, or None when they do not match."""
+    if "is" not in tokens:
+        return None
+    # The copula is the first "is" followed by "a" or "an".
+    last = len(tokens) - 1
+    copula = tokens.index("is")
+    while copula == last or tokens[copula + 1] not in ("a", "an"):
+        if "is" not in tokens[copula + 1:]:
             return None
-        if copula + 1 < len(tokens) and tokens[copula + 1] in ("a", "an"):
-            break
+        copula = tokens.index("is", copula + 1)
     start = 1 if tokens[0] in ("a", "an") else 0
     if start == copula:
         return None
-    rest = tokens[copula + 2:]
-    connective = rest.index("that") if "that" in rest else len(rest)
-    if "which" in rest[:connective]:
-        connective = rest.index("which")
-    if connective == 0 or connective >= len(rest) - 1:
+    # The connective is the first "that" or "which" after the copula, and
+    # the differentia after it is not empty.
+    genus = connective = copula + 2
+    while connective < last and tokens[connective] not in ("that", "which"):
+        connective += 1
+    if connective == genus or connective >= last:
         return None
-    return GenusDifferentia(tuple(tokens[start:copula]), tuple(rest[:connective]),
-                            tuple(rest[connective + 1:]))
+    return start, copula, genus, connective
+
+
+def parse_genus_differentia(tokens: Sequence[str]) -> GenusDifferentia | None:
+    """The subject, genus and differentia of a first sentence's tokens, as
+    `_genus_span` matches them."""
+    span = _genus_span(tokens)
+    if span is None:
+        return None
+    start, copula, genus, connective = span
+    return GenusDifferentia(tuple(tokens[start:copula]), tuple(tokens[genus:connective]),
+                            tuple(tokens[connective + 1:]))
 
 
 def check_definition_present(term: Term) -> list[Finding]:
@@ -101,20 +114,25 @@ def check_genus_differentia(term: Term, vocab: Vocabulary) -> list[Finding]:
         return []
     # The sentence end is a "." and so a token break: the first sentence's
     # tokens are the definition's less those of the text after that period.
+    tokens = definition.tokens
     rest = definition.text[len(first_sentence(definition.text)) + 1:]
-    cut = len(definition.tokens) - (len(tokens_of(rest)) if rest.strip() else 0)
-    parsed = parse_genus_differentia(definition.tokens[:cut])
-    if parsed is None:
+    if rest.strip():
+        tokens = tokens[:len(tokens) - len(tokens_of(rest))]
+    span = _genus_span(tokens)
+    if span is None:
         return [Finding.about(
             term, "R07-FORM",
             'definition does not follow the "X is a <parent> that/which '
             '<differentia>" form')]
+    if not term.parents:
+        return []
     parents = [p for p in map(vocab.term_for, term.parents) if p is not None]
     if not parents:
         return []
-    if any(find_phrases(parsed.genus, phrase_table((p.tokens, p) for p in parents))):
+    genus = tokens[span[2]:span[3]]
+    if any(find_phrases(genus, phrase_table((p.tokens, p) for p in parents))):
         return []
-    genus_text = " ".join(parsed.genus)
+    genus_text = " ".join(genus)
     return [Finding.about(
         term, "R07-GENUS-MISMATCH",
         f'definition genus "{genus_text}" does not mention any declared '

@@ -73,13 +73,15 @@ def _require(condition: bool, message: str) -> None:
 def read_text(what: str, path: str, error: type[Exception] = ConfigError) -> str:
     """The text of the UTF-8 file at `path`, less a leading byte-order mark.
     A file that cannot be read or decoded raises `error`, naming it as
-    "{what}{path}"."""
+    "{what}{path}", with each non-printable character of the path escaped
+    as repr escapes it (a NUL shows as \\x00)."""
     try:
         return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, ValueError) as exc:
         # ValueError: bytes that are not UTF-8 (UnicodeDecodeError), or a
         # path holding a NUL character.
-        raise error(f"cannot read {what}{path}: {exc}") from exc
+        shown = "".join(c if c.isprintable() else repr(c)[1:-1] for c in path)
+        raise error(f"cannot read {what}{shown}: {exc}") from exc
 
 
 def load_config(path: str) -> RuleConfig:
@@ -399,29 +401,45 @@ def format_finding(f: Finding, color: bool = False) -> str:
     return f"{where}: {severity} {f.rule_id}{subject}: {message}"
 
 
+def _json_items(items: list[str], indent: str, brackets: str = "[]") -> str:
+    """A JSON container of items already written one level below `indent`,
+    laid out as json.dumps(indent=2) lays it out: an empty one on one line."""
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n" + ",\n".join(items) + f"\n{indent}{brackets[1]}"
+
+
+def _json_report(report: Report) -> str:
+    """The bytes of json.dumps(payload, indent=2, sort_keys=True,
+    ensure_ascii=False) + "\n", written in one pass without building the
+    payload. Each object's keys are written in sorted order. Strings go
+    through the encoder that json.dumps uses under ensure_ascii=False, and
+    integers through repr, as json.dumps writes them."""
+    q = json.encoder.encode_basestring
+    findings = []
+    for f in report.findings:
+        location = (f'{{\n        "file": {q(f.location.file)},\n'
+                    f'        "line": {f.location.line!r}\n      }}' if f.location else "null")
+        iris = _json_items([f"        {q(iri.value)}" for iri in f.subject_iris], "      ")
+        suggestion = "null" if f.suggestion is None else q(f.suggestion)
+        findings.append(
+            f'    {{\n      "location": {location},\n      "message": {q(f.message)},\n'
+            f'      "rule_id": {q(f.rule_id)},\n      "severity": {q(f.severity)},\n'
+            f'      "subject_iris": {iris},\n      "subject_label": {q(f.subject_label)},\n'
+            f'      "suggestion": {suggestion}\n    }}')
+    inputs = [f'    {{\n      "file": {q(s.file)},\n      "format": {q(s.format)},\n'
+              f'      "term_count": {s.term_count!r}\n    }}' for s in report.inputs]
+    counts = [f"    {q(severity)}: {n!r}" for severity, n in sorted(report.counts.items())]
+    return (f'{{\n  "counts": {_json_items(counts, "  ", "{}")},\n'
+            f'  "findings": {_json_items(findings, "  ")},\n'
+            f'  "inputs": {_json_items(inputs, "  ")},\n'
+            f'  "tool": "vocab-lint",\n  "version": {q(report.tool_version)}\n}}\n')
+
+
 def render_report(report: Report, output: str = "text", color: bool = False) -> str:
     """Byte-deterministic rendering of a report; color only when asked."""
     if output == "json":
-        payload = {
-            "tool": "vocab-lint",
-            "version": report.tool_version,
-            "inputs": [dataclasses.asdict(s) for s in report.inputs],
-            "counts": dict(report.counts),
-            "findings": [
-                {
-                    "rule_id": f.rule_id,
-                    "severity": f.severity,
-                    "subject_label": f.subject_label,
-                    "subject_iris": [iri.value for iri in f.subject_iris],
-                    "message": f.message,
-                    "location": ({"file": f.location.file, "line": f.location.line}
-                                 if f.location else None),
-                    "suggestion": f.suggestion,
-                }
-                for f in report.findings
-            ],
-        }
-        return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        return _json_report(report)
     if output != "text":
         raise ValueError(f"unknown output format {output!r}")
     lines = [format_finding(f, color) for f in report.findings]

@@ -599,11 +599,13 @@ def test_a_config_path_holding_a_nul_exits_two_and_names_it(key, tmp_path, capsy
     write(tmp_path, "prefixes.tsv", PREFIX_FILE)
     value, what, command = NUL_PATH_KEYS[key]
     code, out, err = run_cli(capsys, command(tmp_path, {key: value}))
-    # The config is written into tmp_path, and its relative paths resolve there.
-    nul_name = "\x00.obo" if key == "reference_paths" else "\x00"
+    # The config is written into tmp_path, and its relative paths resolve
+    # there. The message shows the NUL escaped, as the four characters \x00.
+    shown_name = "\\x00.obo" if key == "reference_paths" else "\\x00"
     assert (code, out) == (2, "")
     assert err.startswith(
-        f"vocab-lint: error: cannot read {what}{tmp_path.resolve() / nul_name}: ")
+        f"vocab-lint: error: cannot read {what}{tmp_path.resolve()}/{shown_name}: ")
+    assert "\x00" not in err
     assert "Traceback" not in err
 
 

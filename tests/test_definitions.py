@@ -189,8 +189,7 @@ class TestGenusDifferentia:
     @given(st.text(st.one_of(st.characters(), st.sampled_from(". \n")), min_size=1))
     def test_parses_the_first_sentence_read_from_the_cached_tokens(self, text):
         t = Term(label="x", definition=Definition(text=text))
-        with mock.patch.object(definitions, "parse_genus_differentia",
-                               return_value=None) as parsed:
+        with mock.patch.object(definitions, "_genus_span", return_value=None) as parsed:
             check_genus_differentia(t, vocab(t))
         assert tuple(parsed.call_args.args[0]) == tuple(tokens_of(first_sentence(text)))
 

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vocab_lint import definitions, identity, lexical, model
-from vocab_lint.catalog import RULES
+from vocab_lint.catalog import RULES, SEVERITIES
 from vocab_lint.engine import (
     CHECKS,
     CONFIG_KEYS,
@@ -20,6 +20,7 @@ from vocab_lint.engine import (
     VOCABULARY,
     CheckContext,
     ConfigError,
+    InputSummary,
     LintFatalError,
     Report,
     RuleConfig,
@@ -30,6 +31,7 @@ from vocab_lint.engine import (
     infer_format,
     load_config,
     parse_input,
+    read_text,
     render_report,
     run_lint,
 )
@@ -453,8 +455,22 @@ class TestRunLint:
         assert render_report(first, "json") == render_report(second, "json")
 
     def test_an_input_path_holding_a_nul_is_fatal(self):
-        with pytest.raises(LintFatalError, match=re.escape("cannot read a\x00.tsv: ")):
+        with pytest.raises(LintFatalError, match=re.escape("cannot read a\\x00.tsv: ")):
             run_lint(RuleConfig(), [("a\x00.tsv", None)])
+
+
+# A missing file's name as the "cannot read" error shows it: non-printable
+# characters escaped, printable ones (non-ASCII, quotes, backslashes) as given.
+@pytest.mark.parametrize("name, shown", [
+    ("tab\there.obo", "tab\\there.obo"),
+    ("line\nbreak.obo", "line\\nbreak.obo"),
+    ("sep\u2028arator.obo", "sep\\u2028arator.obo"),
+    ("caf\u00e9 'x' \\ \U0001f600.obo", "caf\u00e9 'x' \\ \U0001f600.obo"),
+])
+def test_an_unreadable_path_is_shown_with_non_printables_escaped(name, shown, tmp_path):
+    with pytest.raises(ConfigError) as raised:
+        read_text("config ", str(tmp_path / name))
+    assert str(raised.value).startswith(f"cannot read config {tmp_path}/{shown}: ")
 
 
 @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
@@ -742,6 +758,53 @@ def sample_report():
                   inputs=(), tool_version="0.0-test")
 
 
+def reference_json(report):
+    """The JSON report as json.dumps wrote it from a payload of dicts: the
+    rendering that the one-pass writer replaced, kept as its byte oracle."""
+    payload = {
+        "tool": "vocab-lint",
+        "version": report.tool_version,
+        "inputs": [dataclasses.asdict(s) for s in report.inputs],
+        "counts": dict(report.counts),
+        "findings": [
+            {
+                "rule_id": f.rule_id,
+                "severity": f.severity,
+                "subject_label": f.subject_label,
+                "subject_iris": [iri.value for iri in f.subject_iris],
+                "message": f.message,
+                "location": ({"file": f.location.file, "line": f.location.line}
+                             if f.location else None),
+                "suggestion": f.suggestion,
+            }
+            for f in report.findings
+        ],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+# Text over every code point but the surrogates, drawing often the ones JSON
+# escapes and the ones an ASCII-only encoder would escape.
+REPORT_TEXT = st.text(st.one_of(st.characters(exclude_categories=("Cs",)),
+                                st.sampled_from('"\\/\x00\x1f\x7f\u2028\u00e9\U0001f600')),
+                      max_size=10)
+SOME_TEXT = REPORT_TEXT.filter(bool)
+FINDINGS = st.builds(
+    Finding, rule_id=st.sampled_from(sorted(RULES)), severity=st.sampled_from(SEVERITIES),
+    subject_label=REPORT_TEXT, message=SOME_TEXT,
+    # An IRI holds no whitespace.
+    subject_iris=st.lists(REPORT_TEXT.map(lambda s: Iri("".join(s.split()) or "x")),
+                          max_size=3).map(tuple),
+    location=st.none() | st.builds(SourceLocation, REPORT_TEXT, st.integers(1, 10**9)),
+    suggestion=st.none() | REPORT_TEXT)
+REPORTS = st.builds(
+    Report, findings=st.lists(FINDINGS, max_size=5).map(tuple),
+    counts=st.just({}) | st.fixed_dictionaries({s: st.integers(0, 10**9) for s in SEVERITIES}),
+    inputs=st.lists(st.builds(InputSummary, REPORT_TEXT, REPORT_TEXT, st.integers(0, 10**9)),
+                    max_size=3).map(tuple),
+    tool_version=REPORT_TEXT)
+
+
 class TestRenderReport:
     def test_text_lines(self):
         text = render_report(sample_report())
@@ -785,3 +848,14 @@ class TestRenderReport:
     def test_unknown_output_rejected(self):
         with pytest.raises(ValueError):
             render_report(sample_report(), "yaml")
+
+    @settings(max_examples=50, deadline=None)
+    @given(REPORTS)
+    @example(dataclasses.replace(sample_report(), counts={}))
+    @example(dataclasses.replace(sample_report(), findings=()))
+    @example(sample_report())  # no inputs; a finding without location or suggestion
+    @example(dataclasses.replace(sample_report(), findings=(
+        dataclasses.replace(sample_report().findings[0], subject_iris=()),),
+        inputs=(InputSummary("a.obo", "obo", 0),)))
+    def test_json_bytes_are_those_json_dumps_wrote(self, report):
+        assert render_report(report, "json") == reference_json(report)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vocab_lint.identity import (
     DEFAULT_PREFIXES,
@@ -77,6 +79,18 @@ class TestPrefixMapLoading:
     def test_errors_name_their_line(self):
         with pytest.raises(PrefixMapError, match="^line 3: expected 3 tab-separated fields$"):
             load_prefix_map("# heading\n\nEX only\n")
+
+    # Texts built from the pieces of a prefix-map line and from any characters.
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(
+        st.sampled_from(["\t", "\n", "\r", " ", "#", ":", "EX", "HP", "obo", "external",
+                         "https://example.org/EX_", "http://purl.obolibrary.org/obo/"]),
+        st.text(max_size=3)), max_size=24).map("".join))
+    def test_any_text_loads_or_raises_a_prefix_map_error(self, text):
+        try:
+            assert isinstance(load_prefix_map(text), PrefixMap)
+        except PrefixMapError:
+            pass
 
     @pytest.mark.parametrize("prefix", ["", " EX", "EX "])
     def test_empty_or_padded_prefix_raises(self, prefix):

@@ -1,12 +1,14 @@
 import re
+from dataclasses import fields
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vocab_lint.lexical import (
     ComplexityConfig,
     LexiconError,
+    Lexicons,
     apply_lexicon_overrides,
     check_abbreviation,
     check_colloquial,
@@ -370,6 +372,20 @@ class TestLexiconConstruction:
             with pytest.raises(LexiconError, match=f"^{re.escape(message)}$"):
                 apply_lexicon_overrides(LEX, "colloquial_map",
                                         f"# slang\nicky -> contamination\n{line}\n")
+
+    # Texts built from the pieces of an override line and from any characters,
+    # for every lexicon and for a name that is none.
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([f.name for f in fields(Lexicons)] + ["bogus_lexicon"]),
+           st.lists(st.one_of(
+               st.sampled_from(["\n", "\r", " ", "#", "-", "->", "belly", "stomach", "not",
+                                "as of now", "!!"]),
+               st.text(max_size=3)), max_size=24).map("".join))
+    def test_any_text_applies_or_raises_a_lexicon_error(self, name, text):
+        try:
+            assert isinstance(apply_lexicon_overrides(LEX, name, text), Lexicons)
+        except LexiconError:
+            pass
 
     def test_override_unknown_name_raises(self):
         with pytest.raises(LexiconError):

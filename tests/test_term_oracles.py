@@ -363,6 +363,7 @@ def test_each_term_check_equals_its_oracle(terms, prefixes, threshold):
 @example(["x", "is", "a", "cough", "that"])
 @example(["an", "is", "an", "cough", "which", "x"])
 @example(["x", "is", "x", "is", "an", "which", "x"])
+@example(["x", "is", "is", "a", "cough", "that", "x"])  # the copula right after an "is"
 def test_genus_parse_matches_the_reference_loop(tokens):
     for seq in (tokens, tuple(tokens)):
         parsed = parse_genus_differentia(seq)
