@@ -124,6 +124,7 @@ def check_genus_differentia(term: Term, vocab: Vocabulary) -> list[Finding]:
             term, "R07-FORM",
             'definition does not follow the "X is a <parent> that/which '
             '<differentia>" form')]
+    # Most terms declare no parent; this exit skips building an empty list.
     if not term.parents:
         return []
     parents = [p for p in map(vocab.term_for, term.parents) if p is not None]

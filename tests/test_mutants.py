@@ -34,11 +34,11 @@ def test_each_operator_makes_one_mutant_per_site():
     assert "return n == 2" in one and "return n != 1" in other
 
 
-def test_a_run_lists_the_mutants_no_stage_notices(tmp_path):
-    (tmp_path / "lib").mkdir()
-    (tmp_path / "lib" / "tiny.py").write_text(TINY, encoding="utf-8")
+def test_a_run_lists_the_mutants_no_stage_notices(tmp_path, monkeypatch):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "tiny.py").write_text(TINY, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
     stage = f"{sys.executable} -c '{CHECK}'"
-    made, survivors = mutants.run("lib/tiny.py", [stage], frozenset({"small"}),
-                                  root=str(tmp_path), path=("lib",))
+    made, survivors = mutants.run("src/tiny.py", [stage], frozenset({"small"}))
     assert made == 5
     assert survivors == [(2, "2 -> 3"), (2, "< -> <=")]

@@ -9,12 +9,12 @@ Each mutant changes one site of the module (or of the named functions, any
 nested function included) with one of four operators: flip a comparison
 (< and <=, > and >=, == and !=, in and not in, is and is not), swap and/or,
 drop a not, or add 1 to an integer literal. The mutant is written back as
-ast.unparse text into a copy of the current directory, with the copy's
---path entries (default: src) as PYTHONPATH and no bytecode written. The
-stages then run there in order. A mutant dies at the first stage that fails
-or runs past STAGE_TIMEOUT_S, and survives if all of them pass. The
-unmutated copy must pass every stage first. Survivors are printed as
-path:line: change, and the exit status is 1 when any survive.
+ast.unparse text into a copy of the current directory, with the copy's src
+as PYTHONPATH and no bytecode written. The stages then run there in order.
+A mutant dies at the first stage that fails or runs past STAGE_TIMEOUT_S,
+and survives if all of them pass. The unmutated copy must pass every stage
+first. Survivors are printed as path:line: change, and the exit status is 1
+when any survive.
 """
 
 from __future__ import annotations
@@ -33,12 +33,12 @@ from typing import Iterator
 # A stage that runs longer than this is taken to loop, and kills its mutant.
 STAGE_TIMEOUT_S = 900.0
 
-_FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
-          ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.In: ast.NotIn, ast.NotIn: ast.In,
-          ast.Is: ast.IsNot, ast.IsNot: ast.Is}
 _SYMBOLS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==",
             ast.NotEq: "!=", ast.In: "in", ast.NotIn: "not in", ast.Is: "is",
             ast.IsNot: "is not", ast.And: "and", ast.Or: "or"}
+_SWAPS = {ast.Lt: ast.LtE, ast.Gt: ast.GtE, ast.Eq: ast.NotEq, ast.In: ast.NotIn,
+          ast.Is: ast.IsNot, ast.And: ast.Or}
+_SWAPS.update({b: a for a, b in list(_SWAPS.items())})
 
 
 class _Mutate(ast.NodeTransformer):
@@ -70,14 +70,14 @@ class _Mutate(ast.NodeTransformer):
     def visit_Compare(self, node: ast.Compare) -> ast.AST:
         self.generic_visit(node)
         for i, op in enumerate(node.ops):
-            flip = _FLIPS.get(type(op))
-            if flip and self._hit(node, f"{_SYMBOLS[type(op)]} -> {_SYMBOLS[flip]}"):
-                node.ops[i] = flip()
+            swap = _SWAPS.get(type(op))
+            if swap and self._hit(node, f"{_SYMBOLS[type(op)]} -> {_SYMBOLS[swap]}"):
+                node.ops[i] = swap()
         return node
 
     def visit_BoolOp(self, node: ast.BoolOp) -> ast.AST:
         self.generic_visit(node)
-        swap = ast.Or if isinstance(node.op, ast.And) else ast.And
+        swap = _SWAPS[type(node.op)]
         if self._hit(node, f"{_SYMBOLS[type(node.op)]} -> {_SYMBOLS[swap]}"):
             node.op = swap()
         return node
@@ -107,38 +107,35 @@ def mutants(source: str, functions: frozenset[str] | None = None
         target += 1
 
 
-def run(module: str, stages: list[str], functions: frozenset[str] | None = None,
-        root: str = ".", path: tuple[str, ...] = ("src",)) -> tuple[int, list[tuple[int, str]]]:
-    """The number of mutants of `module` (relative to `root`) and the
-    (line, change) of each that passes every stage."""
+def _passes(stages: list[str], tree: Path, env: dict[str, str]) -> bool:
+    for stage in stages:
+        try:
+            done = subprocess.run(shlex.split(stage), cwd=tree, env=env, timeout=STAGE_TIMEOUT_S,
+                                  stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        except subprocess.TimeoutExpired:
+            return False
+        if done.returncode != 0:
+            return False
+    return True
+
+
+def run(module: str, stages: list[str], functions: frozenset[str] | None = None
+        ) -> tuple[int, list[tuple[int, str]]]:
+    """The number of mutants of `module` (relative to the current directory)
+    and the (line, change) of each that passes every stage."""
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "tree"
-        shutil.copytree(root, tree, ignore=shutil.ignore_patterns(
+        shutil.copytree(".", tree, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".perfbench_*"))
-        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
-                   PYTHONPATH=os.pathsep.join(str(tree / p) for p in path))
-
-        def passes() -> bool:
-            for stage in stages:
-                try:
-                    done = subprocess.run(shlex.split(stage), cwd=tree, env=env,
-                                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-                                          timeout=STAGE_TIMEOUT_S)
-                except subprocess.TimeoutExpired:
-                    return False
-                if done.returncode != 0:
-                    return False
-            return True
-
-        if not passes():
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(tree / "src"))
+        if not _passes(stages, tree, env):
             raise SystemExit(f"mutants: the unmutated tree fails a stage: {stages}")
         target = tree / module
-        original = target.read_text(encoding="utf-8")
         made, survivors = 0, []
-        for line, change, mutated in mutants(original, functions):
+        for line, change, mutated in mutants(target.read_text(encoding="utf-8"), functions):
             made += 1
             target.write_text(mutated, encoding="utf-8")
-            if passes():
+            if _passes(stages, tree, env):
                 survivors.append((line, change))
         return made, survivors
 
@@ -148,10 +145,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("module", help="the file to mutate, relative to the current directory")
     parser.add_argument("--function", action="append", help="mutate only this function")
     parser.add_argument("--stage", action="append", required=True, help="a test command")
-    parser.add_argument("--path", action="append", help="a PYTHONPATH entry (default: src)")
     args = parser.parse_args(argv)
-    functions = frozenset(args.function) if args.function else None
-    made, survivors = run(args.module, args.stage, functions, path=tuple(args.path or ["src"]))
+    made, survivors = run(args.module, args.stage,
+                          frozenset(args.function) if args.function else None)
     for line, change in survivors:
         print(f"{args.module}:{line}: {change}")
     print(f"{made} mutants, {made - len(survivors)} killed, {len(survivors)} survived",
