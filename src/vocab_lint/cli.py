@@ -92,7 +92,7 @@ def suggest(args: argparse.Namespace) -> int:
         # stdout holds only the suggestions.
         for finding in sorted(problems, key=lambda f: f.location.line):
             print(format_finding(finding), file=sys.stderr)
-        vocabs.append(build_vocabulary(vocab.terms, {**vocab.prefix_map, **prefixes.entries}))
+        vocabs.append(build_vocabulary(vocab.terms, prefixes.entries))
     index = build_index(vocabs)
     rows = []
     for query in args.queries:

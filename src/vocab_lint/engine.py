@@ -70,18 +70,20 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _shown(path: str) -> str:
+    """`path` with each non-printable character escaped as repr escapes it."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in path)
+
+
 def read_text(what: str, path: str, error: type[Exception] = ConfigError) -> str:
-    """The text of the UTF-8 file at `path`, less a leading byte-order mark.
-    A file that cannot be read or decoded raises `error`, naming it as
-    "{what}{path}", with each non-printable character of the path escaped
-    as repr escapes it (a NUL shows as \\x00)."""
+    """The text of the UTF-8 file at `path`, less a leading byte-order mark. A
+    file that cannot be read or decoded raises `error` naming "{what}{path}"."""
     try:
         return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, ValueError) as exc:
         # ValueError: bytes that are not UTF-8 (UnicodeDecodeError), or a
         # path holding a NUL character.
-        shown = "".join(c if c.isprintable() else repr(c)[1:-1] for c in path)
-        raise error(f"cannot read {what}{shown}: {exc}") from exc
+        raise error(f"cannot read {what}{_shown(path)}: {exc}") from exc
 
 
 def load_config(path: str) -> RuleConfig:
@@ -90,11 +92,11 @@ def load_config(path: str) -> RuleConfig:
     cannot silently disable anything."""
     try:
         raw = json.loads(read_text("config ", path))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    _require(isinstance(raw, dict), f"config {path} must be a JSON object")
+    except (ValueError, RecursionError) as exc:  # bad JSON, huge integers, deep nesting
+        raise ConfigError(f"config {_shown(path)} is not valid JSON: {exc}") from exc
+    _require(isinstance(raw, dict), f"config {_shown(path)} must be a JSON object")
     unknown = set(raw) - CONFIG_KEYS
-    _require(not unknown, f"config {path} has unknown keys: {sorted(unknown)}")
+    _require(not unknown, f"config {_shown(path)} has unknown keys: {sorted(unknown)}")
     base = Path(path).resolve().parent
 
     def resolve(p: str) -> str:
@@ -153,10 +155,10 @@ def load_config(path: str) -> RuleConfig:
                  and all(isinstance(v, (int, float)) and not isinstance(v, bool)
                          for v in weights.values()),
                  "health_weights must map subscore names to numbers")
-        cfg.health_weights = {k: float(v) for k, v in weights.items()}
         try:
+            cfg.health_weights = {k: float(v) for k, v in weights.items()}
             validate_weights(cfg.health_weights)
-        except ValueError as exc:
+        except (OverflowError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
     tokens = raw.get("concept_bomb_token_threshold",
                      cfg.complexity.concept_bomb_token_threshold)
@@ -181,7 +183,7 @@ def build_lexicons(config: RuleConfig) -> Lexicons:
         try:
             lex = apply_lexicon_overrides(lex, name, read_text("lexicon file ", path))
         except LexiconError as exc:
-            raise ConfigError(f"lexicon file {path}: {exc}") from exc
+            raise ConfigError(f"lexicon file {_shown(path)}: {exc}") from exc
     return lex
 
 
@@ -191,14 +193,14 @@ def build_prefix_map(config: RuleConfig) -> PrefixMap:
     try:
         return load_prefix_map(read_text("prefix map ", config.prefix_map_path))
     except PrefixMapError as exc:
-        raise ConfigError(f"prefix map {config.prefix_map_path}: {exc}") from exc
+        raise ConfigError(f"prefix map {_shown(config.prefix_map_path)}: {exc}") from exc
 
 
 def infer_format(path: str) -> str:
     fmt = _SUFFIX_FORMATS.get(Path(path).suffix.lower())
     if fmt is None:
         raise LintFatalError(
-            f"cannot infer format of {path}; pass --format obo or --format tsv")
+            f"cannot infer format of {_shown(path)}; pass --format obo or --format tsv")
     return fmt
 
 

@@ -168,7 +168,7 @@ def validate_weights(weights: dict[str, float]) -> None:
     if any(value < 0 for value in weights.values()):
         raise ValueError("weights must be non-negative")
     total = sum(weights.values())
-    if abs(total - 1.0) > _WEIGHT_SUM_TOLERANCE:
+    if not abs(total - 1.0) <= _WEIGHT_SUM_TOLERANCE:  # a NaN total fails too
         raise ValueError(f"weights must sum to 1, got {total!r}")
 
 

@@ -339,12 +339,9 @@ def build_vocabulary(terms: list[Term] | tuple[Term, ...],
 
 def merge_vocabularies(vocabs: list[Vocabulary],
                        prefix_map: dict[str, str] | None = None) -> Vocabulary:
-    """One vocabulary of every term, in order. The vocabularies' own prefixes
-    take precedence over `prefix_map`, the later over the earlier."""
-    merged_pm: dict[str, str] = dict(prefix_map or {})
-    for v in vocabs:
-        merged_pm.update(v.prefix_map)
-    return Vocabulary(tuple(t for v in vocabs for t in v.terms), merged_pm)
+    """One vocabulary of every term, in order, under a copy of `prefix_map`
+    alone: the vocabularies' own maps do not enter it."""
+    return build_vocabulary(tuple(t for v in vocabs for t in v.terms), prefix_map)
 
 
 def resolve_replacement(vocab: Vocabulary, start: Iri) -> Iri:

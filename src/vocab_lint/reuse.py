@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import Term, Vocabulary, bearer_order, merge_vocabularies, normalize_label
+from .model import Term, Vocabulary, bearer_order, normalize_label
 
 EXACT_LABEL = "exact_label"
 EXACT_SYNONYM = "exact_synonym"
@@ -42,21 +42,20 @@ class ReuseIndex:
     # identity -> (term, {normalized phrase -> phrase kind})
     entries: dict[str, tuple[Term, dict[str, str]]] = field(default_factory=dict)
     source_count: dict[str, int] = field(default_factory=dict)
-    prefix_map: dict[str, str] = field(default_factory=dict)
 
 
 def build_index(references: list[Vocabulary]) -> ReuseIndex:
     """Index live terms of the reference vocabularies by normalized label and
-    synonyms. A term found in several references keeps one entry, with the
-    phrases of every bearer and a higher source count."""
-    merged = merge_vocabularies(references)
-    index = ReuseIndex(prefix_map=merged.prefix_map)
+    synonyms, each under its identity in its own reference. A term found in
+    several references keeps one entry, with every bearer's phrases and a higher
+    source count."""
+    index = ReuseIndex()
     for vocab in references:
         seen_here: set[str] = set()
         for term in vocab.terms:
             if term.obsolete:
                 continue
-            identity = merged.identity(term)
+            identity = vocab.identity(term)
             shown, phrases = index.entries.get(identity, (term, {}))
             # The least bearer is shown, whatever the reference order.
             index.entries[identity] = (min(shown, term, key=bearer_order), phrases)
@@ -118,21 +117,21 @@ def _distance_within(a: str, b: str, k: int) -> int:
 
 def _score_phrase(query: str, query_tokens: frozenset[str], phrase: str,
                   phrase_kind: str) -> tuple[float, str] | None:
+    """One phrase's best score. The query is never empty, so no divisor is 0."""
     if phrase == query:
         return _EXACT_SCORE[phrase_kind]
     best: tuple[float, str] | None = None
     phrase_tokens = frozenset(phrase.split())
-    union = query_tokens | phrase_tokens
     overlap = len(query_tokens & phrase_tokens)
-    if union and overlap:
-        best = (0.7 * overlap / len(union), TOKEN_OVERLAP)
+    if overlap:
+        best = (0.7 * overlap / len(query_tokens | phrase_tokens), TOKEN_OVERLAP)
     longest = max(len(query), len(phrase))
     # The length difference is a lower bound on the distance, so a pair it
     # already puts past the ceiling is never scored; any other distance is
     # needed only up to the ceiling. The cut-off is one above the floor of
     # the ceiling's distance, so a product rounded just below a whole number
     # cannot cut off a distance that the ratio test below accepts.
-    if longest and abs(len(query) - len(phrase)) / longest <= FUZZY_DISTANCE_CEILING:
+    if abs(len(query) - len(phrase)) / longest <= FUZZY_DISTANCE_CEILING:
         cut_off = int(FUZZY_DISTANCE_CEILING * longest) + 1
         ratio = _distance_within(query, phrase, cut_off) / longest
         if ratio <= FUZZY_DISTANCE_CEILING:

@@ -36,11 +36,12 @@ from vocab_lint.engine import (
     run_lint,
 )
 from vocab_lint.health import _PARSERS, OntologyMetadata
-from vocab_lint.ingest import TSV_COLUMNS
+from vocab_lint.ingest import TSV_COLUMNS, serialize_obo
 from vocab_lint.lexical import Lexicons
-from vocab_lint.model import Finding, Iri, SourceLocation, merge_vocabularies
+from vocab_lint.model import Finding, Iri, SourceLocation, Vocabulary, merge_vocabularies
 
 from test_acceptance import corpus_inputs, scale_inputs
+from test_vocabulary_oracles import TERMS as MODEL_TERMS
 
 PREFIX_FILE = "EX\thttps://example.org/EX_\texternal\n"
 
@@ -187,6 +188,12 @@ BAD_CONFIGS = [
      "health_weights must map subscore names to numbers"),
     ('{"health_weights": {"activty": 1.0}}', "unknown subscore weights: ['activty']"),
     ('{"health_weights": {"activity": 0.5}}', "weights must sum to 1, got 0.5"),
+    ('{"health_weights": {"activity": NaN}}', "weights must sum to 1, got nan"),
+    ('{"health_weights": {"activity": 1e999}}', "weights must sum to 1, got inf"),
+    ('{"health_weights": {"activity": 1%s}}' % ("0" * 400), "int too large to convert to float"),
+    ('{"per_file": 1%s}' % ("0" * 5000),
+     "config {path} is not valid JSON: Exceeds the limit (4300 digits)"),
+    ("[" * 100_000, "config {path} is not valid JSON: maximum recursion depth exceeded"),
     ('{"concept_bomb_token_threshold": 1}', "complexity thresholds must be >= 2"),
     ('{"concept_bomb_token_threshold": "seven"}', "complexity thresholds must be integers"),
     ('{"concept_bomb_token_threshold": true}', "complexity thresholds must be integers"),
@@ -248,6 +255,56 @@ class TestLoadConfig:
         path = write(tmp_path, "config.json",
                      json.dumps({"metadata_path": "/data/snapshot.txt"}))
         assert load_config(path).metadata_path == "/data/snapshot.txt"
+
+
+# Strings a configuration's values may name: paths to the files of
+# `reader_dir`, rule patterns and ids, severities, lexicon and subscore names.
+_CONFIG_WORDS = st.sampled_from([
+    "prefixes.tsv", "bad.tsv", "lexicon.txt", "terms.obo", ".", "", "a\x00b", "*", "R0*",
+    "R02-PLURAL", "NOPE", "error", "info", "colloquial_map", "timeline_phrases", "activity"])
+# No "/": a drawn path stays inside `reader_dir` or names its parent.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.just(10 ** 400)
+    | _CONFIG_WORDS | st.text(st.characters(blacklist_characters="/"), max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(_CONFIG_WORDS | st.text(max_size=3), inner, max_size=3),
+    max_leaves=8)
+_CONFIG_TEXTS = st.one_of(
+    st.dictionaries(st.sampled_from(sorted(CONFIG_KEYS)), _JSON_VALUES, max_size=4),
+    _JSON_VALUES).map(json.dumps)
+
+
+@pytest.fixture(scope="module")
+def reader_dir(tmp_path_factory):
+    """A directory with a good and a bad prefix map, a lexicon file and a term
+    file, where a drawn configuration is written."""
+    directory = tmp_path_factory.mktemp("reader")
+    for name, text in (("prefixes.tsv", PREFIX_FILE), ("bad.tsv", "EX only\n"),
+                       ("lexicon.txt", "icky -> gross\n"), ("terms.obo", OBO_LFT)):
+        write(directory, name, text)
+    return directory
+
+
+@settings(max_examples=40, deadline=None)
+@given(_CONFIG_TEXTS)
+# An integer past the interpreter's digit limit, nesting past its recursion
+# limit, and weights that are NaN, infinite or too large for a float.
+@example('{"word_bomb_min_group": ' + "9" * 5000 + "}")
+@example("[" * 100_000 + "]" * 100_000)
+@example('{"health_weights": {"activity": NaN}}')
+@example('{"health_weights": {"activity": 1e999}}')
+@example('{"health_weights": {"activity": ' + "1" * 400 + "}}")
+def test_a_config_loads_or_is_rejected_and_its_run_fails_only_as_documented(reader_dir, text):
+    path = write(reader_dir, "config.json", text)
+    try:
+        config = load_config(path)
+    except ConfigError:
+        return
+    assert isinstance(config, RuleConfig)
+    try:
+        run_lint(config, [(str(reader_dir / "terms.obo"), None)])
+    except (ConfigError, LintFatalError):
+        pass
 
 
 FORMATS_DOC = Path(__file__).resolve().parents[1] / "docs" / "formats.md"
@@ -471,6 +528,30 @@ def test_an_unreadable_path_is_shown_with_non_printables_escaped(name, shown, tm
     with pytest.raises(ConfigError) as raised:
         read_text("config ", str(tmp_path / name))
     assert str(raised.value).startswith(f"cannot read config {tmp_path}/{shown}: ")
+
+
+# Every other message that names a file the run was given, each called on a
+# file whose name holds a tab: the tab shows escaped there too.
+NAMED_PATH_ERRORS = [
+    ("not json", load_config, "config {path} is not valid JSON: "),
+    ("[]", load_config, "config {path} must be a JSON object"),
+    ('{"surprise": 1}', load_config, "config {path} has unknown keys: ['surprise']"),
+    ("no arrow\n", lambda path: build_lexicons(
+        RuleConfig(lexicon_overrides={"colloquial_map": path})), "lexicon file {path}: "),
+    ("EX only\n", lambda path: build_prefix_map(RuleConfig(prefix_map_path=path)),
+     "prefix map {path}: "),
+    ("", infer_format, "cannot infer format of {path}; pass --format"),
+]
+
+
+@pytest.mark.parametrize("text, call, message", NAMED_PATH_ERRORS,
+                         ids=["config-json", "config-object", "config-keys", "lexicon",
+                              "prefix-map", "format"])
+def test_a_named_path_is_shown_with_a_tab_escaped(text, call, message, tmp_path):
+    path = write(tmp_path, "bad\tname.txt", text)
+    with pytest.raises((ConfigError, LintFatalError)) as raised:
+        call(path)
+    assert str(raised.value).startswith(message.format(path=f"{tmp_path}/bad\\tname.txt"))
 
 
 @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
@@ -720,6 +801,49 @@ class TestReportOrder:
             runs = (run_lint(RuleConfig(), order) for order in permutations(inputs))
             reports = {(render_report(r, "json"), render_report(r, "text")) for r in runs}
         assert len(reports) == 1
+
+
+# The words and IRIs of MODEL_TERMS, each mapped to one that no term of it
+# bears, so a renamed term shares no label word, phrase or IRI with another.
+# Only the article of the definitions stays, and no label holds it.
+_RENAMED = {"wet": "damp", "cough": "sneeze", "Cough": "Sneeze", "dry": "arid",
+            "fever": "chill", "Fever": "Chill", "dry-cough": "arid-sneeze", "A": "A", "a": "a",
+            "cough.": "sneeze.", "fever.": "chill.", "EX:1": "EX:11", "EX:2": "EX:12",
+            "https://example.org/EX_1": "https://example.org/EX_11",
+            "https://example.org/EX_2": "https://example.org/EX_12", "ZZ:1": "ZZ:11"}
+
+
+def _renamed(term):
+    def words(text):
+        return " ".join(_RENAMED[word] for word in text.split(" "))
+
+    def iri(value):
+        return None if value is None else Iri(_RENAMED[value.value])
+
+    return dataclasses.replace(
+        term, label=words(term.label), iri=iri(term.iri),
+        synonyms=tuple(dataclasses.replace(s, text=words(s.text)) for s in term.synonyms),
+        definition=term.definition and dataclasses.replace(
+            term.definition, text=words(term.definition.text)),
+        parents=tuple(iri(parent) for parent in term.parents))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(MODEL_TERMS, min_size=1, max_size=6),
+       st.lists(MODEL_TERMS, max_size=6))
+def test_per_file_equals_the_merged_run_on_files_that_share_nothing(first, second):
+    # Linting each file alone and linting their merge differ only in what
+    # one file's terms see of another's, so they must agree on one file, and
+    # on two files that share no word and no IRI.
+    with tempfile.TemporaryDirectory() as directory:
+        config = RuleConfig(prefix_map_path=write(Path(directory), "prefixes.tsv",
+                                                  PREFIX_FILE))
+        a = write(Path(directory), "a.obo", serialize_obo(Vocabulary(tuple(first))))
+        b = write(Path(directory), "b.obo",
+                  serialize_obo(Vocabulary(tuple(_renamed(t) for t in second))))
+        for inputs in ([(a, None)], [(a, None), (b, None)]):
+            merged = run_lint(config, inputs)
+            assert run_lint(dataclasses.replace(config, per_file=True), inputs) == merged
 
 
 class TestExitCode:

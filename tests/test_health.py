@@ -1,11 +1,12 @@
 import datetime as dt
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vocab_lint.engine import read_text
 from vocab_lint.health import (
+    _PARSERS,
     DEFAULT_WEIGHTS,
     SUBSCORE_NAMES,
     MetadataError,
@@ -265,6 +266,26 @@ class TestLoadMetadata:
 
     def test_empty_text(self):
         assert load_metadata("") == ([], [])
+
+    # Lines of a snapshot: blank, comments, pairs of a known or unknown key
+    # with a value of a fitting shape or of any text, and lines of any text.
+    _LINES = st.one_of(
+        st.sampled_from(["", "#", "  "]),
+        st.tuples(st.sampled_from(sorted(_PARSERS)) | st.text(max_size=3),
+                  st.sampled_from(["2026-01-01", "2027-02-30", "0", "-1", "1" * 5000, "0.5",
+                                   "nan", "inf", "1e999", "true", "maybe", ""])
+                  | st.text(max_size=6)).map(": ".join),
+        st.text(max_size=8))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(_LINES, max_size=12).map("\n".join) | st.text())
+    @example("name: x\nas_of: 2026-01-01\ntotal_terms: " + "9" * 5000)
+    @example("name: x\nas_of: 2026-01-01\ndefinition_coverage: nan\n"
+             "median_issue_response_days: -inf")
+    def test_any_text_gives_records_and_notes(self, text):
+        records, notes = load_metadata(text)
+        assert all(isinstance(r, OntologyMetadata) for r in records)
+        assert all(isinstance(n, str) for n in notes)
 
     def test_snapshot_provider(self, tmp_path):
         path = tmp_path / "snap.txt"

@@ -403,11 +403,16 @@ class TestVocabulary:
         assert vocab.term_for("http://purl.obolibrary.org/obo/HP_0012735") is not None
 
     def test_merge_keeps_order_and_prefixes(self):
+        # The merged terms expand under the given map alone: neither
+        # vocabulary's own map enters it, and the given one is copied.
         v1 = build_vocabulary([_t("a", "EX:1")], {"EX": "https://one.example/"})
-        v2 = build_vocabulary([_t("b", "EX:2")], {"EX": "https://two.example/"})
-        merged = merge_vocabularies([v1, v2])
+        v2 = build_vocabulary([_t("b", "EX:2")], {"EX": "https://two.example/", "HP": "x"})
+        given = {"EX": "https://given.example/"}
+        merged = merge_vocabularies([v1, v2], given)
         assert [t.label for t in merged.terms] == ["a", "b"]
-        assert merged.prefix_map["EX"] == "https://two.example/"
+        assert merged.prefix_map == given and merged.prefix_map is not given
+        assert merged.term_for("https://given.example/2").label == "b"
+        assert merge_vocabularies([v1, v2]).prefix_map == {}
 
     def test_constructed_vocabulary_indexes_its_terms(self):
         term = _t("a", "HP:1")

@@ -71,6 +71,8 @@ class TestEditDistance:
         ("", "", 0, 0), ("abc", "", 2, 3), ("", "abc", 3, 3),
         ("kitten", "sitting", 2, 3), ("kitten", "sitting", 3, 3),
         ("abcd", "abxy", 1, 2), ("abcd", "abcx", 1, 1),
+        # The last row holds a cell within k, but the last cell exceeds k + 1.
+        ("aabb", "bbaa", 2, 3),
     ])
     def test_distance_within_known_cases(self, a, b, k, expected):
         assert _distance_within(a, b, k) == expected
@@ -92,6 +94,15 @@ class TestBuildIndex:
         assert phrases == {"productive cough": "label",
                            "wet cough": "exact_synonym",
                            "chesty cough": "other_synonym"}
+
+    def test_each_reference_expands_under_its_own_map(self):
+        # EX:1 names one term in the first and third references, whose maps
+        # agree, and another in the second; no map is merged into another.
+        one = build_vocabulary([term("cough", "EX:1")], {"EX": "https://one.example/"})
+        two = build_vocabulary([term("cough", "EX:1")], {"EX": "https://two.example/"})
+        purl = build_vocabulary([term("cough", "https://one.example/1")])
+        index = build_index([one, two, purl])
+        assert index.source_count == {"https://one.example/1": 2, "https://two.example/1": 1}
 
     def test_label_outranks_synonym_for_same_phrase(self):
         v = vocab(term("cough", "EX:1", synonyms=[("cough", "related")]))
@@ -180,6 +191,18 @@ class TestSuggest:
     def test_no_candidates(self):
         assert suggest_terms(reference_index(), "zzzzzzzz") == []
 
+    def test_a_token_overlap_tied_with_a_fuzzy_score_stays_a_token_overlap(self):
+        # 0.7 * 4/5 and 0.6 * (1 - 1/15) are one float. Token overlap, the
+        # better-ranked kind, wins the tie within one phrase (EX:1) and
+        # between a fuzzy label and a token-overlap synonym (EX:2).
+        index = build_index([vocab(
+            term("aaa bb cc dd dd", "EX:1"),
+            term("aaa bb cc dd dx", "EX:2", synonyms=[("aaa bb cc dd", "related")]))])
+        results = suggest_terms(index, "aaa bb cc dd de")
+        assert [(s.term.label, s.score, s.match_kind) for s in results] == [
+            ("aaa bb cc dd dd", 0.7 * 4 / 5, "token_overlap"),
+            ("aaa bb cc dd dx", 0.6 * (1.0 - 1 / 15), "token_overlap")]
+
     def test_best_phrase_per_term(self):
         # Both the label and the exact synonym match; the term appears once
         # with the higher-scoring kind.
@@ -239,7 +262,7 @@ def test_property_scores_match_brute_force(case):
              if labels else reference_index())
     expected = brute_force_best(index, query)
     results = suggest_terms(index, query, k=len(index.entries))
-    got = {expand_iri(s.term.iri, index.prefix_map): s.score for s in results}
+    got = {expand_iri(s.term.iri, PREFIXES): s.score for s in results}
     assert set(got) == set(expected)
     for identity, score in got.items():
         assert score == pytest.approx(expected[identity][0], abs=1e-9)
