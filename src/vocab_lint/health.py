@@ -47,6 +47,9 @@ class OntologyMetadata:
             raise MetadataError("terms_reused_elsewhere must be non-negative")
         if self.releases_last_24_months < 0:
             raise MetadataError("releases_last_24_months must be non-negative")
+        days = self.median_issue_response_days
+        if days is not None and not days >= 0:  # NaN fails too
+            raise MetadataError("median_issue_response_days must be non-negative")
         if self.last_release is not None and self.last_release > self.as_of:
             raise MetadataError("last_release must not postdate as_of")
 
@@ -158,7 +161,7 @@ def _responsiveness(meta: OntologyMetadata) -> float:
 
 
 def _reuse(meta: OntologyMetadata) -> float:
-    return min(1.0, meta.terms_reused_elsewhere / max(1, meta.total_terms) * 10.0)
+    return min(1.0, meta.terms_reused_elsewhere / meta.total_terms * 10.0)
 
 
 def validate_weights(weights: dict[str, float]) -> None:

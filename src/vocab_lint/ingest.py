@@ -210,7 +210,7 @@ def parse_term_table(text: str, file_name: str) -> tuple[Vocabulary, list[Findin
     diags: list[Finding] = []
     terms: list[Term] = []
     lines = _lines(text)
-    if not lines or not lines[0].strip():
+    if not lines[0].strip():  # _lines gives at least one line
         raise FatalParseError(f"{file_name}: missing header row")
     header = [cell.strip() for cell in lines[0].split("\t")]
     if "label" not in header:

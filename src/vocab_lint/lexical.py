@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .catalog import INFO
 from .model import (Finding, PhraseTable, Term, Vocabulary, find_phrases, normalize_label,
@@ -29,13 +29,31 @@ _BOOLEAN_VALUES = frozenset({"true", "false", "yes", "no", "y", "n"})
 
 @dataclass(frozen=True)
 class Lexicons:
-    negative_determiners: frozenset[str]
-    negative_prefix_allowlist: frozenset[str]
-    accepted_abbreviation_words: frozenset[str]
-    proper_noun_allowlist: frozenset[str]
-    plural_by_nature: frozenset[str]
-    colloquial_map: Mapping[str, str]
-    timeline_phrases: frozenset[str]
+    """Controlled word lists, each entry stored normalized however the value
+    is built; no suggested colloquial phrase may itself be a colloquial key."""
+    negative_determiners: frozenset[str] = frozenset()
+    negative_prefix_allowlist: frozenset[str] = frozenset()
+    accepted_abbreviation_words: frozenset[str] = frozenset()
+    proper_noun_allowlist: frozenset[str] = frozenset()
+    plural_by_nature: frozenset[str] = frozenset()
+    colloquial_map: Mapping[str, str] = field(default_factory=dict)
+    timeline_phrases: frozenset[str] = frozenset()
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            entries = getattr(self, f.name)
+            if f.name == "colloquial_map":
+                normalized = {normalize_label(k): normalize_label(v) for k, v in entries.items()}
+                normalized.pop("", None)
+            else:
+                normalized = frozenset(map(normalize_label, entries)) - {""}
+            object.__setattr__(self, f.name, normalized)
+        for key, preferred in self.colloquial_map.items():
+            if not preferred:
+                raise LexiconError(f"colloquial entry {key!r} maps to an empty phrase")
+            if preferred in self.colloquial_map:
+                raise LexiconError(
+                    f"colloquial suggestion {preferred!r} (for {key!r}) is itself a colloquial key")
 
     # Built once per value, outside the fields, so a replace() gets fresh tables.
     @cached_property
@@ -57,41 +75,8 @@ class ComplexityConfig:
             raise ValueError("complexity thresholds must be >= 2")
 
 
-def _norm_set(items: Iterable[str]) -> frozenset[str]:
-    return frozenset(normalize_label(x) for x in items) - {""}
-
-
-def make_lexicons(negative_determiners: Iterable[str] = (),
-                  negative_prefix_allowlist: Iterable[str] = (),
-                  accepted_abbreviation_words: Iterable[str] = (),
-                  proper_noun_allowlist: Iterable[str] = (),
-                  plural_by_nature: Iterable[str] = (),
-                  colloquial_map: Mapping[str, str] | None = None,
-                  timeline_phrases: Iterable[str] = ()) -> Lexicons:
-    """Normalize raw entries into a Lexicons value and validate the colloquial
-    closure property (no suggested phrase may itself be a colloquial key)."""
-    cmap = {normalize_label(k): normalize_label(v) for k, v in (colloquial_map or {}).items()}
-    cmap.pop("", None)
-    lex = Lexicons(
-        negative_determiners=_norm_set(negative_determiners),
-        negative_prefix_allowlist=_norm_set(negative_prefix_allowlist),
-        accepted_abbreviation_words=_norm_set(accepted_abbreviation_words),
-        proper_noun_allowlist=_norm_set(proper_noun_allowlist),
-        plural_by_nature=_norm_set(plural_by_nature),
-        colloquial_map=cmap,
-        timeline_phrases=_norm_set(timeline_phrases),
-    )
-    for key, preferred in lex.colloquial_map.items():
-        if not preferred:
-            raise LexiconError(f"colloquial entry {key!r} maps to an empty phrase")
-        if preferred in lex.colloquial_map:
-            raise LexiconError(
-                f"colloquial suggestion {preferred!r} (for {key!r}) is itself a colloquial key")
-    return lex
-
-
 def default_lexicons() -> Lexicons:
-    return make_lexicons(
+    return Lexicons(
         negative_determiners=["no", "not", "neither", "none", "except", "without"],
         negative_prefix_allowlist=[
             "inorganic", "nonlinear", "non-linear", "nonparametric", "non-parametric",
@@ -117,8 +102,7 @@ def apply_lexicon_overrides(lex: Lexicons, name: str, text: str) -> Lexicons:
     """Extend one lexicon from an override file: one entry per line, "#"
     comments, a leading "-" removes a built-in entry, and colloquial_map lines
     use "colloquial -> preferred"."""
-    current = {f.name: getattr(lex, f.name) for f in fields(Lexicons)}
-    if name not in current:
+    if name not in {f.name for f in fields(Lexicons)}:
         raise LexiconError(f"unknown lexicon name: {name!r}")
     additions: list = []
     removals: set[str] = set()
@@ -129,21 +113,23 @@ def apply_lexicon_overrides(lex: Lexicons, name: str, text: str) -> Lexicons:
         if line.startswith("-"):
             removals.add(normalize_label(line[1:]))
         elif name == "colloquial_map":
+            # The line is stripped and starts with no "-", so a separator
+            # has some text before it.
             colloquial, sep, preferred = line.partition("->")
-            if not sep or not colloquial.strip() or not preferred.strip():
+            if not sep or not preferred.strip():
                 raise LexiconError(
                     f"{name} line {line_no}: expected 'colloquial -> preferred', got {raw!r}")
             additions.append((colloquial, preferred))
         else:
             additions.append(line)
     # Removals go first, so a file that removes and adds one entry keeps it.
-    old = current[name]
+    old = getattr(lex, name)
     if name == "colloquial_map":
         merged = {key: old[key] for key in old if key not in removals} | dict(additions)
     else:
         merged = [entry for entry in old if entry not in removals] + additions
-    # Rebuilt through make_lexicons, which normalizes and checks the colloquial closure.
-    return make_lexicons(**{**current, name: merged})
+    # The rebuilt value normalizes its entries and checks the colloquial closure.
+    return replace(lex, **{name: merged})
 
 
 _PARENTHETICAL = re.compile(r"\([^()]*\)")

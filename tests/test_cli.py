@@ -1,4 +1,6 @@
+import contextlib
 import gc
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vocab_lint
 from vocab_lint import __version__, cli
@@ -531,6 +535,15 @@ class TestHealth:
         payload = json.loads(out)
         assert [o["verdict"] for o in payload["ontologies"]] == ["healthy", "stale"]
 
+    def test_snapshot_fixture_bytes_are_pinned(self, capsys, fixtures_dir, monkeypatch):
+        # CI compares the same command's output on a bare interpreter of
+        # every supported version.
+        monkeypatch.chdir(fixtures_dir.parents[1])
+        code, out, _ = run_cli(capsys, ["health", "--output", "json",
+                                        "--metadata", "tests/fixtures/health/snapshot.txt"])
+        assert code == 0
+        assert out == (fixtures_dir / "health" / "expected.json").read_text(encoding="utf-8")
+
     def test_no_snapshot_is_fatal(self, capsys):
         code, _, _ = run_cli(capsys, ["health"])
         assert code == 2
@@ -659,6 +672,77 @@ def test_usage_error_exits_two_with_empty_stdout(args, capsys):
     code, out, err = run_cli(capsys, args)
     assert (code, out) == (2, "")
     assert err
+
+
+# Files a command line may name: usable ones, and a missing file, a
+# directory, an empty .obo, a wrong suffix and bytes that are no UTF-8.
+_ARGV_FILES = ["terms.obo", "config.json", "snapshot.txt", "terms.xml", "empty.obo",
+               "empty.json", "dir.obo", "bytes.obo", "bytes.txt", "missing.obo"]
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("argv")
+    (d / "dir.obo").mkdir()
+    config = {"prefix_map_path": "prefixes.tsv", "metadata_path": "snapshot.txt",
+              "reference_paths": ["terms.obo"]}
+    for name, text in [("empty.obo", ""), ("terms.xml", OBO_LFT), ("terms.obo", OBO_LFT),
+                       ("snapshot.txt", SNAPSHOT), ("prefixes.tsv", PREFIX_FILE),
+                       ("config.json", json.dumps(config)), ("empty.json", "{}")]:
+        (d / name).write_text(text, encoding="utf-8")
+    (d / "bytes.obo").write_bytes(OBO_LFT.encode() + b"\xff")
+    (d / "bytes.txt").write_bytes(SNAPSHOT.encode() + b"\xff")
+    return d
+
+
+# Each command's options and the values each takes: a list of words, a file
+# (the usable file's name; any file of the list above may come instead) or
+# None for a flag.
+_ARGV_OPTIONS = {
+    "check": {"--format": ["obo", "tsv", "xml"], "--fail-on": ["info", "error", "fatal"],
+              "--rule": ["R0*", "C-*", "NOPE"], "--per-file": None,
+              "--suppress": ["R05-ABBREV:LFT", "R05-ABBREV", "NOPE:x"]},
+    "suggest": {"--references": "terms.obo", "-k": ["1", "3", "0", "x"]},
+    "health": {"--metadata": "snapshot.txt"},
+    "rules": {},
+}
+_ARGV_SHARED = {"--config": "config.json", "--output": ["text", "json", "xml"]}
+_ARGV_QUERIES = ["cough", "wet cough", "!!"]
+_ARGV_WORDS = ["", "-", "--bogus", "--out", "--help", "--version", *_ARGV_OPTIONS, *_ARGV_QUERIES]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_any_command_line_exits_0_1_or_2_without_a_traceback(argv_dir, data):
+    command = data.draw(st.sampled_from(list(_ARGV_OPTIONS)))
+    options = _ARGV_OPTIONS[command] | _ARGV_SHARED
+
+    def file(usable):
+        names = st.just(usable) | st.sampled_from(_ARGV_FILES)
+        return names.map(lambda name: str(argv_dir / name))
+
+    def option(name):
+        values = options[name]
+        if values is None:
+            return st.just([name])
+        return st.tuples(st.just(name), file(values) if isinstance(values, str)
+                         else st.sampled_from(values))
+
+    own = [st.sampled_from(sorted(options)).flatmap(option)]
+    if command in ("check", "suggest"):
+        own.append((file("terms.obo") if command == "check" else st.sampled_from(_ARGV_QUERIES))
+                   .map(lambda word: [word]))
+    stray = st.sampled_from(_ARGV_WORDS).map(lambda word: [word])
+    # One piece in five is any word at all.
+    piece = st.integers(0, 4).flatmap(lambda i: stray if i == 0 else st.one_of(own))
+    argv = [command] + [word for part in data.draw(st.lists(piece, max_size=6))
+                        for word in part]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+    assert exited.value.code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
 
 
 @pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])

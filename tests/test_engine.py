@@ -4,6 +4,7 @@ import json
 import re
 import sys
 import tempfile
+from fnmatch import fnmatchcase
 from itertools import permutations
 from pathlib import Path
 
@@ -38,7 +39,8 @@ from vocab_lint.engine import (
 from vocab_lint.health import _PARSERS, OntologyMetadata
 from vocab_lint.ingest import TSV_COLUMNS, serialize_obo
 from vocab_lint.lexical import Lexicons
-from vocab_lint.model import Finding, Iri, SourceLocation, Vocabulary, merge_vocabularies
+from vocab_lint.model import (Finding, Iri, SourceLocation, Vocabulary, expand_iri,
+                              merge_vocabularies, normalize_label)
 
 from test_acceptance import corpus_inputs, scale_inputs
 from test_vocabulary_oracles import TERMS as MODEL_TERMS
@@ -844,6 +846,92 @@ def test_per_file_equals_the_merged_run_on_files_that_share_nothing(first, secon
         for inputs in ([(a, None)], [(a, None), (b, None)]):
             merged = run_lint(config, inputs)
             assert run_lint(dataclasses.replace(config, per_file=True), inputs) == merged
+
+
+# Metamorphic relations: each property lints one file of MODEL_TERMS, then
+# again under one more setting, and checks how the two reports relate.
+
+def _one_file_run(directory, terms):
+    """The config and inputs of a run over one OBO file of `terms`, written
+    into `directory` with a prefix map for EX."""
+    config = RuleConfig(prefix_map_path=write(directory, "prefixes.tsv", PREFIX_FILE))
+    return config, [(write(directory, "a.obo", serialize_obo(Vocabulary(tuple(terms)))), None)]
+
+
+def _with_findings(report, findings):
+    """`report` holding `findings`, in report order, and their counts."""
+    counts = {severity: 0 for severity in SEVERITIES}
+    for finding in findings:
+        counts[finding.severity] += 1
+    return dataclasses.replace(report, findings=tuple(sorted(findings, key=_sort_key)),
+                               counts=counts)
+
+
+def _fired_or_any_rule(report):
+    """Mostly the rule id of one of the report's findings, sometimes any."""
+    fired = sorted({f.rule_id for f in report.findings})
+    return st.integers(0, 3).flatmap(lambda i: st.sampled_from(
+        fired if i and fired else sorted(RULES)))
+
+
+_GLOBS = ["*", "C-*", "R0?-*", "R07-*", "R08-*", "*BOMB", "R0[2-5]-*", "*-DUP-*"]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(MODEL_TERMS, min_size=1, max_size=8), st.data())
+def test_selection_keeps_the_selected_findings_of_the_full_run(terms, data):
+    # run_lint skips each check that can emit no selected rule; that must
+    # change nothing in what the selected rules report.
+    with tempfile.TemporaryDirectory() as directory:
+        config, inputs = _one_file_run(Path(directory), terms)
+        full = run_lint(config, inputs)
+        patterns = data.draw(st.lists(_fired_or_any_rule(full) | st.sampled_from(_GLOBS),
+                                      min_size=1, max_size=3))
+        selected = run_lint(dataclasses.replace(config, enabled_rules=tuple(patterns)), inputs)
+    chosen = {rule_id for rule_id in RULES if any(fnmatchcase(rule_id, p) for p in patterns)}
+    assert selected == _with_findings(full, [f for f in full.findings if f.rule_id in chosen])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(MODEL_TERMS, min_size=1, max_size=8), st.data())
+def test_suppressions_remove_exactly_the_findings_they_match(terms, data):
+    with tempfile.TemporaryDirectory() as directory:
+        config, inputs = _one_file_run(Path(directory), terms)
+        full = run_lint(config, inputs)
+        prefix_map = build_prefix_map(config).entries
+        # A suppression names a finding's rule and its subject label in either
+        # case or one of its IRIs in either form, or any rule and subject.
+        named = sorted({(f.rule_id, form) for f in full.findings
+                        for form in (f.subject_label, f.subject_label.upper(), *(
+                            form for iri in f.subject_iris
+                            for form in (iri.value, expand_iri(iri, prefix_map))))})
+        other = st.tuples(st.sampled_from(sorted(RULES)), st.sampled_from(["cough", "EX:2"]))
+        suppressions = data.draw(st.lists(st.sampled_from(named) | other if named else other,
+                                          min_size=1, max_size=3))
+        suppressed = run_lint(dataclasses.replace(config, suppressions=tuple(suppressions)),
+                              inputs)
+
+    def matches(f, subject):
+        iris = {form for iri in f.subject_iris for form in (iri.value, expand_iri(iri, prefix_map))}
+        return subject in iris or normalize_label(subject) == normalize_label(f.subject_label)
+
+    assert suppressed == _with_findings(full, [
+        f for f in full.findings
+        if not any(rule == f.rule_id and matches(f, subject) for rule, subject in suppressions)])
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(MODEL_TERMS, min_size=1, max_size=8), st.data())
+def test_a_severity_override_changes_only_severities_and_counts(terms, data):
+    with tempfile.TemporaryDirectory() as directory:
+        config, inputs = _one_file_run(Path(directory), terms)
+        full = run_lint(config, inputs)
+        overrides = data.draw(st.dictionaries(_fired_or_any_rule(full),
+                                              st.sampled_from(SEVERITIES), max_size=4))
+        overridden = run_lint(dataclasses.replace(config, severity_overrides=overrides), inputs)
+    assert overridden == _with_findings(full, [
+        dataclasses.replace(f, severity=overrides.get(f.rule_id, f.severity))
+        for f in full.findings])
 
 
 class TestExitCode:

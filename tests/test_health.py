@@ -82,14 +82,16 @@ class TestSubscores:
         assert assess_health(meta()).subscores["activity"] == 0.0
 
     def test_responsiveness_fast(self):
-        r = assess_health(meta(accepts_term_requests=True,
-                               median_issue_response_days=30))
-        assert r.subscores["responsiveness"] == 1.0
+        for days in (0, 30):
+            r = assess_health(meta(accepts_term_requests=True,
+                                   median_issue_response_days=days))
+            assert r.subscores["responsiveness"] == 1.0
 
     def test_responsiveness_slow_or_unknown(self):
-        assert assess_health(meta(accepts_term_requests=True,
-                                  median_issue_response_days=180)
-                             ).subscores["responsiveness"] == 0.5
+        for days in (31, 180):
+            assert assess_health(meta(accepts_term_requests=True,
+                                      median_issue_response_days=days)
+                                 ).subscores["responsiveness"] == 0.5
         assert assess_health(meta(accepts_term_requests=True)
                              ).subscores["responsiveness"] == 0.5
 
@@ -248,6 +250,20 @@ class TestLoadMetadata:
         records, notes = load_metadata(f"name: x\nas_of: 2026-01-01\n{key}: -1\n")
         assert records == []
         assert notes == [f"record at line 1: {key} must be non-negative; skipped"]
+
+    @pytest.mark.parametrize("days", ["-5", "-inf", "nan"])
+    def test_negative_or_nan_response_days_skips_record(self, days):
+        text = f"name: x\nas_of: 2026-01-01\nmedian_issue_response_days: {days}\n"
+        records, notes = load_metadata(text)
+        assert records == []
+        assert notes == ["record at line 1: median_issue_response_days must be non-negative; "
+                         "skipped"]
+
+    def test_unbounded_response_days_is_glacial(self):
+        records, notes = load_metadata("name: x\nas_of: 2026-01-01\naccepts_term_requests: yes\n"
+                                       "median_issue_response_days: inf\n")
+        assert notes == []
+        assert assess_health(records[0]).subscores["responsiveness"] == 0.0
 
     def test_semantic_error_skips_record(self):
         text = "name: x\nas_of: 2026-01-01\nlast_release: 2027-01-01\n"

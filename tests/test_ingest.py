@@ -87,7 +87,8 @@ class TestOboParsing:
         assert diags == []
         assert vocab.terms[0].definition.text == 'a "quoted" part and a \\ slash'
 
-    @pytest.mark.parametrize("tail", ["", " [PMID:1"], ids=["no-list", "unclosed-list"])
+    @pytest.mark.parametrize("tail", ["", " [PMID:1", " PMID:1]"],
+                             ids=["no-list", "unclosed-list", "unopened-list"])
     def test_def_without_a_closed_source_list_has_no_sources(self, tail):
         vocab, diags = parse_obo(f'[Term]\nid: EX:1\nname: x\ndef: "A thing."{tail}\n', "f.obo")
         assert diags == []

@@ -1,5 +1,5 @@
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +21,6 @@ from vocab_lint.lexical import (
     check_timeline,
     default_lexicons,
     detect_word_bombs,
-    make_lexicons,
 )
 from vocab_lint.model import Iri, Term, build_vocabulary
 
@@ -341,15 +340,31 @@ class TestTagStyle:
 class TestLexiconConstruction:
     def test_colloquial_closure_enforced(self):
         with pytest.raises(LexiconError):
-            make_lexicons(colloquial_map={"a": "b", "b": "c"})
+            Lexicons(colloquial_map={"a": "b", "b": "c"})
 
     def test_empty_preferred_rejected(self):
         with pytest.raises(LexiconError):
-            make_lexicons(colloquial_map={"a": "!!"})
+            Lexicons(colloquial_map={"a": "!!"})
 
     def test_entries_normalized(self):
-        lex = make_lexicons(timeline_phrases=["Most  Recent"])
+        lex = Lexicons(timeline_phrases=["Most  Recent"])
         assert "most recent" in lex.timeline_phrases
+
+    def test_every_construction_normalizes_and_checks(self):
+        # A value built by replace() normalizes and checks itself as the
+        # constructor and an override file do.
+        lex = replace(LEX, timeline_phrases=frozenset({"As Of Now", "!!"}),
+                      colloquial_map={" Tummy ": "ABDOMEN"})
+        assert lex.timeline_phrases == {"as of now"}
+        assert lex.colloquial_map == {"tummy": "abdomen"}
+        f, = check_timeline(term("as of now"), lex)
+        assert '"as of now"' in f.message
+        assert Lexicons(plural_by_nature=["Scissors", ""]).plural_by_nature == {"scissors"}
+        closure = "colloquial suggestion 'tummy' (for 'belly') is itself a colloquial key"
+        for build in (lambda cmap: Lexicons(colloquial_map=cmap),
+                      lambda cmap: replace(LEX, colloquial_map=cmap)):
+            with pytest.raises(LexiconError, match=f"^{re.escape(closure)}$"):
+                build({"belly": "tummy", "tummy": "abdomen"})
 
     def test_override_adds_and_removes(self):
         lex = apply_lexicon_overrides(LEX, "negative_determiners", "minus\n-not\n# c\n")
