@@ -18,7 +18,6 @@ from .engine import (
     render_report,
     run_lint,
 )
-from .health import HealthReport, OntologyMetadata, assess_health, load_metadata
 from .ingest import FatalParseError, parse_obo, parse_term_table, serialize_obo
 from .model import (
     Definition,
@@ -32,7 +31,25 @@ from .model import (
     merge_vocabularies,
     normalize_label,
 )
-from .reuse import ReuseIndex, Suggestion, build_index, suggest_terms
+
+# The health scorer and the reuse suggester, which a `check` run never
+# calls, load on first access to one of their names (PEP 562).
+_DEFERRED = {
+    "HealthReport": "health", "OntologyMetadata": "health",
+    "assess_health": "health", "load_metadata": "health",
+    "ReuseIndex": "reuse", "Suggestion": "reuse",
+    "build_index": "reuse", "suggest_terms": "reuse",
+}
+
+
+def __getattr__(name: str):
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f".{_DEFERRED[name]}", __name__), name)
+    return value
+
 
 __all__ = [
     "__version__",

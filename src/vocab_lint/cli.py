@@ -29,9 +29,7 @@ from .engine import (
     render_report,
     run_lint,
 )
-from .health import SUBSCORE_NAMES, assess_health, load_metadata
 from .model import build_vocabulary
-from .reuse import EmptyQueryError, build_index, suggest_terms
 
 FATAL_EXIT = 2
 INTERNAL_EXIT = 3
@@ -80,6 +78,8 @@ def check(args: argparse.Namespace) -> int:
 
 def suggest(args: argparse.Namespace) -> int:
     """Suggest existing terms to reuse for each proposed label in QUERIES."""
+    from .reuse import EmptyQueryError, build_index, suggest_terms
+
     config = _load_config_or_default(args.config)
     paths = tuple(config.reference_paths) + tuple(args.references)
     if not paths:
@@ -128,6 +128,8 @@ def suggest(args: argparse.Namespace) -> int:
 
 def health(args: argparse.Namespace) -> int:
     """Score maintenance health of the ontologies in a metadata snapshot."""
+    from .health import SUBSCORE_NAMES, assess_health, load_metadata
+
     config = _load_config_or_default(args.config)
     path = args.metadata or config.metadata_path
     if path is None:

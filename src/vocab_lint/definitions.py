@@ -9,7 +9,7 @@ import re
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import islice
-from typing import Collection, Iterator, NamedTuple, Sequence
+from typing import Collection, Iterator, Sequence
 
 from .model import (
     Finding,
@@ -27,12 +27,6 @@ from .model import (
 MAX_REPORTED_CYCLES = 100
 
 _SENTENCE_END = re.compile(r"\.(?=\s|$)")
-
-
-class GenusDifferentia(NamedTuple):
-    subject: tuple[str, ...]
-    genus: tuple[str, ...]
-    differentia: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -78,17 +72,6 @@ def _genus_span(tokens: Sequence[str]) -> tuple[int, int, int, int] | None:
     if connective == genus or connective >= last:
         return None
     return start, copula, genus, connective
-
-
-def parse_genus_differentia(tokens: Sequence[str]) -> GenusDifferentia | None:
-    """The subject, genus and differentia of a first sentence's tokens, as
-    `_genus_span` matches them."""
-    span = _genus_span(tokens)
-    if span is None:
-        return None
-    start, copula, genus, connective = span
-    return GenusDifferentia(tuple(tokens[start:copula]), tuple(tokens[genus:connective]),
-                            tuple(tokens[connective + 1:]))
 
 
 def check_definition_present(term: Term) -> list[Finding]:

@@ -17,7 +17,6 @@ from typing import Sequence
 
 from . import __version__, definitions, identity, lexical
 from .catalog import INFO, RULES, SEVERITIES, SEVERITY_RANK
-from .health import validate_weights
 from .identity import PrefixMap, PrefixMapError, default_prefix_map, load_prefix_map
 from .ingest import FatalParseError, parse_obo, parse_term_table
 from .lexical import (
@@ -150,6 +149,8 @@ def load_config(path: str) -> RuleConfig:
         _require(isinstance(raw["metadata_path"], str), "metadata_path must be a string")
         cfg.metadata_path = resolve(raw["metadata_path"])
     if "health_weights" in raw:
+        from .health import validate_weights
+
         weights = raw["health_weights"]
         _require(isinstance(weights, dict)
                  and all(isinstance(v, (int, float)) and not isinstance(v, bool)

@@ -13,6 +13,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterator, Mapping
 
 from .catalog import INFO
@@ -30,7 +31,9 @@ _BOOLEAN_VALUES = frozenset({"true", "false", "yes", "no", "y", "n"})
 @dataclass(frozen=True)
 class Lexicons:
     """Controlled word lists, each entry stored normalized however the value
-    is built; no suggested colloquial phrase may itself be a colloquial key."""
+    is built; no suggested colloquial phrase may itself be a colloquial key.
+    `colloquial_map` is stored read-only, so that rule holds for the value's
+    whole life."""
     negative_determiners: frozenset[str] = frozenset()
     negative_prefix_allowlist: frozenset[str] = frozenset()
     accepted_abbreviation_words: frozenset[str] = frozenset()
@@ -43,8 +46,9 @@ class Lexicons:
         for f in fields(self):
             entries = getattr(self, f.name)
             if f.name == "colloquial_map":
-                normalized = {normalize_label(k): normalize_label(v) for k, v in entries.items()}
-                normalized.pop("", None)
+                mapping = {normalize_label(k): normalize_label(v) for k, v in entries.items()}
+                mapping.pop("", None)
+                normalized = MappingProxyType(mapping)
             else:
                 normalized = frozenset(map(normalize_label, entries)) - {""}
             object.__setattr__(self, f.name, normalized)
@@ -54,6 +58,12 @@ class Lexicons:
             if preferred in self.colloquial_map:
                 raise LexiconError(
                     f"colloquial suggestion {preferred!r} (for {key!r}) is itself a colloquial key")
+
+    def __reduce__(self):
+        # A mapping proxy neither pickles nor deep-copies, so a copy is built
+        # anew from the fields, with the map as a plain dict.
+        values = [getattr(self, f.name) for f in fields(self)]
+        return Lexicons, tuple(dict(v) if isinstance(v, Mapping) else v for v in values)
 
     # Built once per value, outside the fields, so a replace() gets fresh tables.
     @cached_property

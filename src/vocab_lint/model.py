@@ -1,6 +1,5 @@
 """Canonical in-memory model: terms, vocabularies, findings, and the shared
-label-normalization, phrase-lookup and replacement-resolution primitives used
-by every check.
+label-normalization and phrase-lookup primitives used by every check.
 """
 
 from __future__ import annotations
@@ -12,14 +11,6 @@ from functools import cached_property
 from .catalog import RULES, SEVERITIES
 
 SYNONYM_SCOPES = ("exact", "broad", "narrow", "related")
-
-
-class UnknownIriError(Exception):
-    """An IRI was looked up that no term in the vocabulary bears."""
-
-
-class ReplacementCycleError(Exception):
-    """A replaced_by chain revisited an IRI."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -342,27 +333,3 @@ def merge_vocabularies(vocabs: list[Vocabulary],
     """One vocabulary of every term, in order, under a copy of `prefix_map`
     alone: the vocabularies' own maps do not enter it."""
     return build_vocabulary(tuple(t for v in vocabs for t in v.terms), prefix_map)
-
-
-def resolve_replacement(vocab: Vocabulary, start: Iri) -> Iri:
-    """Follow replaced_by links from `start` to the chain terminus.
-
-    Raises UnknownIriError if the start or any link target is absent, and
-    ReplacementCycleError if the chain revisits an IRI."""
-    key = expand_iri(start, vocab.prefix_map)
-    term = vocab.by_iri.get(key)
-    if term is None:
-        raise UnknownIriError(f"IRI not in vocabulary: {start.value}")
-    seen = {key}
-    while term.replaced_by is not None:
-        next_key = expand_iri(term.replaced_by, vocab.prefix_map)
-        if next_key in seen:
-            raise ReplacementCycleError(
-                f"replaced_by chain from {start.value} revisits {term.replaced_by.value}")
-        nxt = vocab.by_iri.get(next_key)
-        if nxt is None:
-            raise UnknownIriError(f"IRI not in vocabulary: {term.replaced_by.value}")
-        seen.add(next_key)
-        term = nxt
-    assert term.iri is not None
-    return term.iri

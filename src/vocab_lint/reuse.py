@@ -72,25 +72,10 @@ def build_index(references: list[Vocabulary]) -> ReuseIndex:
     return index
 
 
-def edit_distance(a: str, b: str) -> int:
-    """Unit-cost Levenshtein distance."""
-    if len(a) < len(b):
-        a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            current.append(min(previous[j] + 1,
-                               current[j - 1] + 1,
-                               previous[j - 1] + (ca != cb)))
-        previous = current
-    return previous[-1]
-
-
 def _distance_within(a: str, b: str, k: int) -> int:
-    """edit_distance(a, b) if it is at most k, else k + 1. Only cells within k
-    of the diagonal are filled, and the walk stops at the first row whose
-    every cell exceeds k (Ukkonen's cut-off)."""
+    """The unit-cost Levenshtein distance of a and b if it is at most k, else
+    k + 1. Only cells within k of the diagonal are filled, and the walk stops
+    at the first row whose every cell exceeds k (Ukkonen's cut-off)."""
     if len(a) < len(b):
         a, b = b, a
     m = len(b)

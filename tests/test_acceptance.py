@@ -28,16 +28,16 @@ from vocab_lint.lexical import ComplexityConfig, detect_word_bombs
 from vocab_lint.model import (
     Definition,
     Iri,
-    ReplacementCycleError,
     SourceLocation,
     Synonym,
     Term,
     build_vocabulary,
     expand_iri,
     normalize_label,
-    resolve_replacement,
 )
-from vocab_lint.reuse import build_index, edit_distance, suggest_terms
+from vocab_lint.reuse import build_index, suggest_terms
+
+from oracles import ReplacementCycleError, edit_distance, resolve_replacement
 
 
 @contextmanager

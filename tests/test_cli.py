@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vocab_lint
-from vocab_lint import __version__, cli
+from vocab_lint import __version__, cli, reuse
 from vocab_lint.catalog import RULES
 from vocab_lint.cli import main
 
@@ -403,6 +403,14 @@ class TestSuggest:
         assert suggestion["score"] == 0.9
         assert suggestion["match_kind"] == "exact_synonym"
 
+    def test_five_suggestions_by_default(self, capsys, tmp_path):
+        rows = "".join(f"cough type {n}\tEX:{n}\t\n" for n in range(7))
+        ref = write(tmp_path, "ref.tsv", "label\tiri\tsynonyms\n" + rows)
+        _, out, _ = run_cli(capsys, ["suggest", "cough type", "--references", ref,
+                                     "--output", "json"])
+        entry, = json.loads(out)["queries"]
+        assert len(entry["suggestions"]) == 5
+
     def test_output_does_not_depend_on_reference_order(self, capsys, tmp_path):
         # Both references carry HP:0001945, under different labels; the term
         # shown for it must not be whichever reference came first.
@@ -432,13 +440,13 @@ class TestSuggest:
         # built-in prefix map, which the indexed vocabulary must carry.
         ref = write(tmp_path, "ref.tsv", TSV_REFERENCE)
         seen = []
-        real_build_index = vocab_lint.cli.build_index
+        real_build_index = reuse.build_index
 
         def capture(vocabs):
             seen.extend(vocabs)
             return real_build_index(vocabs)
 
-        monkeypatch.setattr(vocab_lint.cli, "build_index", capture)
+        monkeypatch.setattr(reuse, "build_index", capture)
         code, out, _ = run_cli(capsys, ["suggest", "wet cough", "--references", ref])
         assert code == 0
         assert "productive cough" in out
@@ -785,6 +793,52 @@ def test_cli_import_loads_only_stdlib():
     loaded = set(result.stdout.split())
     assert "vocab_lint" in loaded
     assert loaded - set(sys.stdlib_module_names) == {"vocab_lint"}
+
+
+_CHECK_PROBE = """
+import contextlib, io, sys
+import vocab_lint.cli
+UNUSED = ("vocab_lint.health", "vocab_lint.reuse", "datetime")
+print([name for name in UNUSED if name in sys.modules])
+try:
+    with contextlib.redirect_stdout(io.StringIO()):
+        vocab_lint.cli.main(sys.argv[1:])
+except SystemExit as stop:
+    print(stop.code)
+print([name for name in UNUSED if name in sys.modules])
+"""
+
+
+def test_check_loads_neither_health_nor_reuse(corpus_dir):
+    # A check run calls neither module, so neither they nor health's
+    # datetime may add to what each CLI call pays before it works.
+    args = ["check", "--config", str(corpus_dir / "config.json"),
+            str(corpus_dir / "terms.obo"), str(corpus_dir / "picklist.tsv")]
+    result = subprocess.run([sys.executable, "-c", _CHECK_PROBE, *args], env=_package_env(),
+                            capture_output=True, text=True, check=True, timeout=60)
+    assert result.stdout.splitlines() == ["[]", "1", "[]"], result.stderr
+
+
+def test_every_exported_name_is_its_defining_modules_object(monkeypatch):
+    # The health and reuse names load their module on first access; drop the
+    # values that earlier accesses cached, so this test takes that path.
+    deferred = [name for name in vocab_lint.__all__
+                if getattr(getattr(vocab_lint, name), "__module__", None)
+                in ("vocab_lint.health", "vocab_lint.reuse")]
+    assert len(deferred) == 8
+    for name in deferred:
+        monkeypatch.delitem(vars(vocab_lint), name, raising=False)
+    star: dict[str, object] = {}
+    exec("from vocab_lint import *", star)
+    for name in vocab_lint.__all__:
+        value = getattr(vocab_lint, name)
+        assert star[name] is value
+        assert vars(vocab_lint)[name] is value
+        owner = getattr(value, "__module__", None)
+        if owner is not None:
+            assert getattr(sys.modules[owner], name) is value
+    with pytest.raises(AttributeError, match="has no attribute 'reused'"):
+        getattr(vocab_lint, "reused")
 
 
 def test_report_bytes_do_not_depend_on_the_hash_seed(corpus_dir):

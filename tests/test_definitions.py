@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 from vocab_lint import definitions
 from vocab_lint.definitions import (
     MAX_REPORTED_CYCLES,
-    GenusDifferentia,
     build_definition_graph,
     check_definition_present,
     check_definition_uniqueness,
     check_genus_differentia,
     detect_circular_definitions,
     first_sentence,
-    parse_genus_differentia,
 )
 from vocab_lint.model import (
     Definition,
@@ -30,6 +28,7 @@ from vocab_lint.model import (
     tokens_of,
 )
 
+from oracles import GenusDifferentia, parse_genus_differentia
 from test_acceptance import brute_force_simple_cycles
 
 PREFIXES = {"EX": "https://example.org/EX_"}

@@ -18,13 +18,12 @@ from vocab_lint.identity import (
 )
 from vocab_lint.model import (
     Iri,
-    ReplacementCycleError,
     Synonym,
     Term,
-    UnknownIriError,
     build_vocabulary,
-    resolve_replacement,
 )
+
+from oracles import ReplacementCycleError, UnknownIriError, resolve_replacement
 
 PREFIXES = {"EX": "https://example.org/EX_", **DEFAULT_PREFIXES}
 

@@ -24,6 +24,8 @@ from vocab_lint.lexical import (
 )
 from vocab_lint.model import Iri, Term, build_vocabulary
 
+from test_model import EVERY_COPY
+
 LEX = default_lexicons()
 CFG = ComplexityConfig()
 
@@ -365,6 +367,24 @@ class TestLexiconConstruction:
                       lambda cmap: replace(LEX, colloquial_map=cmap)):
             with pytest.raises(LexiconError, match=f"^{re.escape(closure)}$"):
                 build({"belly": "tummy", "tummy": "abdomen"})
+
+    def test_colloquial_map_is_read_only(self):
+        # A map changed after the closure check could tell a label to prefer
+        # a phrase that is itself colloquial.
+        lex = Lexicons(colloquial_map={"belly": "abdomen"})
+        with pytest.raises(TypeError):
+            lex.colloquial_map["abdomen"] = "tummy"
+        assert lex.colloquial_map == {"belly": "abdomen"}
+
+    @EVERY_COPY
+    def test_copies_equal_the_original(self, copy_of):
+        lex = default_lexicons()
+        lex.timeline_table  # a cached table rides along or is rebuilt
+        twin = copy_of(lex)
+        assert twin == lex
+        with pytest.raises(TypeError):
+            twin.colloquial_map["abdomen"] = "tummy"
+        assert twin.timeline_table == lex.timeline_table
 
     def test_override_adds_and_removes(self):
         lex = apply_lexicon_overrides(LEX, "negative_determiners", "minus\n-not\n# c\n")

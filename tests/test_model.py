@@ -13,11 +13,9 @@ from vocab_lint.model import (
     Definition,
     Finding,
     Iri,
-    ReplacementCycleError,
     SourceLocation,
     Synonym,
     Term,
-    UnknownIriError,
     Vocabulary,
     build_vocabulary,
     expand_iri,
@@ -25,10 +23,11 @@ from vocab_lint.model import (
     merge_vocabularies,
     normalize_label,
     phrase_table,
-    resolve_replacement,
     shared_keys,
     tokens_of,
 )
+
+from oracles import ReplacementCycleError, UnknownIriError, resolve_replacement
 
 PM = {"HP": "http://purl.obolibrary.org/obo/HP_",
       "EX": "https://example.org/vocab/EX_"}

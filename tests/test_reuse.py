@@ -8,9 +8,10 @@ from vocab_lint.reuse import (
     EmptyQueryError,
     _distance_within,
     build_index,
-    edit_distance,
     suggest_terms,
 )
+
+from oracles import edit_distance
 
 PREFIXES = {"EX": "https://example.org/EX_", "HP": "http://purl.obolibrary.org/obo/HP_"}
 

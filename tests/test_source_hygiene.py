@@ -49,15 +49,6 @@ def test_imports_and_private_names_are_used(path):
     assert not unused, f"{path.name} never uses {unused}"
 
 
-# Public names that no call from the roots reaches, kept for the tests that
-# use them: resolve_replacement and its exceptions state what R08 computes,
-# edit_distance is the plain distance the suggester's oracles score with,
-# and parse_genus_differentia gives the genus test's tests a parsed form.
-TEST_REFERENCES = {"model.resolve_replacement", "model.UnknownIriError",
-                   "model.ReplacementCycleError", "reuse.edit_distance",
-                   "definitions.parse_genus_differentia", "definitions.GenusDifferentia"}
-
-
 def _references(node: ast.AST) -> Iterator[tuple[str | None, str]]:
     """(owner, name) for each name a statement loads, outside annotations:
     (None, name) for a bare name, (owner, name) for owner.name."""
@@ -81,7 +72,7 @@ def _reachable() -> tuple[set[str], set[str]]:
     top-level names reached from the roots: the names of `__all__`, all of
     `cli` and `engine.CHECKS`. A name is "module.name"; a top-level statement
     reaches each name it loads, resolved in its module or through its module's
-    imports of the package."""
+    imports of the package, at the top level or in a function body."""
     package = Path(vocab_lint.__file__).parent
     bound: dict[str, ast.stmt] = {}          # "module.name" -> its statement
     resolve: dict[str, dict[str, str]] = {}  # module -> local name -> "module.name"
@@ -89,12 +80,13 @@ def _reachable() -> tuple[set[str], set[str]]:
     for path in sorted(package.glob("*.py")):
         module = path.stem
         local = resolve.setdefault(module, {})
-        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(statement, ast.ImportFrom) and statement.level == 1:
-                for alias in statement.names:
-                    target = (f"{statement.module}.{alias.name}" if statement.module
-                              else alias.name)
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    target = f"{node.module}.{alias.name}" if node.module else alias.name
                     local[alias.asname or alias.name] = target
+        for statement in tree.body:
             for name in _defined_names(statement):
                 local[name] = f"{module}.{name}"
                 bound[f"{module}.{name}"] = statement
@@ -121,6 +113,4 @@ def _reachable() -> tuple[set[str], set[str]]:
 
 def test_every_public_function_and_class_is_reached_from_the_interface():
     public, reached = _reachable()
-    assert TEST_REFERENCES <= public
-    assert TEST_REFERENCES.isdisjoint(reached), "an allowlisted name is reached; drop it"
-    assert sorted(public - reached - TEST_REFERENCES) == []
+    assert sorted(public - reached) == []

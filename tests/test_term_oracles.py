@@ -13,7 +13,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vocab_lint.catalog import ERROR, INFO, WARNING
-from vocab_lint.definitions import parse_genus_differentia
 from vocab_lint.engine import CHECKS, PHRASING, TERM, CheckContext
 from vocab_lint.identity import DEFAULT_PREFIXES, PrefixMap, default_prefix_map, load_prefix_map
 from vocab_lint.lexical import ComplexityConfig, default_lexicons
@@ -28,6 +27,8 @@ from vocab_lint.model import (
     expand_iri,
     normalize_label,
 )
+
+from oracles import parse_genus_differentia
 
 LEX = default_lexicons()
 ASCII_ALNUM = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789")
