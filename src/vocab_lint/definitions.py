@@ -143,7 +143,7 @@ def build_definition_graph(vocab: Vocabulary) -> DefinitionGraph:
     # Every bearer of an identity speaks for it, with its label and its
     # definition, whatever the input order. A label that several bearers of
     # one identity share names that identity once.
-    bearers = [(vocab.identity(term), term) for term in vocab.terms]
+    bearers = list(zip(vocab.identities, vocab.terms))
     labels = phrase_table(dict.fromkeys((term.tokens, node_id) for node_id, term in bearers))
     edges: set[tuple[str, str]] = set()
     self_mentions: list[Term] = []

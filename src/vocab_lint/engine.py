@@ -357,11 +357,12 @@ def run_lint(config: RuleConfig, inputs: Sequence[tuple[str, str | None]]) -> Re
         for _, scope, run in checks:
             for subject in ([unit] if scope == VOCABULARY else unit.terms):
                 emitted = run(subject, ctx)
-                if scope == PHRASING and subject.obsolete:
-                    # Phrasing complaints about terms already out of service
-                    # are informational at most.
-                    emitted = [dataclasses.replace(f, severity=INFO) for f in emitted]
-                findings.extend(emitted)
+                if emitted:
+                    if scope == PHRASING and subject.obsolete:
+                        # Phrasing complaints about terms already out of
+                        # service are informational at most.
+                        emitted = [dataclasses.replace(f, severity=INFO) for f in emitted]
+                    findings.extend(emitted)
 
     subjects: dict[str, list[tuple[str, str]]] = {}
     for rule_id, subject in config.suppressions:

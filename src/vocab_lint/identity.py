@@ -127,8 +127,9 @@ def check_iri(term: Term, prefixes: PrefixMap) -> list[Finding]:
 def check_iri_uniqueness(vocab: Vocabulary) -> list[Finding]:
     """R06: one IRI, one term."""
     findings: list[Finding] = []
-    for identity, members in shared_keys(((vocab.identity(t), t)
-                                          for t in vocab.terms if t.iri is not None), vocab):
+    for identity, members in shared_keys(((identity, t) for identity, t
+                                          in zip(vocab.identities, vocab.terms)
+                                          if t.iri is not None), vocab):
         labels = "; ".join(t.label for t in members)
         findings.append(Finding.about_terms(
             members, "R06-DUP-IRI", members[0].label,

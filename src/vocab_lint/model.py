@@ -4,26 +4,42 @@ label-normalization and phrase-lookup primitives used by every check.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Iterator
+from dataclasses import dataclass, field, fields
 from functools import cached_property
+from typing import Any
 
 from .catalog import RULES, SEVERITIES
 
 SYNONYM_SCOPES = ("exact", "broad", "narrow", "related")
 
 
-@dataclass(frozen=True, slots=True)
+def _slot_setters(cls: type) -> Iterator[Callable[[object, object], None]]:
+    """The `__set__` of each field's slot, in field order. Each `__init__`
+    below stores its fields through these: like `object.__setattr__`, they
+    pass the frozen class's `__setattr__`, at about a third of its cost."""
+    return (cls.__dict__[f.name].__set__ for f in fields(cls))
+
+
+# The default of Term.annotations: a new dict for each term.
+_NEW_DICT: Any = object()
+
+
+# Each model class below is a frozen, slotted dataclass that writes its own
+# __init__, with the signature the dataclass would generate: it checks its
+# arguments, then stores each field through its slot's setter.
+@dataclass(frozen=True, slots=True, init=False)
 class Iri:
     """An absolute IRI or a CURIE of shape PREFIX:LOCALID."""
 
     value: str
 
-    def __post_init__(self) -> None:
-        if not self.value:
+    def __init__(self, value: str) -> None:
+        if not value:
             raise ValueError("IRI value must be non-empty")
-        if self.value.split() != [self.value]:
-            raise ValueError(f"IRI value contains whitespace: {self.value!r}")
+        if value.split() != [value]:
+            raise ValueError(f"IRI value contains whitespace: {value!r}")
+        _iri_value(self, value)
 
     @property
     def is_absolute(self) -> bool:
@@ -33,7 +49,10 @@ class Iri:
         return self.value
 
 
-@dataclass(frozen=True, slots=True)
+(_iri_value,) = _slot_setters(Iri)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Synonym:
     """A synonym; `key` is its normalized text. Construction, equality, hash
     and repr do not see `key`; `fields()` and `asdict()` do."""
@@ -43,15 +62,21 @@ class Synonym:
     is_abbreviation: bool = False
     key: str = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if not self.text:
+    def __init__(self, text: str, scope: str = "related", is_abbreviation: bool = False) -> None:
+        if not text:
             raise ValueError("synonym text must be non-empty")
-        if self.scope not in SYNONYM_SCOPES:
-            raise ValueError(f"unknown synonym scope: {self.scope!r}")
-        object.__setattr__(self, "key", normalize_label(self.text))
+        if scope not in SYNONYM_SCOPES:
+            raise ValueError(f"unknown synonym scope: {scope!r}")
+        _synonym_text(self, text)
+        _synonym_scope(self, scope)
+        _synonym_is_abbreviation(self, is_abbreviation)
+        _synonym_key(self, normalize_label(text))
 
 
-@dataclass(frozen=True, slots=True)
+_synonym_text, _synonym_scope, _synonym_is_abbreviation, _synonym_key = _slot_setters(Synonym)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Definition:
     """A definition; `tokens` are its normalized text's tokens. Construction,
     equality, hash and repr do not see `tokens`; `fields()` and `asdict()`
@@ -61,23 +86,33 @@ class Definition:
     sources: tuple[str, ...] = ()
     tokens: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if not self.text:
+    def __init__(self, text: str, sources: tuple[str, ...] = ()) -> None:
+        if not text:
             raise ValueError("definition text must be non-empty")
-        object.__setattr__(self, "tokens", tuple(tokens_of(self.text)))
+        _definition_text(self, text)
+        _definition_sources(self, sources)
+        _definition_tokens(self, tuple(tokens_of(text)))
 
 
-@dataclass(frozen=True, slots=True)
+_definition_text, _definition_sources, _definition_tokens = _slot_setters(Definition)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class SourceLocation:
     file: str
     line: int
 
-    def __post_init__(self) -> None:
-        if self.line < 1:
+    def __init__(self, file: str, line: int) -> None:
+        if line < 1:
             raise ValueError("line numbers start at 1")
+        _location_file(self, file)
+        _location_line(self, line)
 
 
-@dataclass(frozen=True, slots=True)
+_location_file, _location_line = _slot_setters(SourceLocation)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Term:
     """One vocabulary entry, stored exactly as the input file stated it.
 
@@ -98,15 +133,33 @@ class Term:
     key: str = field(init=False, repr=False, compare=False)
     tokens: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if not self.label:
+    def __init__(self, label: str, iri: Iri | None = None, synonyms: tuple[Synonym, ...] = (),
+                 definition: Definition | None = None, parents: tuple[Iri, ...] = (),
+                 obsolete: bool = False, replaced_by: Iri | None = None,
+                 annotations: dict[str, str] = _NEW_DICT,
+                 location: SourceLocation | None = None) -> None:
+        if not label:
             raise ValueError("term label must be non-empty")
-        tokens = tuple(tokens_of(self.label))
-        object.__setattr__(self, "key", " ".join(tokens))
-        object.__setattr__(self, "tokens", tokens)
+        tokens = tuple(tokens_of(label))
+        _term_label(self, label)
+        _term_iri(self, iri)
+        _term_synonyms(self, synonyms)
+        _term_definition(self, definition)
+        _term_parents(self, parents)
+        _term_obsolete(self, obsolete)
+        _term_replaced_by(self, replaced_by)
+        _term_annotations(self, {} if annotations is _NEW_DICT else annotations)
+        _term_location(self, location)
+        _term_key(self, " ".join(tokens))
+        _term_tokens(self, tokens)
 
 
-@dataclass(frozen=True, slots=True)
+(_term_label, _term_iri, _term_synonyms, _term_definition, _term_parents, _term_obsolete,
+ _term_replaced_by, _term_annotations, _term_location, _term_key,
+ _term_tokens) = _slot_setters(Term)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Finding:
     rule_id: str
     severity: str
@@ -116,13 +169,22 @@ class Finding:
     location: SourceLocation | None = None
     suggestion: str | None = None
 
-    def __post_init__(self) -> None:
-        if self.rule_id not in RULES:
-            raise ValueError(f"rule id not in catalog: {self.rule_id!r}")
-        if self.severity not in SEVERITIES:
-            raise ValueError(f"unknown severity: {self.severity!r}")
-        if not self.message:
+    def __init__(self, rule_id: str, severity: str, subject_label: str, message: str,
+                 subject_iris: tuple[Iri, ...] = (), location: SourceLocation | None = None,
+                 suggestion: str | None = None) -> None:
+        if rule_id not in RULES:
+            raise ValueError(f"rule id not in catalog: {rule_id!r}")
+        if severity not in SEVERITIES:
+            raise ValueError(f"unknown severity: {severity!r}")
+        if not message:
             raise ValueError("finding message must be non-empty")
+        _finding_rule_id(self, rule_id)
+        _finding_severity(self, severity)
+        _finding_subject_label(self, subject_label)
+        _finding_message(self, message)
+        _finding_subject_iris(self, subject_iris)
+        _finding_location(self, location)
+        _finding_suggestion(self, suggestion)
 
     @classmethod
     def about(cls, term: Term, rule_id: str, message: str, suggestion: str | None = None,
@@ -147,6 +209,10 @@ class Finding:
                    location=min(locations, key=lambda loc: (loc.file, loc.line),
                                 default=None),
                    suggestion=suggestion)
+
+
+(_finding_rule_id, _finding_severity, _finding_subject_label, _finding_message,
+ _finding_subject_iris, _finding_location, _finding_suggestion) = _slot_setters(Finding)
 
 
 def shared_keys(pairs: Iterable[tuple[str, Term]],
@@ -270,14 +336,16 @@ def expand_iri(iri: Iri | str, prefix_map: dict[str, str]) -> str:
 @dataclass(frozen=True)
 class Vocabulary:
     """An ordered collection of terms and the prefix map their CURIEs expand
-    against, which fixes each term's `identity`.
+    against, which fixes each term's `identity`. `identities` holds every
+    term's identity, in `terms` order; `by_iri` indexes the terms with an IRI
+    by it.
 
-    `by_iri` reads `prefix_map` once, when it is first built: an update made
-    after that first read never reaches the index. To look terms up under a
-    different map, build a new Vocabulary, as `cli.suggest` does. The map
-    stays a plain `dict`, the type `expand_iri` and every caller pass
-    around, so a caller that completes it in place before the first lookup
-    (the benchmark's set-up probe does) still can."""
+    `identities` and `by_iri` read `prefix_map` once, when they are first
+    built: an update made after that first read reaches neither. To look
+    terms up under a different map, build a new Vocabulary, as `cli.suggest`
+    does. The map stays a plain `dict`, the type `expand_iri` and every
+    caller pass around, so a caller that completes it in place before the
+    first lookup (the benchmark's set-up probe does) still can."""
 
     terms: tuple[Term, ...] = ()
     prefix_map: dict[str, str] = field(default_factory=dict)
@@ -292,12 +360,18 @@ class Vocabulary:
         return f"no-iri::{term.key}"
 
     @cached_property
+    def identities(self) -> tuple[str, ...]:
+        """`identity(t)` for each term, in `terms` order, built the first time
+        it is read. Being aligned with `terms`, it stays right in a copy."""
+        return tuple(map(self.identity, self.terms))
+
+    @cached_property
     def by_iri(self) -> dict[str, Term]:
         """The terms with an IRI by identity, built the first time it is read.
         On duplicate identities the least bearer wins the slot; all bearers
         stay in `terms` so uniqueness checks can report them."""
-        return least_bearers((self.identity(term), term)
-                             for term in self.terms if term.iri is not None)
+        return least_bearers((identity, term) for identity, term
+                             in zip(self.identities, self.terms) if term.iri is not None)
 
     def term_for(self, iri: Iri | str) -> Term | None:
         return self.by_iri.get(expand_iri(iri, self.prefix_map))

@@ -317,16 +317,17 @@ class TestCheck:
             encoding="utf-8")
 
     def test_example_corpus_report_bytes_are_pinned(self, capsys, fixtures_dir, monkeypatch):
-        # CI compares the same command's output on a bare interpreter of
+        # CI compares the same commands' output on a bare interpreter of
         # every supported version.
         monkeypatch.chdir(fixtures_dir.parents[1])
         corpus = "tests/fixtures/example_corpus"
-        code, out, _ = run_cli(capsys, ["check", "--output", "json",
-                                        "--config", f"{corpus}/config.json",
-                                        f"{corpus}/terms.obo", f"{corpus}/picklist.tsv"])
-        assert code == 1
-        assert out == (fixtures_dir / "example_corpus" / "expected.json").read_text(
-            encoding="utf-8")
+        for output, expected in (("json", "expected.json"), ("text", "expected.txt")):
+            code, out, _ = run_cli(capsys, ["check", "--output", output,
+                                            "--config", f"{corpus}/config.json",
+                                            f"{corpus}/terms.obo", f"{corpus}/picklist.tsv"])
+            assert code == 1
+            assert out == (fixtures_dir / "example_corpus" / expected).read_text(
+                encoding="utf-8")
 
     def test_reference_suggestion_bytes_are_pinned(self, capsys, fixtures_dir, monkeypatch):
         # CI compares the same command's output on a bare interpreter of

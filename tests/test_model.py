@@ -1,6 +1,8 @@
 import copy
 import dataclasses
+import inspect
 import pickle
+import re
 import unicodedata
 
 import pytest
@@ -235,6 +237,104 @@ class TestComparisonForms:
             setattr(instance, dataclasses.fields(instance)[0].name, None)
 
 
+# One instance of each model class with every field set away from its
+# default, so that a value stored in the wrong slot shows.
+FULL = {
+    Iri: Iri("EX:1"),
+    SourceLocation: SourceLocation("a.obo", 2),
+    Synonym: Synonym("Wet-Cough", "exact", True),
+    Definition: Definition("A Wet Cough.", ("PMID:1",)),
+    Term: Term("Wet Cough", Iri("EX:1"), (Synonym("moist"),), Definition("A cough."),
+               (Iri("EX:2"),), True, Iri("EX:3"), {"comment": "kept"},
+               SourceLocation("a.obo", 3)),
+    Finding: Finding("R02-PLURAL", "info", "Wet Cough", "m", (Iri("EX:1"),),
+                     SourceLocation("a.obo", 4), "s"),
+}
+EVERY_CLASS = pytest.mark.parametrize("cls", list(FULL), ids=lambda cls: cls.__name__)
+EVERY_FIELD = pytest.mark.parametrize("cls, name", [
+    (cls, f.name) for cls in FULL for f in dataclasses.fields(cls)],
+    ids=lambda value: value if isinstance(value, str) else value.__name__)
+
+
+def _init_fields(cls):
+    return [f for f in dataclasses.fields(cls) if f.init]
+
+
+class TestConstructors:
+    # Each model class writes its own __init__; it must take what the
+    # dataclass's generated one took and store each argument as given.
+    @EVERY_CLASS
+    def test_signature_is_the_init_fields(self, cls):
+        params = list(inspect.signature(cls).parameters.values())
+        assert [p.name for p in params] == [f.name for f in _init_fields(cls)]
+        assert cls.__match_args__ == tuple(p.name for p in params)
+        for param, f in zip(params, _init_fields(cls)):
+            assert param.kind is param.POSITIONAL_OR_KEYWORD
+            if f.default is not dataclasses.MISSING:
+                assert type(param.default) is type(f.default) and param.default == f.default
+            else:
+                has_factory = f.default_factory is not dataclasses.MISSING
+                assert (param.default is not param.empty) == has_factory, f.name
+
+    @EVERY_CLASS
+    def test_each_argument_lands_in_its_field(self, cls):
+        full = FULL[cls]
+        values = [getattr(full, f.name) for f in _init_fields(cls)]
+        for built in (cls(*values), cls(**{f.name: v for f, v in zip(_init_fields(cls), values)})):
+            assert built == full
+            for f, value in zip(_init_fields(cls), values):
+                assert getattr(built, f.name) is value
+            for f in dataclasses.fields(cls):
+                assert getattr(built, f.name) == getattr(full, f.name)
+
+    @EVERY_CLASS
+    def test_defaults_fill_the_fields(self, cls):
+        required = {f.name: getattr(FULL[cls], f.name) for f in _init_fields(cls)
+                    if f.default is dataclasses.MISSING
+                    and f.default_factory is dataclasses.MISSING}
+        built = cls(**required)
+        for f in _init_fields(cls):
+            if f.name not in required:
+                expected = (f.default if f.default is not dataclasses.MISSING
+                            else f.default_factory())
+                assert getattr(built, f.name) == expected
+
+    def test_each_term_gets_its_own_annotations(self):
+        first, second = Term(label="a"), Term(label="a")
+        assert first.annotations == {} and first.annotations is not second.annotations
+        given = {"comment": "x"}
+        assert Term(label="a", annotations=given).annotations is given
+        assert Term(label="a", annotations=None).annotations is None
+
+    @pytest.mark.parametrize("cls, changes", [
+        (Term, {"obsolete": False}), (Synonym, {"scope": "broad"}), (Definition, {"sources": ()})],
+        ids=["Term", "Synonym", "Definition"])
+    def test_replace_of_another_field_keeps_the_forms(self, cls, changes):
+        # A change of the text rebuilds the forms (TestComparisonForms).
+        replaced = dataclasses.replace(FULL[cls], **changes)
+        for f in dataclasses.fields(cls):
+            expected = changes.get(f.name, getattr(FULL[cls], f.name))
+            assert getattr(replaced, f.name) == expected
+
+    @EVERY_FIELD
+    def test_no_field_can_be_set_or_deleted(self, cls, name):
+        instance = FULL[cls]
+        before = getattr(instance, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(instance, name, before)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(instance, name)
+        assert getattr(instance, name) is before
+
+    @EVERY_CLASS
+    @EVERY_COPY
+    def test_copies_are_equal_field_by_field(self, cls, copy_of):
+        copied = copy_of(FULL[cls])
+        assert type(copied) is cls and copied == FULL[cls]
+        for f in dataclasses.fields(cls):
+            assert getattr(copied, f.name) == getattr(FULL[cls], f.name)
+
+
 class TestFindingSubjects:
     def test_about_cites_label_iri_and_location(self):
         loc = SourceLocation("a.tsv", 3)
@@ -303,11 +403,15 @@ class TestPhraseTable:
         assert table == {"a": {2: {("a", "b"): [1, 3]}, 1: {("a",): [2]}}}
 
 
+def _raises_exactly(message):
+    return pytest.raises(ValueError, match=f"^{re.escape(message)}$")
+
+
 class TestIri:
     def test_rejects_empty_and_whitespace(self):
-        with pytest.raises(ValueError):
+        with _raises_exactly("IRI value must be non-empty"):
             Iri("")
-        with pytest.raises(ValueError):
+        with _raises_exactly("IRI value contains whitespace: 'HP: 123'"):
             Iri("HP: 123")
 
     def test_whitespace_means_str_isspace_for_every_code_point(self):
@@ -334,32 +438,39 @@ class TestIri:
 class TestValidation:
     def test_synonym_scope(self):
         assert Synonym("x").scope == "related"
-        with pytest.raises(ValueError):
+        with _raises_exactly("unknown synonym scope: 'bogus'"):
             Synonym("x", scope="bogus")
 
     def test_synonym_text(self):
-        with pytest.raises(ValueError, match="non-empty"):
+        with _raises_exactly("synonym text must be non-empty"):
             Synonym("")
 
     def test_definition_text(self):
-        with pytest.raises(ValueError):
+        with _raises_exactly("definition text must be non-empty"):
             Definition(text="")
 
     def test_location_line(self):
-        with pytest.raises(ValueError):
+        with _raises_exactly("line numbers start at 1"):
             SourceLocation("f", 0)
+        assert SourceLocation("f", 1).line == 1
 
     def test_term_label(self):
-        with pytest.raises(ValueError):
+        with _raises_exactly("term label must be non-empty"):
             Term(label="")
 
     def test_finding_rule_and_severity(self):
-        with pytest.raises(ValueError):
+        with _raises_exactly("rule id not in catalog: 'R99-NOPE'"):
             Finding(rule_id="R99-NOPE", severity="info", subject_label="x", message="m")
-        with pytest.raises(ValueError):
+        with _raises_exactly("unknown severity: 'fatal'"):
             Finding(rule_id="R02-PLURAL", severity="fatal", subject_label="x", message="m")
-        with pytest.raises(ValueError):
+        with _raises_exactly("finding message must be non-empty"):
             Finding(rule_id="R02-PLURAL", severity="info", subject_label="x", message="")
+
+    def test_replace_checks_again(self):
+        with _raises_exactly("term label must be non-empty"):
+            dataclasses.replace(Term(label="x"), label="")
+        with _raises_exactly("unknown severity: 'fatal'"):
+            dataclasses.replace(FULL[Finding], severity="fatal")
 
 
 class TestIdentity:

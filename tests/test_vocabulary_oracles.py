@@ -9,6 +9,8 @@ The other `VOCABULARY` entries are judged by the oracles named in
 `COVERED_ELSEWHERE`.
 """
 
+import copy
+import pickle
 from collections import Counter
 from pathlib import Path
 
@@ -255,3 +257,20 @@ def test_each_grouped_check_equals_its_oracle(terms):
                       (f.location.file, f.location.line) if f.location else None,
                       f.suggestion) for f in run(unit, ctx)]
             assert Counter(found) == Counter(ORACLES[rule_ids](unit)), rule_ids
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(TERMS, max_size=8),
+       st.sampled_from([copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))]))
+def test_identities_and_index_match_a_naive_reference(terms, copy_of):
+    # Both are read before the copy, so the copy carries them: they must
+    # still answer for the copy's own terms.
+    unit = Vocabulary(tuple(terms), dict(PREFIX_MAP))
+    assert unit.identities == tuple(map(unit.identity, unit.terms))
+    assert unit.by_iri.keys() <= set(unit.identities)
+    for vocab in (unit, copy_of(unit)):
+        assert vocab.identities == tuple(_identity(t, PREFIX_MAP) for t in vocab.terms)
+        least = {_identity(t, PREFIX_MAP): _resolve(vocab, t.iri)
+                 for t in vocab.terms if t.iri is not None}
+        assert vocab.by_iri.keys() == least.keys()
+        assert all(vocab.by_iri[key] is term for key, term in least.items())
