@@ -7,6 +7,7 @@ Exit codes: 0 clean, 1 findings at or above the fail threshold,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -55,22 +56,17 @@ def _use_color(output: str) -> bool:
 def check(args: argparse.Namespace) -> int:
     """Lint vocabulary FILES and report findings."""
     config = _load_config_or_default(args.config)
-    if args.rules:
-        config.enabled_rules = tuple(args.rules)
-    if args.fail_on is not None:
-        config.fail_threshold = args.fail_on
-    if args.per_file:
-        config.per_file = True
     extra = []
     for item in args.suppressions:
         rule_id, sep, subject = item.partition(":")
         if not sep or not rule_id or not subject:
             _fail(f"--suppress needs RULE:SUBJECT, got {item!r}")
-        if rule_id not in RULES:
-            _fail(f"--suppress names unknown rule {rule_id!r}")
         extra.append((rule_id, subject))
-    if extra:
-        config.suppressions = config.suppressions + tuple(extra)
+    config = dataclasses.replace(
+        config, enabled_rules=tuple(args.rules) or config.enabled_rules,
+        fail_threshold=args.fail_on or config.fail_threshold,
+        per_file=args.per_file or config.per_file,
+        suppressions=config.suppressions + tuple(extra))
     report = run_lint(config, [(path, args.format) for path in args.files])
     print(render_report(report, output=args.output, color=_use_color(args.output)), end="")
     return exit_code(report, config)
@@ -161,7 +157,7 @@ def health(args: argparse.Namespace) -> int:
 
 def rules(args: argparse.Namespace) -> int:
     """List every rule with its default severity."""
-    width = max(len(rule_id) for rule_id in RULES)
+    width = max(map(len, RULES))
     for rule_id in sorted(RULES):
         info = RULES[rule_id]
         print(f"{rule_id:<{width}}  {info.default_severity:<7}  {info.summary}")

@@ -8,11 +8,12 @@ from __future__ import annotations
 import dataclasses
 import gc
 import json
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from pathlib import Path
+from types import MappingProxyType
 from typing import Sequence
 
 from . import __version__, definitions, identity, lexical
@@ -25,6 +26,7 @@ from .lexical import (
     Lexicons,
     apply_lexicon_overrides,
     default_lexicons,
+    rebuilt_from_fields,
 )
 from .model import Finding, Vocabulary, expand_iri, merge_vocabularies, normalize_label
 
@@ -42,31 +44,80 @@ class LintFatalError(Exception):
     """An input that cannot be processed at all."""
 
 
-@dataclass
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise ConfigError(message)
+
+
+@dataclass(frozen=True)
 class RuleConfig:
+    """A run's settings, checked when built, so a value built in code, by
+    `load_config` or by `dataclasses.replace` passes the same rules. The maps
+    are stored read-only, so a value stays as checked for its whole life."""
     enabled_rules: tuple[str, ...] = ("*",)
-    severity_overrides: dict[str, str] = field(default_factory=dict)
+    severity_overrides: Mapping[str, str] = field(default_factory=dict)
     suppressions: tuple[tuple[str, str], ...] = ()
     fail_threshold: str = "warning"
     prefix_map_path: str | None = None
-    lexicon_overrides: dict[str, str] = field(default_factory=dict)
+    lexicon_overrides: Mapping[str, str] = field(default_factory=dict)
     reference_paths: tuple[str, ...] = ()
     metadata_path: str | None = None
-    health_weights: dict[str, float] | None = None
+    health_weights: Mapping[str, float] | None = None
     complexity: ComplexityConfig = field(default_factory=ComplexityConfig)
     per_file: bool = False
+
+    def __post_init__(self) -> None:
+        patterns = self.enabled_rules
+        _require(isinstance(patterns, (list, tuple)) and patterns
+                 and all(isinstance(p, str) for p in patterns),
+                 "enabled_rules must be a non-empty list of patterns")
+        unmatched = ", ".join(repr(p) for p in dict.fromkeys(patterns)
+                              if not any(fnmatchcase(rule_id, p) for rule_id in RULES))
+        _require(not unmatched, f"rule patterns match no rule: {unmatched}")
+        overrides = self.severity_overrides
+        _require(isinstance(overrides, Mapping), "severity_overrides must be an object")
+        for rule_id, severity in overrides.items():
+            _require(rule_id in RULES, f"severity override for unknown rule {rule_id!r}")
+            _require(severity in SEVERITIES,
+                     f"severity override for {rule_id} must be one of {SEVERITIES}")
+        _require(isinstance(self.suppressions, (list, tuple)), "suppressions must be a list")
+        for entry in self.suppressions:
+            _require(isinstance(entry, (list, tuple)) and len(entry) == 2
+                     and all(isinstance(x, str) for x in entry),
+                     "each suppression must be a [rule-id, subject] pair")
+            _require(entry[0] in RULES, f"suppression for unknown rule {entry[0]!r}")
+        _require(self.fail_threshold in SEVERITIES,
+                 f"fail_threshold must be one of {SEVERITIES}")
+        _require(isinstance(self.per_file, bool), "per_file must be a boolean")
+        _require(isinstance(self.complexity, ComplexityConfig),
+                 "complexity must be a ComplexityConfig")
+        weights = self.health_weights
+        if weights is not None:
+            from .health import validate_weights
+
+            _require(isinstance(weights, Mapping) and all(
+                isinstance(k, str) and isinstance(v, (int, float)) and not isinstance(v, bool)
+                for k, v in weights.items()), "health_weights must map subscore names to numbers")
+            try:
+                weights = MappingProxyType({k: float(v) for k, v in weights.items()})
+                validate_weights(weights)
+            except (OverflowError, ValueError) as exc:
+                raise ConfigError(str(exc)) from exc
+        for name, value in (("enabled_rules", tuple(patterns)),
+                            ("severity_overrides", MappingProxyType(dict(overrides))),
+                            ("suppressions", tuple(map(tuple, self.suppressions))),
+                            ("lexicon_overrides", MappingProxyType(dict(self.lexicon_overrides))),
+                            ("health_weights", weights)):
+            object.__setattr__(self, name, value)
+
+    __reduce__ = rebuilt_from_fields
 
 
 # The keys a configuration file may set: RuleConfig's fields, with the
 # complexity thresholds written at the top level.
+_COMPLEXITY_KEYS = tuple(f.name for f in dataclasses.fields(ComplexityConfig))
 CONFIG_KEYS = frozenset(
-    ({f.name for f in dataclasses.fields(RuleConfig)} - {"complexity"})
-    | {f.name for f in dataclasses.fields(ComplexityConfig)})
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ConfigError(message)
+    ({f.name for f in dataclasses.fields(RuleConfig)} - {"complexity"}) | set(_COMPLEXITY_KEYS))
 
 
 def _shown(path: str) -> str:
@@ -88,7 +139,8 @@ def read_text(what: str, path: str, error: type[Exception] = ConfigError) -> str
 def load_config(path: str) -> RuleConfig:
     """Read a JSON configuration file. Relative paths inside it resolve
     against the file's own directory; unknown keys are rejected so typos
-    cannot silently disable anything."""
+    cannot silently disable anything. Every other value goes to
+    `RuleConfig` as read, which checks it."""
     try:
         raw = json.loads(read_text("config ", path))
     except (ValueError, RecursionError) as exc:  # bad JSON, huge integers, deep nesting
@@ -101,80 +153,29 @@ def load_config(path: str) -> RuleConfig:
     def resolve(p: str) -> str:
         return str((base / p)) if not Path(p).is_absolute() else p
 
-    cfg = RuleConfig()
-    if "enabled_rules" in raw:
-        rules = raw["enabled_rules"]
-        _require(isinstance(rules, list) and rules
-                 and all(isinstance(r, str) for r in rules),
-                 "enabled_rules must be a non-empty list of patterns")
-        cfg.enabled_rules = tuple(rules)
-    if "severity_overrides" in raw:
-        overrides = raw["severity_overrides"]
-        _require(isinstance(overrides, dict), "severity_overrides must be an object")
-        for rule_id, severity in overrides.items():
-            _require(rule_id in RULES, f"severity override for unknown rule {rule_id!r}")
-            _require(severity in SEVERITIES,
-                     f"severity override for {rule_id} must be one of {SEVERITIES}")
-        cfg.severity_overrides = dict(overrides)
-    if "suppressions" in raw:
-        entries = raw["suppressions"]
-        _require(isinstance(entries, list), "suppressions must be a list")
-        pairs = []
-        for entry in entries:
-            _require(isinstance(entry, list) and len(entry) == 2
-                     and all(isinstance(x, str) for x in entry),
-                     "each suppression must be a [rule-id, subject] pair")
-            _require(entry[0] in RULES, f"suppression for unknown rule {entry[0]!r}")
-            pairs.append((entry[0], entry[1]))
-        cfg.suppressions = tuple(pairs)
-    if "fail_threshold" in raw:
-        _require(raw["fail_threshold"] in SEVERITIES,
-                 f"fail_threshold must be one of {SEVERITIES}")
-        cfg.fail_threshold = raw["fail_threshold"]
-    if "prefix_map_path" in raw:
-        _require(isinstance(raw["prefix_map_path"], str), "prefix_map_path must be a string")
-        cfg.prefix_map_path = resolve(raw["prefix_map_path"])
+    for key in ("prefix_map_path", "metadata_path"):
+        if key in raw:
+            _require(isinstance(raw[key], str), f"{key} must be a string")
+            raw[key] = resolve(raw[key])
     if "lexicon_overrides" in raw:
         overrides = raw["lexicon_overrides"]
         _require(isinstance(overrides, dict)
                  and all(isinstance(v, str) for v in overrides.values()),
                  "lexicon_overrides must map lexicon names to file paths")
-        cfg.lexicon_overrides = {name: resolve(p) for name, p in overrides.items()}
+        raw["lexicon_overrides"] = {name: resolve(p) for name, p in overrides.items()}
     if "reference_paths" in raw:
         refs = raw["reference_paths"]
         _require(isinstance(refs, list) and all(isinstance(r, str) for r in refs),
                  "reference_paths must be a list of paths")
-        cfg.reference_paths = tuple(resolve(r) for r in refs)
-    if "metadata_path" in raw:
-        _require(isinstance(raw["metadata_path"], str), "metadata_path must be a string")
-        cfg.metadata_path = resolve(raw["metadata_path"])
-    if "health_weights" in raw:
-        from .health import validate_weights
-
-        weights = raw["health_weights"]
-        _require(isinstance(weights, dict)
-                 and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                         for v in weights.values()),
-                 "health_weights must map subscore names to numbers")
-        try:
-            cfg.health_weights = {k: float(v) for k, v in weights.items()}
-            validate_weights(cfg.health_weights)
-        except (OverflowError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
-    tokens = raw.get("concept_bomb_token_threshold",
-                     cfg.complexity.concept_bomb_token_threshold)
-    group = raw.get("word_bomb_min_group", cfg.complexity.word_bomb_min_group)
-    _require(all(isinstance(n, int) and not isinstance(n, bool) for n in (tokens, group)),
+        raw["reference_paths"] = tuple(resolve(r) for r in refs)
+    thresholds = {key: raw.pop(key) for key in _COMPLEXITY_KEYS if key in raw}
+    _require(all(isinstance(n, int) and not isinstance(n, bool) for n in thresholds.values()),
              "complexity thresholds must be integers")
     try:
-        cfg.complexity = ComplexityConfig(concept_bomb_token_threshold=tokens,
-                                          word_bomb_min_group=group)
+        complexity = ComplexityConfig(**thresholds)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if "per_file" in raw:
-        _require(isinstance(raw["per_file"], bool), "per_file must be a boolean")
-        cfg.per_file = raw["per_file"]
-    return cfg
+    return RuleConfig(**raw, complexity=complexity)
 
 
 def build_lexicons(config: RuleConfig) -> Lexicons:
@@ -329,16 +330,12 @@ def run_lint(config: RuleConfig, inputs: Sequence[tuple[str, str | None]]) -> Re
     """Parse every input, lint the merged vocabulary (or each file alone when
     per_file is set), and return the filtered, deterministically ordered
     report. The cyclic collector is paused for the run."""
-    _require(bool(config.enabled_rules), "enabled_rules gives no rule pattern")
     lex = build_lexicons(config)
     prefixes = build_prefix_map(config)
     # Only checks that can emit a selected rule run; the filter below still
     # drops PARSE findings and the unselected ids of checks that emit several.
-    matches = {pattern: {rule_id for rule_id in RULES if fnmatchcase(rule_id, pattern)}
-               for pattern in config.enabled_rules}
-    unmatched = ", ".join(repr(pattern) for pattern, rule_ids in matches.items() if not rule_ids)
-    _require(not unmatched, f"rule patterns match no rule: {unmatched}")
-    selected = set().union(*matches.values())
+    selected = {rule_id for pattern in config.enabled_rules for rule_id in RULES
+                if fnmatchcase(rule_id, pattern)}
     checks = [c for c in CHECKS if selected.intersection(c[0])]
     findings: list[Finding] = []
     vocabs: list[Vocabulary] = []

@@ -303,7 +303,7 @@ def serialize_obo(vocab: Vocabulary) -> str:
             lines.append("is_obsolete: true")
         if term.replaced_by is not None:
             lines.append(f"replaced_by: {term.replaced_by.value}")
-        for key in sorted(term.annotations):
+        for key in sorted(term.annotations or ()):
             lines.append(f"{key}: {term.annotations[key]}")
         chunks.append("\n".join(lines))
     return "\n\n".join(chunks) + "\n"

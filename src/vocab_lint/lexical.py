@@ -28,6 +28,14 @@ class LexiconError(Exception):
 _BOOLEAN_VALUES = frozenset({"true", "false", "yes", "no", "y", "n"})
 
 
+def rebuilt_from_fields(value):
+    """The `__reduce__` of a dataclass that stores read-only maps and checks
+    its fields when built. A mapping proxy neither pickles nor deep-copies,
+    so a copy is built anew from the fields, with each map as a plain dict."""
+    values = (getattr(value, f.name) for f in fields(value))
+    return type(value), tuple(dict(v) if isinstance(v, Mapping) else v for v in values)
+
+
 @dataclass(frozen=True)
 class Lexicons:
     """Controlled word lists, each entry stored normalized however the value
@@ -59,11 +67,7 @@ class Lexicons:
                 raise LexiconError(
                     f"colloquial suggestion {preferred!r} (for {key!r}) is itself a colloquial key")
 
-    def __reduce__(self):
-        # A mapping proxy neither pickles nor deep-copies, so a copy is built
-        # anew from the fields, with the map as a plain dict.
-        values = [getattr(self, f.name) for f in fields(self)]
-        return Lexicons, tuple(dict(v) if isinstance(v, Mapping) else v for v in values)
+    __reduce__ = rebuilt_from_fields
 
     # Built once per value, outside the fields, so a replace() gets fresh tables.
     @cached_property

@@ -244,9 +244,10 @@ class TestCheck:
 
     def test_suppress_unknown_rule(self, capsys, tmp_path, config_path):
         path = write(tmp_path, "lft.obo", OBO_LFT)
-        code, _, _ = run_cli(capsys, ["check", path, "--config", config_path,
-                                      "--suppress", "R99-NOPE:LFT"])
+        code, _, err = run_cli(capsys, ["check", path, "--config", config_path,
+                                        "--suppress", "R99-NOPE:LFT"])
         assert code == 2
+        assert err == "vocab-lint: error: suppression for unknown rule 'R99-NOPE'\n"
 
     def test_json_output(self, capsys, tmp_path, config_path):
         path = write(tmp_path, "lft.obo", OBO_LFT)

@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import gc
 import json
+import pickle
 import re
 import sys
 import tempfile
@@ -309,6 +311,92 @@ def test_a_config_loads_or_is_rejected_and_its_run_fails_only_as_documented(read
         pass
 
 
+# Values a library caller could pass to RuleConfig, each once rejected only
+# by load_config, and the message each is now rejected with when built.
+BAD_FIELDS = [
+    ({"severity_overrides": {"R02-NEGATIVE": "bogus"}},
+     "severity override for R02-NEGATIVE must be one of ('error', 'warning', 'info')"),
+    ({"fail_threshold": "bogus"}, "fail_threshold must be one of ('error', 'warning', 'info')"),
+    ({"suppressions": (("NOPE", "x"),)}, "suppression for unknown rule 'NOPE'"),
+    ({"enabled_rules": "R02-*"}, "enabled_rules must be a non-empty list of patterns"),
+    ({"health_weights": {"activity": -1.0}}, "weights must be non-negative"),
+]
+
+# Plausible and hostile values for each checked field of RuleConfig.
+_FIELD_VALUES = {
+    "enabled_rules": st.sampled_from([
+        ("*",), ["R0*", "C-*"], ("PARSE",), ("R02-*", "R02-*"), (), [], "R02-*", ("R6-*",),
+        ("*", 7), None, 3]),
+    "severity_overrides": st.sampled_from([
+        {}, {"R02-NEGATIVE": "info"}, {"R05-ABBREV": "error", "PARSE": "info"},
+        {"R02-NEGATIVE": "bogus"}, {"NOPE": "error"}, {7: "info"}, [("R05-ABBREV", "info")],
+        None, 3]),
+    "suppressions": st.sampled_from([
+        (), [["R05-ABBREV", "LFT"]], (("R05-ABBREV", "EX:0000002"), ("PARSE", "")),
+        (("NOPE", "x"),), (("R05-ABBREV",),), ("R05-ABBREV", "LFT"), (("R05-ABBREV", 7),),
+        "R05-ABBREV:LFT", None, 3]),
+    "fail_threshold": st.sampled_from(SEVERITIES) | st.sampled_from(["bogus", "", None, 3]),
+    "per_file": st.sampled_from([True, False, 0, 1, None, "yes"]),
+    "complexity": st.sampled_from([lexical.ComplexityConfig(), lexical.ComplexityConfig(2, 2),
+                                   None, 7, {"word_bomb_min_group": 3}]),
+    "health_weights": st.sampled_from([
+        None, {"activity": 1.0}, {"activity": 1}, {"activity": 0.5, "reuse": 0.5},
+        {"activity": -1.0}, {"activity": 2.0, "reuse": -1.0}, {"activity": float("nan")},
+        {"activity": float("inf")}, {"activity": 10 ** 400}, {"activity": True},
+        {"activty": 1.0}, {1: 1.0, "activity": 0.0}, {}, [("activity", 1.0)], 3]),
+}
+
+
+class TestRuleConfig:
+    @pytest.mark.parametrize("fields, message", BAD_FIELDS,
+                             ids=[next(iter(fields)) for fields, _ in BAD_FIELDS])
+    def test_a_bad_field_is_rejected_when_built(self, fields, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            RuleConfig(**fields)
+
+    def test_fields_are_read_only(self):
+        config = RuleConfig(severity_overrides={"R02-NEGATIVE": "info"},
+                            lexicon_overrides={"colloquial_map": "colloquial.txt"},
+                            health_weights={"activity": 1})
+        for name in ("severity_overrides", "lexicon_overrides", "health_weights"):
+            with pytest.raises(TypeError):
+                getattr(config, name)["R02-NEGATIVE"] = "bogus"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.fail_threshold = "bogus"
+        assert config.health_weights == {"activity": 1.0}
+
+    def test_lists_are_stored_as_tuples(self):
+        config = RuleConfig(enabled_rules=["R0*"], suppressions=[["R05-ABBREV", "LFT"]])
+        assert config.enabled_rules == ("R0*",)
+        assert config.suppressions == (("R05-ABBREV", "LFT"),)
+
+    @pytest.mark.parametrize("copied", [copy.copy, copy.deepcopy,
+                                        lambda value: pickle.loads(pickle.dumps(value))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copies_equal_the_original(self, copied):
+        config = RuleConfig(enabled_rules=("R0*",), severity_overrides={"R02-PLURAL": "info"},
+                            suppressions=(("R05-ABBREV", "LFT"),), fail_threshold="error",
+                            prefix_map_path="p.tsv", lexicon_overrides={"colloquial_map": "c"},
+                            reference_paths=("r.obo",), metadata_path="m.txt",
+                            health_weights={"activity": 1.0},
+                            complexity=lexical.ComplexityConfig(9, 4), per_file=True)
+        for value in (config, RuleConfig()):
+            twin = copied(value)
+            assert twin == value
+            assert type(twin.severity_overrides) is type(value.severity_overrides)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.fixed_dictionaries({}, optional=_FIELD_VALUES))
+def test_a_rule_config_is_rejected_or_its_run_raises_nothing(reader_dir, fields):
+    try:
+        config = RuleConfig(**fields)
+    except ConfigError:
+        return
+    report = run_lint(config, [(str(reader_dir / "terms.obo"), None)])
+    assert exit_code(report, config) in (0, 1)
+
+
 FORMATS_DOC = Path(__file__).resolve().parents[1] / "docs" / "formats.md"
 
 
@@ -429,25 +517,22 @@ class TestRunLint:
 
     def test_enabled_rules_filter(self, tmp_path, ex_config):
         path = write(tmp_path, "broken.obo", OBO_PARSE)
-        ex_config.enabled_rules = ("R06-*",)
+        ex_config = dataclasses.replace(ex_config, enabled_rules=("R06-*",))
         report = run_lint(ex_config, [(path, None)])
         assert rule_ids(report) == ["R06-MISSING-IRI", "R06-DUP-IRI"]
 
-    def test_rule_pattern_matching_no_rule_is_an_error(self, tmp_path, ex_config):
-        path = write(tmp_path, "broken.obo", OBO_PARSE)
-        ex_config.enabled_rules = ("R06-*", "R6-*", "X")
+    def test_rule_pattern_matching_no_rule_is_an_error(self, ex_config):
         with pytest.raises(ConfigError, match=r"^rule patterns match no rule: 'R6-\*', 'X'$"):
-            run_lint(ex_config, [(path, None)])
+            dataclasses.replace(ex_config, enabled_rules=("R06-*", "R6-*", "X", "R6-*"))
 
-    def test_no_rule_pattern_is_an_error(self, tmp_path, ex_config):
-        path = write(tmp_path, "broken.obo", OBO_PARSE)
-        ex_config.enabled_rules = ()
-        with pytest.raises(ConfigError, match=r"^enabled_rules gives no rule pattern$"):
-            run_lint(ex_config, [(path, None)])
+    def test_no_rule_pattern_is_an_error(self, ex_config):
+        with pytest.raises(ConfigError,
+                           match=r"^enabled_rules must be a non-empty list of patterns$"):
+            dataclasses.replace(ex_config, enabled_rules=())
 
     def test_enabled_rules_can_select_parse(self, tmp_path, ex_config):
         path = write(tmp_path, "broken.obo", OBO_PARSE)
-        ex_config.enabled_rules = ("PARSE",)
+        ex_config = dataclasses.replace(ex_config, enabled_rules=("PARSE",))
         report = run_lint(ex_config, [(path, None)])
         assert rule_ids(report) == ["PARSE", "PARSE"]
 
@@ -472,28 +557,29 @@ class TestRunLint:
 
     def test_suppression_by_label(self, tmp_path, ex_config):
         path = write(tmp_path, "lft.obo", OBO_LFT)
-        ex_config.suppressions = (("R05-ABBREV", "lft"),)
+        ex_config = dataclasses.replace(ex_config, suppressions=(("R05-ABBREV", "lft"),))
         report = run_lint(ex_config, [(path, None)])
         assert report.findings == ()
 
     def test_suppression_by_compact_iri(self, tmp_path, ex_config):
         path = write(tmp_path, "lft.obo", OBO_LFT)
-        ex_config.suppressions = (("R05-ABBREV", "EX:0000002"),)
+        ex_config = dataclasses.replace(ex_config, suppressions=(("R05-ABBREV", "EX:0000002"),))
         assert run_lint(ex_config, [(path, None)]).findings == ()
 
     def test_suppression_by_expanded_iri(self, tmp_path, ex_config):
         path = write(tmp_path, "lft.obo", OBO_LFT)
-        ex_config.suppressions = (("R05-ABBREV", "https://example.org/EX_0000002"),)
+        ex_config = dataclasses.replace(
+            ex_config, suppressions=(("R05-ABBREV", "https://example.org/EX_0000002"),))
         assert run_lint(ex_config, [(path, None)]).findings == ()
 
     def test_suppression_requires_matching_rule(self, tmp_path, ex_config):
         path = write(tmp_path, "lft.obo", OBO_LFT)
-        ex_config.suppressions = (("R02-NEGATIVE", "lft"),)
+        ex_config = dataclasses.replace(ex_config, suppressions=(("R02-NEGATIVE", "lft"),))
         assert rule_ids(run_lint(ex_config, [(path, None)])) == ["R05-ABBREV"]
 
     def test_severity_override(self, tmp_path, ex_config):
         path = write(tmp_path, "lft.obo", OBO_LFT)
-        ex_config.severity_overrides = {"R05-ABBREV": "error"}
+        ex_config = dataclasses.replace(ex_config, severity_overrides={"R05-ABBREV": "error"})
         report = run_lint(ex_config, [(path, None)])
         assert report.findings[0].severity == "error"
         assert report.counts == {"error": 1, "warning": 0, "info": 0}
@@ -566,10 +652,12 @@ def collecting(request):
     (gc.enable if was_enabled else gc.disable)()
 
 
-# A run that ends cleanly, on a ConfigError and on a LintFatalError.
+# A run that ends cleanly, on a ConfigError (a lexicon file that does not
+# exist) and on a LintFatalError.
 RUN_ENDINGS = {
     "clean": (RuleConfig(), None),
-    "config-error": (RuleConfig(enabled_rules=()), ConfigError),
+    "config-error": (RuleConfig(lexicon_overrides={
+        "colloquial_map": str(Path(__file__).parent / "absent-lexicon.txt")}), ConfigError),
     "fatal-error": (RuleConfig(), LintFatalError),
 }
 
@@ -664,7 +752,7 @@ class TestCheckRegistry:
                     return _check(*args)
                 monkeypatch.setattr(module, name, wrapper)
         config = load_config(str(corpus_dir / "config.json"))
-        config.enabled_rules = patterns
+        config = dataclasses.replace(config, enabled_rules=patterns)
         run_lint(config, corpus_inputs(corpus_dir))
         assert called == expected
 
@@ -946,12 +1034,12 @@ class TestExitCode:
 
     def test_error_threshold_ignores_warnings(self, tmp_path, ex_config):
         path = write(tmp_path, "lft.obo", OBO_LFT)
-        ex_config.fail_threshold = "error"
+        ex_config = dataclasses.replace(ex_config, fail_threshold="error")
         assert exit_code(run_lint(ex_config, [(path, None)]), ex_config) == 0
 
     def test_info_threshold_catches_notes(self, tmp_path, ex_config):
         path = write(tmp_path, "old.obo", OBO_OBSOLETE_LEXICAL)
-        ex_config.fail_threshold = "info"
+        ex_config = dataclasses.replace(ex_config, fail_threshold="info")
         assert exit_code(run_lint(ex_config, [(path, None)]), ex_config) == 1
 
 

@@ -380,6 +380,16 @@ class TestRoundTrip:
         assert diags == []
         assert again.terms[0].definition.text == vocab.terms[0].definition.text
 
+    def test_no_annotations_write_as_an_empty_map(self):
+        # Term stores annotations=None as None; the writer reads it as no
+        # annotations, as check_tag_style does.
+        def text(annotations):
+            return serialize_obo(Vocabulary(
+                (Term("wet cough", Iri("EX:1"), annotations=annotations),), {}))
+
+        assert text(None) == text({}) == (
+            "format-version: 1.2\n\n[Term]\nid: EX:1\nname: wet cough\n")
+
 
 # Strategies for the two carriers, from the grammar in docs/formats.md. Free
 # text draws on the characters the grammar gives a meaning to.
