@@ -5,7 +5,6 @@ directed mention graph.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import islice
@@ -18,15 +17,11 @@ from .model import (
     bearer_order,
     find_phrases,
     least_bearers,
-    phrase_table,
     shared_keys,
-    tokens_of,
 )
 
 # Bounded output on pathological inputs.
 MAX_REPORTED_CYCLES = 100
-
-_SENTENCE_END = re.compile(r"\.(?=\s|$)")
 
 
 @dataclass(frozen=True)
@@ -40,11 +35,6 @@ class DefinitionGraph:
     nodes: dict[str, Term]
     edges: frozenset[tuple[str, str]]
     self_mentions: tuple[Term, ...]
-
-
-def first_sentence(text: str) -> str:
-    m = _SENTENCE_END.search(text)
-    return text[:m.start()] if m else text
 
 
 def _genus_span(tokens: Sequence[str]) -> tuple[int, int, int, int] | None:
@@ -95,12 +85,7 @@ def check_genus_differentia(term: Term, vocab: Vocabulary) -> list[Finding]:
     definition = term.definition
     if definition is None:
         return []
-    # The sentence end is a "." and so a token break: the first sentence's
-    # tokens are the definition's less those of the text after that period.
-    tokens = definition.tokens
-    rest = definition.text[len(first_sentence(definition.text)) + 1:]
-    if rest.strip():
-        tokens = tokens[:len(tokens) - len(tokens_of(rest))]
+    tokens = definition.tokens[:definition.head]
     span = _genus_span(tokens)
     if span is None:
         return [Finding.about(
@@ -113,8 +98,11 @@ def check_genus_differentia(term: Term, vocab: Vocabulary) -> list[Finding]:
     parents = [p for p in map(vocab.term_for, term.parents) if p is not None]
     if not parents:
         return []
+    # A run names a parent only as that parent's label, not as its identity:
+    # another bearer of a duplicate IRI may carry another label.
     genus = tokens[span[2]:span[3]]
-    if any(find_phrases(genus, phrase_table((p.tokens, p) for p in parents))):
+    names = {p.tokens for p in parents}
+    if any(genus[s:s + n] in names for s, n, _ in find_phrases(genus, vocab.labels)):
         return []
     genus_text = " ".join(genus)
     return [Finding.about(
@@ -126,8 +114,8 @@ def check_genus_differentia(term: Term, vocab: Vocabulary) -> list[Finding]:
 def check_definition_uniqueness(vocab: Vocabulary) -> list[Finding]:
     """R07: identical normalized definition text across live terms."""
     findings: list[Finding] = []
-    for _, members in shared_keys(((" ".join(t.definition.tokens), t) for t in vocab.terms
-                                   if not t.obsolete and t.definition is not None), vocab):
+    for _, members in shared_keys(((" ".join(t.definition.tokens), t) for t in vocab.live
+                                   if t.definition is not None), vocab):
         labels = "; ".join(t.label for t in members)
         findings.append(Finding.about_terms(
             members, "R07-DUPLICATE-DEF", members[0].label,
@@ -144,7 +132,6 @@ def build_definition_graph(vocab: Vocabulary) -> DefinitionGraph:
     # definition, whatever the input order. A label that several bearers of
     # one identity share names that identity once.
     bearers = list(zip(vocab.identities, vocab.terms))
-    labels = phrase_table(dict.fromkeys((term.tokens, node_id) for node_id, term in bearers))
     edges: set[tuple[str, str]] = set()
     self_mentions: list[Term] = []
     for node_id, term in bearers:
@@ -152,7 +139,7 @@ def build_definition_graph(vocab: Vocabulary) -> DefinitionGraph:
             continue
         tokens = term.definition.tokens
         mentions_itself = False
-        for start, length, targets in find_phrases(tokens, labels):
+        for start, length, targets in find_phrases(tokens, vocab.labels):
             edges.update((node_id, target) for target in targets)
             mentions_itself = mentions_itself or tokens[start:start + length] == term.tokens
         if mentions_itself:

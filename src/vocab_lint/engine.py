@@ -91,6 +91,14 @@ class RuleConfig:
         _require(isinstance(self.per_file, bool), "per_file must be a boolean")
         _require(isinstance(self.complexity, ComplexityConfig),
                  "complexity must be a ComplexityConfig")
+        for name in ("prefix_map_path", "metadata_path"):
+            _require(isinstance(getattr(self, name), (str, type(None))), f"{name} must be a string")
+        lexicon, refs = self.lexicon_overrides, self.reference_paths
+        _require(isinstance(lexicon, Mapping)
+                 and all(isinstance(k, str) and isinstance(v, str) for k, v in lexicon.items()),
+                 "lexicon_overrides must map lexicon names to file paths")
+        _require(isinstance(refs, (list, tuple)) and all(isinstance(r, str) for r in refs),
+                 "reference_paths must be a list of paths")
         weights = self.health_weights
         if weights is not None:
             from .health import validate_weights
@@ -106,7 +114,8 @@ class RuleConfig:
         for name, value in (("enabled_rules", tuple(patterns)),
                             ("severity_overrides", MappingProxyType(dict(overrides))),
                             ("suppressions", tuple(map(tuple, self.suppressions))),
-                            ("lexicon_overrides", MappingProxyType(dict(self.lexicon_overrides))),
+                            ("lexicon_overrides", MappingProxyType(dict(lexicon))),
+                            ("reference_paths", tuple(refs)),
                             ("health_weights", weights)):
             object.__setattr__(self, name, value)
 
@@ -137,10 +146,10 @@ def read_text(what: str, path: str, error: type[Exception] = ConfigError) -> str
 
 
 def load_config(path: str) -> RuleConfig:
-    """Read a JSON configuration file. Relative paths inside it resolve
-    against the file's own directory; unknown keys are rejected so typos
-    cannot silently disable anything. Every other value goes to
-    `RuleConfig` as read, which checks it."""
+    """Read a JSON configuration file. Relative path strings inside it
+    resolve against the file's own directory; unknown keys are rejected so
+    typos cannot silently disable anything. Every value then goes to
+    `RuleConfig`, which checks it."""
     try:
         raw = json.loads(read_text("config ", path))
     except (ValueError, RecursionError) as exc:  # bad JSON, huge integers, deep nesting
@@ -150,24 +159,16 @@ def load_config(path: str) -> RuleConfig:
     _require(not unknown, f"config {_shown(path)} has unknown keys: {sorted(unknown)}")
     base = Path(path).resolve().parent
 
-    def resolve(p: str) -> str:
-        return str((base / p)) if not Path(p).is_absolute() else p
+    def resolve(p: object) -> object:
+        return str(base / p) if isinstance(p, str) and not Path(p).is_absolute() else p
 
     for key in ("prefix_map_path", "metadata_path"):
         if key in raw:
-            _require(isinstance(raw[key], str), f"{key} must be a string")
             raw[key] = resolve(raw[key])
-    if "lexicon_overrides" in raw:
-        overrides = raw["lexicon_overrides"]
-        _require(isinstance(overrides, dict)
-                 and all(isinstance(v, str) for v in overrides.values()),
-                 "lexicon_overrides must map lexicon names to file paths")
-        raw["lexicon_overrides"] = {name: resolve(p) for name, p in overrides.items()}
-    if "reference_paths" in raw:
-        refs = raw["reference_paths"]
-        _require(isinstance(refs, list) and all(isinstance(r, str) for r in refs),
-                 "reference_paths must be a list of paths")
-        raw["reference_paths"] = tuple(resolve(r) for r in refs)
+    if isinstance(raw.get("lexicon_overrides"), dict):
+        raw["lexicon_overrides"] = {k: resolve(p) for k, p in raw["lexicon_overrides"].items()}
+    if isinstance(raw.get("reference_paths"), list):
+        raw["reference_paths"] = list(map(resolve, raw["reference_paths"]))
     thresholds = {key: raw.pop(key) for key in _COMPLEXITY_KEYS if key in raw}
     _require(all(isinstance(n, int) and not isinstance(n, bool) for n in thresholds.values()),
              "complexity thresholds must be integers")

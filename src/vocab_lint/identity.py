@@ -140,7 +140,7 @@ def check_iri_uniqueness(vocab: Vocabulary) -> list[Finding]:
 def check_label_collisions(vocab: Vocabulary) -> list[Finding]:
     """One label naming several identified concepts is semantic noise."""
     findings: list[Finding] = []
-    for _, members in shared_keys(((t.key, t) for t in vocab.terms if not t.obsolete), vocab):
+    for _, members in shared_keys(((t.key, t) for t in vocab.live), vocab):
         identities = sorted({vocab.identity(t) for t in members if t.iri is not None})
         if len(identities) < 2:
             continue
@@ -156,11 +156,10 @@ def check_synonym_collisions(vocab: Vocabulary) -> list[Finding]:
     """A synonym of one live term matching the label or a synonym of another
     live term invites mis-selection: one finding per shared phrase, listing
     every live term that carries it. A term's own synonyms are exempt."""
-    live = [t for t in vocab.terms if not t.obsolete]
-    synonym_keys = {syn.key for t in live for syn in t.synonyms}
+    synonym_keys = {syn.key for t in vocab.live for syn in t.synonyms}
     findings: list[Finding] = []
     for phrase, members in shared_keys(
-            ((key, t) for t in live for key in (t.key, *(syn.key for syn in t.synonyms))
+            ((key, t) for t in vocab.live for key in (t.key, *(syn.key for syn in t.synonyms))
              if key in synonym_keys), vocab):
         ordered = sorted(members, key=vocab.identity)
         quoted = [f'"{t.label}"' for t in ordered]

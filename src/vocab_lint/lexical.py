@@ -327,8 +327,7 @@ def detect_word_bombs(vocab: Vocabulary, cfg: ComplexityConfig) -> list[Finding]
     qualifies when a member contains a conjunction or when at least that many
     members are strict modifier-extensions of a common base label."""
     findings: list[Finding] = []
-    for head, members in shared_keys(((t.tokens[-1], t) for t in vocab.terms
-                                      if not t.obsolete and t.tokens), vocab):
+    for head, members in shared_keys(((t.tokens[-1], t) for t in vocab.live if t.tokens), vocab):
         if len(members) < cfg.word_bomb_min_group:
             continue
         token_lists = [t.tokens for t in members]
@@ -348,10 +347,9 @@ def detect_word_bombs(vocab: Vocabulary, cfg: ComplexityConfig) -> list[Finding]
     return findings
 
 
-def _labels_and_suffixes(terms: tuple[Term, ...]) -> Iterator[tuple[str, Term]]:
+def _labels_and_suffixes(live: tuple[Term, ...]) -> Iterator[tuple[str, Term]]:
     """Each live term's label, then every proper suffix of it that is a live
     term's label (longest first)."""
-    live = [term for term in terms if not term.obsolete]
     labels = {term.key for term in live}
     for term in live:
         yield term.key, term
@@ -366,7 +364,7 @@ def check_redundant_narrowing(vocab: Vocabulary) -> list[Finding]:
     is_a B link. Parent-child pairs are exempt. One finding per (A, B's label)
     names the bearer of that label with the least identity and counts the rest."""
     results: list[tuple[tuple, Finding]] = []
-    for label, members in shared_keys(_labels_and_suffixes(vocab.terms), vocab):
+    for label, members in shared_keys(_labels_and_suffixes(vocab.live), vocab):
         narrowers = [t for t in members if t.key != label]
         if not narrowers:
             continue

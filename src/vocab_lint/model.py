@@ -4,6 +4,7 @@ label-normalization and phrase-lookup primitives used by every check.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -76,25 +77,38 @@ class Synonym:
 _synonym_text, _synonym_scope, _synonym_is_abbreviation, _synonym_key = _slot_setters(Synonym)
 
 
+_SENTENCE_END = re.compile(r"\.(?=\s|$)")
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class Definition:
-    """A definition; `tokens` are its normalized text's tokens. Construction,
-    equality, hash and repr do not see `tokens`; `fields()` and `asdict()`
-    do."""
+    """A definition; `tokens` are its normalized text's tokens and the first
+    `head` of them are its first sentence's. Construction, equality, hash and
+    repr do not see `tokens` or `head`; `fields()` and `asdict()` do."""
 
     text: str
     sources: tuple[str, ...] = ()
     tokens: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    head: int = field(init=False, repr=False, compare=False)
 
     def __init__(self, text: str, sources: tuple[str, ...] = ()) -> None:
         if not text:
             raise ValueError("definition text must be non-empty")
+        tokens = tuple(tokens_of(text))
+        # The sentence end is a "." and so a token break: the first
+        # sentence's tokens are the text's less those after that period,
+        # which only a "." before the text's last character can start.
+        dot = text.find(".", 0, -1)
+        end = _SENTENCE_END.search(text, dot) if dot >= 0 else None
+        rest = text[end.end():] if end else ""
         _definition_text(self, text)
         _definition_sources(self, sources)
-        _definition_tokens(self, tuple(tokens_of(text)))
+        _definition_tokens(self, tokens)
+        _definition_head(self, len(tokens) - len(tokens_of(rest)) if rest else len(tokens))
 
 
-_definition_text, _definition_sources, _definition_tokens = _slot_setters(Definition)
+(_definition_text, _definition_sources, _definition_tokens,
+ _definition_head) = _slot_setters(Definition)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -338,10 +352,10 @@ class Vocabulary:
     """An ordered collection of terms and the prefix map their CURIEs expand
     against, which fixes each term's `identity`. `identities` holds every
     term's identity, in `terms` order; `by_iri` indexes the terms with an IRI
-    by it.
+    by it; `live` and `labels` hold what several checks of a unit share.
 
-    `identities` and `by_iri` read `prefix_map` once, when they are first
-    built: an update made after that first read reaches neither. To look
+    `identities`, `labels` and `by_iri` read `prefix_map` once, when first
+    built: an update made after that first read reaches none of them. To look
     terms up under a different map, build a new Vocabulary, as `cli.suggest`
     does. The map stays a plain `dict`, the type `expand_iri` and every
     caller pass around, so a caller that completes it in place before the
@@ -364,6 +378,17 @@ class Vocabulary:
         """`identity(t)` for each term, in `terms` order, built the first time
         it is read. Being aligned with `terms`, it stays right in a copy."""
         return tuple(map(self.identity, self.terms))
+
+    @cached_property
+    def live(self) -> tuple[Term, ...]:
+        """The terms that are not obsolete, in `terms` order, built on first read."""
+        return tuple(t for t in self.terms if not t.obsolete)
+
+    @cached_property
+    def labels(self) -> PhraseTable:
+        """The `phrase_table` of every label's tokens, each valued with its
+        bearers' identities (once each, in `terms` order), built on first read."""
+        return phrase_table(dict.fromkeys(zip((t.tokens for t in self.terms), self.identities)))
 
     @cached_property
     def by_iri(self) -> dict[str, Term]:

@@ -1,11 +1,12 @@
 """Plain reference forms that the tests judge the package against. No program
 path calls them: resolve_replacement and its exceptions state what R08
 computes, edit_distance is the unbounded distance the suggester's oracles
-score with, and parse_genus_differentia gives the genus test's tests a
-parsed form."""
+score with, parse_genus_differentia gives the genus test's tests a parsed
+form, and first_sentence states what `Definition.head` counts."""
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple, Sequence
 
 from vocab_lint.definitions import _genus_span
@@ -74,3 +75,11 @@ def parse_genus_differentia(tokens: Sequence[str]) -> GenusDifferentia | None:
     start, copula, genus, connective = span
     return GenusDifferentia(tuple(tokens[start:copula]), tuple(tokens[genus:connective]),
                             tuple(tokens[connective + 1:]))
+
+
+_SENTENCE_END = re.compile(r"\.(?=\s|$)")
+
+
+def first_sentence(text: str) -> str:
+    m = _SENTENCE_END.search(text)
+    return text[:m.start()] if m else text

@@ -317,6 +317,19 @@ class TestCheck:
         assert out == (fixtures_dir / "unicode" / "expected-definitions.json").read_text(
             encoding="utf-8")
 
+    def test_definitions_report_bytes_are_pinned(self, capsys, fixtures_dir, monkeypatch):
+        # Genus tests against a parent and against another bearer of its
+        # duplicate IRI, a second sentence naming the parent, "2.5" inside a
+        # first sentence, a self-mention, and an obsolete term that shares a
+        # label and a synonym with live ones. CI compares the same command's
+        # output on a bare interpreter.
+        monkeypatch.chdir(fixtures_dir.parents[1])
+        code, out, _ = run_cli(capsys, ["check", "--output", "json",
+                                        "tests/fixtures/definitions/terms.obo"])
+        assert code == 1
+        assert out == (fixtures_dir / "definitions" / "expected.json").read_text(
+            encoding="utf-8")
+
     def test_example_corpus_report_bytes_are_pinned(self, capsys, fixtures_dir, monkeypatch):
         # CI compares the same commands' output on a bare interpreter of
         # every supported version.

@@ -13,7 +13,6 @@ from vocab_lint.definitions import (
     check_definition_uniqueness,
     check_genus_differentia,
     detect_circular_definitions,
-    first_sentence,
 )
 from vocab_lint.model import (
     Definition,
@@ -28,7 +27,7 @@ from vocab_lint.model import (
     tokens_of,
 )
 
-from oracles import GenusDifferentia, parse_genus_differentia
+from oracles import GenusDifferentia, first_sentence, parse_genus_differentia
 from test_acceptance import brute_force_simple_cycles
 
 PREFIXES = {"EX": "https://example.org/EX_"}
@@ -172,6 +171,16 @@ class TestGenusDifferentia:
         f, = check_genus_differentia(child, vocab(parent, child))
         assert f.rule_id == "R07-GENUS-MISMATCH"
 
+    def test_genus_naming_another_bearer_of_the_parent_iri_still_mismatches(self):
+        # EX:1 resolves to its least bearer, "sample"; "specimen" shares the
+        # IRI, and so the label table's identity, but is not that parent.
+        child = term("nasal swab", "EX:2", parents=["EX:1"],
+                     definition="A nose sample is a specimen that is taken from the nose.")
+        for order in ((term("specimen", "EX:1"), term("sample", "EX:1"), child),
+                      (child, term("sample", "EX:1"), term("specimen", "EX:1"))):
+            f, = check_genus_differentia(child, vocab(*order))
+            assert f.rule_id == "R07-GENUS-MISMATCH"
+
     @given(st.lists(st.sampled_from(["wet", "dry", "cough", "reflex"]), min_size=1, max_size=6),
            st.lists(st.lists(st.sampled_from(["wet", "dry", "cough", "reflex"]), max_size=3),
                     min_size=1, max_size=4))
@@ -180,17 +189,22 @@ class TestGenusDifferentia:
                    for i, words in enumerate(parent_labels, start=1)]
         child = term("child", "EX:0", parents=[p.iri.value for p in parents],
                      definition=f"A child is a {' '.join(genus)} that yields sputum.")
-        # The one-off phrase table that the direct token-run test replaced.
+        # A phrase table of the parents' labels alone: a run of the genus
+        # names a parent exactly when it is one of these phrases.
         mentioned = any(find_phrases(tuple(genus), phrase_table((p.tokens, p) for p in parents)))
         findings = check_genus_differentia(child, vocab(child, *parents))
         assert [f.rule_id for f in findings] == ([] if mentioned else ["R07-GENUS-MISMATCH"])
 
     @given(st.text(st.one_of(st.characters(), st.sampled_from(". \n")), min_size=1))
     def test_parses_the_first_sentence_read_from_the_cached_tokens(self, text):
-        t = Term(label="x", definition=Definition(text=text))
+        d = Definition(text)
+        assert d.tokens[:d.head] == tuple(tokens_of(first_sentence(text)))
+
+    def test_parses_the_head_of_the_definition(self):
+        t = term("x", definition="A cough is a reflex. That clears it.")
         with mock.patch.object(definitions, "_genus_span", return_value=None) as parsed:
             check_genus_differentia(t, vocab(t))
-        assert tuple(parsed.call_args.args[0]) == tuple(tokens_of(first_sentence(text)))
+        assert parsed.call_args.args[0] == ("a", "cough", "is", "a", "reflex")
 
 
 class TestDefinitionUniqueness:

@@ -244,6 +244,11 @@ class TestLoadConfig:
         cfg = load_config(write(tmp_path, "config.json", "{}"))
         assert cfg == RuleConfig()
 
+    def test_null_paths_and_weights_load_as_the_defaults(self, tmp_path):
+        path = write(tmp_path, "config.json", json.dumps(
+            {"prefix_map_path": None, "metadata_path": None, "health_weights": None}))
+        assert load_config(path) == RuleConfig()
+
     @pytest.mark.parametrize("payload, message", BAD_CONFIGS,
                              ids=[payload for payload, _ in BAD_CONFIGS])
     def test_bad_configs_rejected(self, tmp_path, payload, message):
@@ -320,6 +325,12 @@ BAD_FIELDS = [
     ({"suppressions": (("NOPE", "x"),)}, "suppression for unknown rule 'NOPE'"),
     ({"enabled_rules": "R02-*"}, "enabled_rules must be a non-empty list of patterns"),
     ({"health_weights": {"activity": -1.0}}, "weights must be non-negative"),
+    ({"prefix_map_path": 7}, "prefix_map_path must be a string"),
+    ({"metadata_path": b"m.txt"}, "metadata_path must be a string"),
+    ({"lexicon_overrides": None}, "lexicon_overrides must map lexicon names to file paths"),
+    ({"lexicon_overrides": {7: "c.txt"}},
+     "lexicon_overrides must map lexicon names to file paths"),
+    ({"reference_paths": "ab"}, "reference_paths must be a list of paths"),
 ]
 
 # Plausible and hostile values for each checked field of RuleConfig.
@@ -344,6 +355,13 @@ _FIELD_VALUES = {
         {"activity": -1.0}, {"activity": 2.0, "reuse": -1.0}, {"activity": float("nan")},
         {"activity": float("inf")}, {"activity": 10 ** 400}, {"activity": True},
         {"activty": 1.0}, {1: 1.0, "activity": 0.0}, {}, [("activity", 1.0)], 3]),
+    "prefix_map_path": st.sampled_from([
+        None, str(Path(__file__).parent / "fixtures" / "example_corpus" / "prefixes.tsv"),
+        7, b"p.tsv", ["p.tsv"]]),
+    "lexicon_overrides": st.sampled_from([
+        {}, {"colloquial_map": 7}, {7: "c.txt"}, ["colloquial_map"], None, 3]),
+    "reference_paths": st.sampled_from([(), ["r.obo"], ("r.obo", "s.tsv"), "ab", [7], None]),
+    "metadata_path": st.sampled_from([None, "m.txt", 7, ["m.txt"]]),
 }
 
 
@@ -366,9 +384,11 @@ class TestRuleConfig:
         assert config.health_weights == {"activity": 1.0}
 
     def test_lists_are_stored_as_tuples(self):
-        config = RuleConfig(enabled_rules=["R0*"], suppressions=[["R05-ABBREV", "LFT"]])
+        config = RuleConfig(enabled_rules=["R0*"], suppressions=[["R05-ABBREV", "LFT"]],
+                            reference_paths=["r.obo"])
         assert config.enabled_rules == ("R0*",)
         assert config.suppressions == (("R05-ABBREV", "LFT"),)
+        assert config.reference_paths == ("r.obo",)
 
     @pytest.mark.parametrize("copied", [copy.copy, copy.deepcopy,
                                         lambda value: pickle.loads(pickle.dumps(value))],

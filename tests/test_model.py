@@ -195,8 +195,10 @@ class TestComparisonForms:
         definition = Definition("A Wet Cough.", ("PMID:1",))
         assert definition == Definition("A Wet Cough.", ("PMID:1",))
         assert dataclasses.asdict(definition) == {
-            "text": "A Wet Cough.", "sources": ("PMID:1",), "tokens": ("a", "wet", "cough")}
-        assert dataclasses.replace(definition, text="A Dry-Cough.").tokens == ("a", "dry", "cough")
+            "text": "A Wet Cough.", "sources": ("PMID:1",), "tokens": ("a", "wet", "cough"),
+            "head": 3}
+        replaced = dataclasses.replace(definition, text="A Dry-Cough. It is.")
+        assert (replaced.tokens, replaced.head) == (("a", "dry", "cough", "it", "is"), 3)
 
     def test_forms_are_neither_arguments_nor_shown(self):
         with pytest.raises(TypeError):
@@ -204,10 +206,13 @@ class TestComparisonForms:
         with pytest.raises(TypeError):
             Definition("x", tokens=("y",))
         with pytest.raises(TypeError):
+            Definition("x", head=0)
+        with pytest.raises(TypeError):
             Term(label="x", key="y")
         term = Term(label="Wet Cough", synonyms=(Synonym("moist"),),
                     definition=Definition("A cough."))
         assert "key" not in repr(term) and "tokens" not in repr(term)
+        assert "head" not in repr(term.definition)
 
     @EVERY_COPY
     def test_copies_carry_the_forms(self, copy_of):
@@ -243,7 +248,7 @@ FULL = {
     Iri: Iri("EX:1"),
     SourceLocation: SourceLocation("a.obo", 2),
     Synonym: Synonym("Wet-Cough", "exact", True),
-    Definition: Definition("A Wet Cough.", ("PMID:1",)),
+    Definition: Definition("A Wet Cough. Seen twice.", ("PMID:1",)),
     Term: Term("Wet Cough", Iri("EX:1"), (Synonym("moist"),), Definition("A cough."),
                (Iri("EX:2"),), True, Iri("EX:3"), {"comment": "kept"},
                SourceLocation("a.obo", 3)),
@@ -298,6 +303,13 @@ class TestConstructors:
                 expected = (f.default if f.default is not dataclasses.MISSING
                             else f.default_factory())
                 assert getattr(built, f.name) == expected
+
+    @pytest.mark.parametrize("text, head", [
+        ("A Wet Cough. Seen twice.", 3), ("A dose of 2.5 ml. Daily.", 6), ("No end", 2),
+        ("Ends here.  ", 2), ("One.Two", 2), ("A cough. ...", 2), ("One.\nTwo", 1),
+        ("...", 0), (". Two", 0)])
+    def test_definition_head_counts_the_first_sentence(self, text, head):
+        assert Definition(text).head == head
 
     def test_each_term_gets_its_own_annotations(self):
         first, second = Term(label="a"), Term(label="a")

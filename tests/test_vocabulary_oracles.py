@@ -79,6 +79,30 @@ def _live(unit):
     return [t for t in unit.terms if not t.obsolete]
 
 
+def _label_phrases(unit):
+    """Each non-empty label's tokens, with the identities of its bearers,
+    each once, in term order."""
+    phrases = {}
+    for t in unit.terms:
+        phrase, identity = tuple(normalize_label(t.label).split()), _identity(t, PREFIX_MAP)
+        if phrase and identity not in phrases.setdefault(phrase, []):
+            phrases[phrase].append(identity)
+    return phrases
+
+
+def _flat(table):
+    """A phrase table's {phrase: values}, with each phrase checked to sit
+    under its first token and its length."""
+    flat = {}
+    for first, by_length in table.items():
+        for length, phrases in by_length.items():
+            assert phrases
+            for phrase, values in phrases.items():
+                assert (phrase[0], len(phrase)) == (first, length)
+                flat[phrase] = values
+    return flat
+
+
 def duplicate_iri(unit):
     pm = unit.prefix_map
     found = []
@@ -263,13 +287,18 @@ def test_each_grouped_check_equals_its_oracle(terms):
 @given(st.lists(TERMS, max_size=8),
        st.sampled_from([copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))]))
 def test_identities_and_index_match_a_naive_reference(terms, copy_of):
-    # Both are read before the copy, so the copy carries them: they must
+    # All are read before the copy, so the copy carries them: they must
     # still answer for the copy's own terms.
     unit = Vocabulary(tuple(terms), dict(PREFIX_MAP))
     assert unit.identities == tuple(map(unit.identity, unit.terms))
     assert unit.by_iri.keys() <= set(unit.identities)
+    assert unit.live is unit.live and unit.labels is unit.labels
     for vocab in (unit, copy_of(unit)):
         assert vocab.identities == tuple(_identity(t, PREFIX_MAP) for t in vocab.terms)
+        live = _live(vocab)
+        assert len(vocab.live) == len(live)
+        assert all(a is b for a, b in zip(vocab.live, live))
+        assert _flat(vocab.labels) == _label_phrases(vocab)
         least = {_identity(t, PREFIX_MAP): _resolve(vocab, t.iri)
                  for t in vocab.terms if t.iri is not None}
         assert vocab.by_iri.keys() == least.keys()
