@@ -9,6 +9,8 @@ import datetime as dt
 from dataclasses import dataclass
 from itertools import groupby
 
+from .model import split_lines
+
 SUBSCORE_NAMES = ("activity", "responsiveness", "documentation", "reuse", "identifiers")
 
 DEFAULT_WEIGHTS: dict[str, float] = {name: 0.2 for name in SUBSCORE_NAMES}
@@ -28,7 +30,6 @@ class OntologyMetadata:
     name: str
     as_of: dt.date
     last_release: dt.date | None = None
-    releases_last_24_months: int = 0
     median_issue_response_days: float | None = None
     accepts_term_requests: bool = False
     definition_coverage: float = 0.0
@@ -45,8 +46,6 @@ class OntologyMetadata:
             raise MetadataError("total_terms must be at least 1")
         if self.terms_reused_elsewhere < 0:
             raise MetadataError("terms_reused_elsewhere must be non-negative")
-        if self.releases_last_24_months < 0:
-            raise MetadataError("releases_last_24_months must be non-negative")
         days = self.median_issue_response_days
         if days is not None and not days >= 0:  # NaN fails too
             raise MetadataError("median_issue_response_days must be non-negative")
@@ -78,7 +77,6 @@ _PARSERS = {
     "name": str,
     "as_of": dt.date.fromisoformat,
     "last_release": dt.date.fromisoformat,
-    "releases_last_24_months": int,
     "median_issue_response_days": float,
     "accepts_term_requests": _parse_bool,
     "definition_coverage": float,
@@ -94,7 +92,7 @@ def load_metadata(text: str) -> tuple[list[OntologyMetadata], list[str]]:
     anything skipped or ignored; a bad record never aborts the whole file."""
     records: list[OntologyMetadata] = []
     notes: list[str] = []
-    lines = ((lineno, raw.strip()) for lineno, raw in enumerate(text.splitlines(), start=1))
+    lines = ((lineno, raw.strip()) for lineno, raw in enumerate(split_lines(text), start=1))
     for filled, run in groupby(lines, key=lambda item: bool(item[1])):
         entries = [(lineno, line) for lineno, line in run if not line.startswith("#")]
         if not filled or not entries:

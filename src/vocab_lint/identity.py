@@ -9,7 +9,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .model import Finding, Term, Vocabulary, expand_iri, shared_keys
+from .model import Finding, Term, Vocabulary, expand_iri, shared_keys, split_lines
 
 
 class PrefixMapError(ValueError):
@@ -74,7 +74,7 @@ def load_prefix_map(text: str) -> PrefixMap:
     entries = dict(DEFAULT_PREFIXES)
     obo = set(DEFAULT_PREFIXES)
     seen: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(split_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

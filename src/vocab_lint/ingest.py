@@ -18,6 +18,7 @@ from .model import (
     Synonym,
     Term,
     Vocabulary,
+    split_lines,
 )
 
 _SCOPES = {"EXACT": "exact", "BROAD": "broad", "NARROW": "narrow", "RELATED": "related"}
@@ -37,13 +38,6 @@ def _diagnostic(severity: str, message: str, location: SourceLocation) -> Findin
 # in the header; absent optional columns are simply unused.
 TSV_COLUMNS = ("label", "iri", "definition", "definition_source", "parents", "synonyms",
                "obsolete", "replaced_by")
-
-
-def _lines(text: str) -> list[str]:
-    """The lines of `text` less its leading byte-order marks, each ended at
-    "\r\n", "\r" or "\n" as reading a file in text mode ends it, so that a
-    file and its text parse alike."""
-    return text.lstrip("\ufeff").replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 # From the first double quote to the next one that no backslash escapes.
@@ -160,7 +154,7 @@ def parse_obo(text: str, file_name: str) -> tuple[Vocabulary, list[Finding]]:
     seen_ids: dict[str, int] = {}
     stanza: dict | None = None  # the open [Term] stanza's fields; None outside one
     # A header line after the last closes the last stanza like every other.
-    for line_no, raw in enumerate(_lines(text) + ["[]"], start=1):
+    for line_no, raw in enumerate(split_lines(text) + ["[]"], start=1):
         stripped = raw.strip()
         if not stripped:
             continue
@@ -210,8 +204,8 @@ def parse_term_table(text: str, file_name: str) -> tuple[Vocabulary, list[Findin
     list-valued cells; empty cells mean absent fields."""
     diags: list[Finding] = []
     terms: list[Term] = []
-    lines = _lines(text)
-    if not lines[0].strip():  # _lines gives at least one line
+    lines = split_lines(text)
+    if not lines[0].strip():  # split_lines gives at least one line
         raise FatalParseError(f"{file_name}: missing header row")
     header = [cell.strip() for cell in lines[0].split("\t")]
     if "label" not in header:

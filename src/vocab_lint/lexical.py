@@ -18,7 +18,7 @@ from typing import Iterator, Mapping
 
 from .catalog import INFO
 from .model import (Finding, PhraseTable, Term, Vocabulary, find_phrases, normalize_label,
-                    phrase_table, shared_keys)
+                    phrase_table, shared_keys, split_lines)
 
 
 class LexiconError(Exception):
@@ -120,7 +120,7 @@ def apply_lexicon_overrides(lex: Lexicons, name: str, text: str) -> Lexicons:
         raise LexiconError(f"unknown lexicon name: {name!r}")
     additions: list = []
     removals: set[str] = set()
-    for line_no, raw in enumerate(text.split("\n"), start=1):
+    for line_no, raw in enumerate(split_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

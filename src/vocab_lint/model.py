@@ -335,6 +335,13 @@ def tokens_of(raw: str) -> list[str]:
     return [token for token in raw.translate(_TABLE).split(" ") if token]
 
 
+def split_lines(text: str) -> list[str]:
+    """The lines of `text` less its leading byte-order marks, each ended at
+    "\r\n", "\r" or "\n" as reading a file in text mode ends it, so that a
+    file and its text read alike. Every line-oriented reader splits here."""
+    return text.lstrip("\ufeff").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def expand_iri(iri: Iri | str, prefix_map: dict[str, str]) -> str:
     """Expand a CURIE against a prefix map (first ":" splits, prefixes are
     case-sensitive); absolute or unexpandable values are returned unchanged."""

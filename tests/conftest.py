@@ -6,11 +6,6 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 
 @pytest.fixture
-def fixtures_dir() -> Path:
-    return FIXTURES
-
-
-@pytest.fixture
 def corpus_dir() -> Path:
     return FIXTURES / "example_corpus"
 

@@ -295,67 +295,6 @@ class TestCheck:
         assert "C-SEMANTIC-NOISE" not in isolated
         assert isolated_code == 0
 
-    def test_unicode_report_bytes_are_pinned(self, capsys, fixtures_dir, monkeypatch):
-        # U+2E53 is punctuation since Unicode 14.0 and U+11B00 only since
-        # 15.0: the pinned 14.0.0 table splits "foo⹓bar" alone, on every
-        # interpreter. CI compares the same command's output on a bare one.
-        monkeypatch.chdir(fixtures_dir.parents[1])
-        code, out, _ = run_cli(capsys, ["check", "--output", "json", "--rule", "C-*",
-                                        "tests/fixtures/unicode/labels.tsv"])
-        assert code == 1
-        assert out == (fixtures_dir / "unicode" / "expected.json").read_text(encoding="utf-8")
-
-    def test_unicode_definition_report_bytes_are_pinned(self, capsys, fixtures_dir,
-                                                        monkeypatch):
-        # Two definitions differ only by U+2E53 versus a space and share one
-        # normalized text; two differ by U+11B00 and stay distinct. CI
-        # compares the same command's output on a bare interpreter.
-        monkeypatch.chdir(fixtures_dir.parents[1])
-        code, out, _ = run_cli(capsys, ["check", "--output", "json",
-                                        "tests/fixtures/unicode/definitions.tsv"])
-        assert code == 1
-        assert out == (fixtures_dir / "unicode" / "expected-definitions.json").read_text(
-            encoding="utf-8")
-
-    def test_definitions_report_bytes_are_pinned(self, capsys, fixtures_dir, monkeypatch):
-        # Genus tests against a parent and against another bearer of its
-        # duplicate IRI, a second sentence naming the parent, "2.5" inside a
-        # first sentence, a self-mention, and an obsolete term that shares a
-        # label and a synonym with live ones. CI compares the same command's
-        # output on a bare interpreter.
-        monkeypatch.chdir(fixtures_dir.parents[1])
-        code, out, _ = run_cli(capsys, ["check", "--output", "json",
-                                        "tests/fixtures/definitions/terms.obo"])
-        assert code == 1
-        assert out == (fixtures_dir / "definitions" / "expected.json").read_text(
-            encoding="utf-8")
-
-    def test_example_corpus_report_bytes_are_pinned(self, capsys, fixtures_dir, monkeypatch):
-        # CI compares the same commands' output on a bare interpreter of
-        # every supported version.
-        monkeypatch.chdir(fixtures_dir.parents[1])
-        corpus = "tests/fixtures/example_corpus"
-        for output, expected in (("json", "expected.json"), ("text", "expected.txt")):
-            code, out, _ = run_cli(capsys, ["check", "--output", output,
-                                            "--config", f"{corpus}/config.json",
-                                            f"{corpus}/terms.obo", f"{corpus}/picklist.tsv"])
-            assert code == 1
-            assert out == (fixtures_dir / "example_corpus" / expected).read_text(
-                encoding="utf-8")
-
-    def test_reference_suggestion_bytes_are_pinned(self, capsys, fixtures_dir, monkeypatch):
-        # CI compares the same command's output on a bare interpreter of
-        # every supported version.
-        monkeypatch.chdir(fixtures_dir.parents[1])
-        refs = "tests/fixtures/reference"
-        code, out, _ = run_cli(capsys, ["suggest", "--output", "json",
-                                        "--references", f"{refs}/clinical.obo",
-                                        "--references", f"{refs}/surveillance.tsv",
-                                        "wet cough", "fever", "sewage sample", "nasal swab",
-                                        "zzzz", "feverr", "wastewater sampel", "pyrexa"])
-        assert code == 0
-        assert out == (fixtures_dir / "reference" / "expected.json").read_text(encoding="utf-8")
-
     @pytest.mark.parametrize("first, second, expected", [
         (("a.obo", OBO_VESSEL), ("b.obo", OBO_JAR),
          {("R08-CHAIN", "old holder"): '"jar"', ("R07-SELF-REF", "vessel"): "",
@@ -557,15 +496,6 @@ class TestHealth:
                                      "--output", "json"])
         payload = json.loads(out)
         assert [o["verdict"] for o in payload["ontologies"]] == ["healthy", "stale"]
-
-    def test_snapshot_fixture_bytes_are_pinned(self, capsys, fixtures_dir, monkeypatch):
-        # CI compares the same command's output on a bare interpreter of
-        # every supported version.
-        monkeypatch.chdir(fixtures_dir.parents[1])
-        code, out, _ = run_cli(capsys, ["health", "--output", "json",
-                                        "--metadata", "tests/fixtures/health/snapshot.txt"])
-        assert code == 0
-        assert out == (fixtures_dir / "health" / "expected.json").read_text(encoding="utf-8")
 
     def test_no_snapshot_is_fatal(self, capsys):
         code, _, _ = run_cli(capsys, ["health"])

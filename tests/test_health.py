@@ -245,7 +245,7 @@ class TestLoadMetadata:
         assert records == []
         assert any("not a key: value pair" in n for n in notes)
 
-    @pytest.mark.parametrize("key", ["terms_reused_elsewhere", "releases_last_24_months"])
+    @pytest.mark.parametrize("key", ["terms_reused_elsewhere"])
     def test_negative_count_skips_record(self, key):
         records, notes = load_metadata(f"name: x\nas_of: 2026-01-01\n{key}: -1\n")
         assert records == []
@@ -282,6 +282,10 @@ class TestLoadMetadata:
 
     def test_empty_text(self):
         assert load_metadata("") == ([], [])
+
+    def test_lone_cr_ends_a_line_and_a_form_feed_does_not(self):
+        records, notes = load_metadata("name: a\fb\ras_of: 2026-01-01\r")
+        assert [r.name for r in records] == ["a\fb"] and notes == []
 
     # Lines of a snapshot: blank, comments, pairs of a known or unknown key
     # with a value of a fitting shape or of any text, and lines of any text.

@@ -79,6 +79,11 @@ class TestPrefixMapLoading:
         with pytest.raises(PrefixMapError, match="^line 3: expected 3 tab-separated fields$"):
             load_prefix_map("# heading\n\nEX only\n")
 
+    def test_lone_cr_ends_a_line_and_a_form_feed_does_not(self):
+        prefixes = load_prefix_map("EX\thttps://example.org/EX_\tobo\rXY\thttps://x.org/a\fb\t"
+                                   "external\r")
+        assert prefixes.entries["XY"] == "https://x.org/a\fb" and "EX" in prefixes.obo_prefixes
+
     # Texts built from the pieces of a prefix-map line and from any characters.
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.one_of(

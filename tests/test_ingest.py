@@ -308,6 +308,13 @@ DIAGNOSTICS = [
 ]
 
 
+@pytest.mark.parametrize("parse, text", [(parse_obo, "[Term]\rid: EX:1\rname: a\fb\r"),
+                                         (parse_term_table, "label\tiri\ra\fb\tEX:1\r")])
+def test_lone_cr_ends_a_line_and_a_form_feed_does_not(parse, text):
+    vocab, diags = parse(text, "f")
+    assert [(t.label, t.iri.value) for t in vocab.terms] == [("a\fb", "EX:1")] and diags == []
+
+
 @pytest.mark.parametrize("parse, text, severity, message, line", DIAGNOSTICS)
 def test_diagnostic(parse, text, severity, message, line):
     _, diags = parse(text, "f")

@@ -422,6 +422,10 @@ class TestLexiconConstruction:
         except LexiconError:
             pass
 
+    def test_lone_cr_ends_a_line_and_a_form_feed_does_not(self):
+        lex = apply_lexicon_overrides(LEX, "plural_by_nature", "scissorz\rtong\fz\r")
+        assert lex.plural_by_nature - LEX.plural_by_nature == {"scissorz", "tong z"}
+
     def test_override_unknown_name_raises(self):
         with pytest.raises(LexiconError):
             apply_lexicon_overrides(LEX, "bogus_lexicon", "x\n")
