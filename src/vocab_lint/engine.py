@@ -20,14 +20,8 @@ from . import __version__, definitions, identity, lexical
 from .catalog import INFO, RULES, SEVERITIES, SEVERITY_RANK
 from .identity import PrefixMap, PrefixMapError, default_prefix_map, load_prefix_map
 from .ingest import FatalParseError, parse_obo, parse_term_table
-from .lexical import (
-    ComplexityConfig,
-    LexiconError,
-    Lexicons,
-    apply_lexicon_overrides,
-    default_lexicons,
-    rebuilt_from_fields,
-)
+from .lexical import (LexiconError, Lexicons, apply_lexicon_overrides, default_lexicons,
+                      rebuilt_from_fields)
 from .model import Finding, Vocabulary, expand_iri, merge_vocabularies, normalize_label
 
 FORMATS = ("obo", "tsv")
@@ -63,7 +57,8 @@ class RuleConfig:
     reference_paths: tuple[str, ...] = ()
     metadata_path: str | None = None
     health_weights: Mapping[str, float] | None = None
-    complexity: ComplexityConfig = field(default_factory=ComplexityConfig)
+    concept_bomb_token_threshold: int = 7
+    word_bomb_min_group: int = 5
     per_file: bool = False
 
     def __post_init__(self) -> None:
@@ -89,8 +84,10 @@ class RuleConfig:
         _require(self.fail_threshold in SEVERITIES,
                  f"fail_threshold must be one of {SEVERITIES}")
         _require(isinstance(self.per_file, bool), "per_file must be a boolean")
-        _require(isinstance(self.complexity, ComplexityConfig),
-                 "complexity must be a ComplexityConfig")
+        thresholds = (self.concept_bomb_token_threshold, self.word_bomb_min_group)
+        _require(all(isinstance(n, int) and not isinstance(n, bool) for n in thresholds),
+                 "complexity thresholds must be integers")
+        _require(min(thresholds) >= 2, "complexity thresholds must be >= 2")
         for name in ("prefix_map_path", "metadata_path"):
             _require(isinstance(getattr(self, name), (str, type(None))), f"{name} must be a string")
         lexicon, refs = self.lexicon_overrides, self.reference_paths
@@ -122,11 +119,8 @@ class RuleConfig:
     __reduce__ = rebuilt_from_fields
 
 
-# The keys a configuration file may set: RuleConfig's fields, with the
-# complexity thresholds written at the top level.
-_COMPLEXITY_KEYS = tuple(f.name for f in dataclasses.fields(ComplexityConfig))
-CONFIG_KEYS = frozenset(
-    ({f.name for f in dataclasses.fields(RuleConfig)} - {"complexity"}) | set(_COMPLEXITY_KEYS))
+# The keys a configuration file may set: RuleConfig's fields.
+CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(RuleConfig))
 
 
 def _shown(path: str) -> str:
@@ -169,14 +163,7 @@ def load_config(path: str) -> RuleConfig:
         raw["lexicon_overrides"] = {k: resolve(p) for k, p in raw["lexicon_overrides"].items()}
     if isinstance(raw.get("reference_paths"), list):
         raw["reference_paths"] = list(map(resolve, raw["reference_paths"]))
-    thresholds = {key: raw.pop(key) for key in _COMPLEXITY_KEYS if key in raw}
-    _require(all(isinstance(n, int) and not isinstance(n, bool) for n in thresholds.values()),
-             "complexity thresholds must be integers")
-    try:
-        complexity = ComplexityConfig(**thresholds)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return RuleConfig(**raw, complexity=complexity)
+    return RuleConfig(**raw)
 
 
 def build_lexicons(config: RuleConfig) -> Lexicons:
@@ -249,7 +236,7 @@ class CheckContext:
     unit: Vocabulary
     lex: Lexicons
     prefixes: PrefixMap
-    complexity: ComplexityConfig
+    config: RuleConfig
 
 
 # Every check: the catalog rule ids it can emit, its scope, and a call on
@@ -264,8 +251,8 @@ CHECKS = (
     (("R02-PLURAL",), PHRASING, lambda term, ctx: lexical.check_plural(term, ctx.lex)),
     (("R03-COLLOQUIAL",), PHRASING, lambda term, ctx: lexical.check_colloquial(term, ctx.lex)),
     (("C-TIMELINE",), PHRASING, lambda term, ctx: lexical.check_timeline(term, ctx.lex)),
-    (("C-CONCEPT-BOMB",), PHRASING,
-     lambda term, ctx: lexical.check_concept_bomb(term, ctx.complexity, ctx.lex)),
+    (("C-CONCEPT-BOMB",), PHRASING, lambda term, ctx: lexical.check_concept_bomb(
+        term, ctx.config.concept_bomb_token_threshold, ctx.lex)),
     (("R09-BOOLEAN", "R09-NEGATIVE-TAG"), TERM,
      lambda term, ctx: lexical.check_tag_style(term, ctx.lex)),
     (("R06-MISSING-IRI", "R06-BAD-IRI", "R06-NONPURL"), TERM,
@@ -275,7 +262,7 @@ CHECKS = (
     (("R07-FORM", "R07-GENUS-MISMATCH"), TERM,
      lambda term, ctx: definitions.check_genus_differentia(term, ctx.unit)),
     (("C-WORD-BOMB",), VOCABULARY,
-     lambda unit, ctx: lexical.detect_word_bombs(unit, ctx.complexity)),
+     lambda unit, ctx: lexical.detect_word_bombs(unit, ctx.config.word_bomb_min_group)),
     (("R04-NARROW",), VOCABULARY, lambda unit, _: lexical.check_redundant_narrowing(unit)),
     (("R07-DUPLICATE-DEF",), VOCABULARY,
      lambda unit, _: definitions.check_definition_uniqueness(unit)),
@@ -351,7 +338,7 @@ def run_lint(config: RuleConfig, inputs: Sequence[tuple[str, str | None]]) -> Re
     groups = [[vocab] for vocab in vocabs] if config.per_file else [vocabs]
     for group in groups:
         unit = merge_vocabularies(group, prefixes.entries)
-        ctx = CheckContext(unit, lex, prefixes, config.complexity)
+        ctx = CheckContext(unit, lex, prefixes, config)
         for _, scope, run in checks:
             for subject in ([unit] if scope == VOCABULARY else unit.terms):
                 emitted = run(subject, ctx)

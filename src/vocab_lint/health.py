@@ -127,10 +127,13 @@ def load_metadata(text: str) -> tuple[list[OntologyMetadata], list[str]]:
 
 
 def months_before(day: dt.date, months: int) -> dt.date:
-    """The same calendar day `months` earlier, clamped to month length."""
+    """The same calendar day `months` earlier, clamped to month length, or
+    `dt.date.min` when that day would fall before it."""
     import calendar
 
     total = day.year * 12 + (day.month - 1) - months
+    if total < 12:
+        return dt.date.min
     year, month = divmod(total, 12)
     month += 1
     last_day = calendar.monthrange(year, month)[1]

@@ -2,9 +2,9 @@
 colloquialisms, abbreviations, tag style, redundant narrowing, and the
 combinatorial pathologies (word bombs, concept bombs, timeline terms).
 
-All checks are pure functions of (inputs, lexicons, config). Lexicon entries
-are stored normalized; built-in defaults are extensible through override
-files (see docs/formats.md).
+All checks are pure functions of (inputs, lexicons, thresholds). Lexicon
+entries are stored normalized; built-in defaults are extensible through
+override files (see docs/formats.md).
 """
 
 from __future__ import annotations
@@ -77,16 +77,6 @@ class Lexicons:
     @cached_property
     def timeline_table(self) -> PhraseTable:
         return phrase_table((tuple(p.split()), p) for p in self.timeline_phrases)
-
-
-@dataclass(frozen=True)
-class ComplexityConfig:
-    concept_bomb_token_threshold: int = 7
-    word_bomb_min_group: int = 5
-
-    def __post_init__(self) -> None:
-        if self.concept_bomb_token_threshold < 2 or self.word_bomb_min_group < 2:
-            raise ValueError("complexity thresholds must be >= 2")
 
 
 def default_lexicons() -> Lexicons:
@@ -298,12 +288,12 @@ def check_timeline(term: Term, lex: Lexicons) -> list[Finding]:
         "record an absolute date or interval instead")]
 
 
-def check_concept_bomb(term: Term, cfg: ComplexityConfig, lex: Lexicons) -> list[Finding]:
+def check_concept_bomb(term: Term, threshold: int, lex: Lexicons) -> list[Finding]:
     """Concept-bomb pathology: one label packing several assertions. A label
-    under the threshold with no token that starts a timeline phrase is
-    clean."""
+    of fewer than `threshold` tokens with no token that starts a timeline
+    phrase is clean."""
     tokens = term.tokens
-    too_long = len(tokens) >= cfg.concept_bomb_token_threshold
+    too_long = len(tokens) >= threshold
     if not too_long and lex.timeline_table.keys().isdisjoint(tokens):
         return []
     compound_temporal = (any(tok.isdigit() for tok in tokens)
@@ -311,8 +301,7 @@ def check_concept_bomb(term: Term, cfg: ComplexityConfig, lex: Lexicons) -> list
     if not too_long and not compound_temporal:
         return []
     if too_long:
-        reason = (f"{len(tokens)} tokens >= threshold "
-                  f"{cfg.concept_bomb_token_threshold}")
+        reason = f"{len(tokens)} tokens >= threshold {threshold}"
     else:
         reason = "combines a relative-time phrase with a numeric quantity"
     return [Finding.about(
@@ -321,14 +310,14 @@ def check_concept_bomb(term: Term, cfg: ComplexityConfig, lex: Lexicons) -> list
         "recommend separation into individual fields")]
 
 
-def detect_word_bombs(vocab: Vocabulary, cfg: ComplexityConfig) -> list[Finding]:
+def detect_word_bombs(vocab: Vocabulary, min_group: int) -> list[Finding]:
     """Word-bomb pathology: combinatorial label families sharing a head noun.
-    Groups live labels by final token; a group of size >= word_bomb_min_group
-    qualifies when a member contains a conjunction or when at least that many
-    members are strict modifier-extensions of a common base label."""
+    Groups live labels by final token; a group of at least `min_group` members
+    qualifies when a member contains a conjunction or when at least
+    `min_group` members are strict modifier-extensions of a common base label."""
     findings: list[Finding] = []
     for head, members in shared_keys(((t.tokens[-1], t) for t in vocab.live if t.tokens), vocab):
-        if len(members) < cfg.word_bomb_min_group:
+        if len(members) < min_group:
             continue
         token_lists = [t.tokens for t in members]
         if not any("and" in toks or "or" in toks for toks in token_lists):
@@ -337,7 +326,7 @@ def detect_word_bombs(vocab: Vocabulary, cfg: ComplexityConfig) -> list[Finding]
             lengths = {len(base) for base in bases}
             extensions = Counter(toks[-n:] for toks in token_lists for n in lengths
                                  if n < len(toks) and toks[-n:] in bases)
-            if not any(count >= cfg.word_bomb_min_group for count in extensions.values()):
+            if not any(count >= min_group for count in extensions.values()):
                 continue
         labels = "; ".join(t.label for t in members)
         findings.append(Finding.about_terms(

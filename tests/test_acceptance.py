@@ -24,7 +24,7 @@ from vocab_lint.engine import (
 from vocab_lint.health import OntologyMetadata, assess_health, load_metadata
 from vocab_lint.identity import check_deprecation, default_prefix_map
 from vocab_lint.ingest import parse_obo, serialize_obo
-from vocab_lint.lexical import ComplexityConfig, detect_word_bombs
+from vocab_lint.lexical import detect_word_bombs
 from vocab_lint.model import (
     Definition,
     Iri,
@@ -664,7 +664,7 @@ def test_criterion_9_word_bombs_match_oracle():
                      for i, (label, obsolete) in enumerate(labels)]
             vocab = build_vocabulary(terms, {"EX": "https://example.org/EX_"})
 
-            findings = detect_word_bombs(vocab, ComplexityConfig(word_bomb_min_group=min_group))
+            findings = detect_word_bombs(vocab, min_group)
             got = {f.subject_label: sorted(labels[int(iri.value[3:])][0]
                                            for iri in f.subject_iris)
                    for f in findings}

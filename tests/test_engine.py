@@ -236,8 +236,8 @@ class TestLoadConfig:
         assert cfg.reference_paths == (str(tmp_path / "refs" / "clinical.obo"),)
         assert cfg.metadata_path == str(tmp_path / "snapshot.txt")
         assert cfg.health_weights == {"activity": 1.0}
-        assert cfg.complexity.concept_bomb_token_threshold == 9
-        assert cfg.complexity.word_bomb_min_group == 4
+        assert cfg.concept_bomb_token_threshold == 9
+        assert cfg.word_bomb_min_group == 4
         assert cfg.per_file is True
 
     def test_defaults_when_empty(self, tmp_path):
@@ -331,6 +331,12 @@ BAD_FIELDS = [
     ({"lexicon_overrides": {7: "c.txt"}},
      "lexicon_overrides must map lexicon names to file paths"),
     ({"reference_paths": "ab"}, "reference_paths must be a list of paths"),
+    ({"concept_bomb_token_threshold": 2.5}, "complexity thresholds must be integers"),
+    ({"word_bomb_min_group": float("nan")}, "complexity thresholds must be integers"),
+    ({"concept_bomb_token_threshold": "9"}, "complexity thresholds must be integers"),
+    ({"word_bomb_min_group": True}, "complexity thresholds must be integers"),
+    ({"concept_bomb_token_threshold": 1}, "complexity thresholds must be >= 2"),
+    ({"word_bomb_min_group": 1}, "complexity thresholds must be >= 2"),
 ]
 
 # Plausible and hostile values for each checked field of RuleConfig.
@@ -348,8 +354,9 @@ _FIELD_VALUES = {
         "R05-ABBREV:LFT", None, 3]),
     "fail_threshold": st.sampled_from(SEVERITIES) | st.sampled_from(["bogus", "", None, 3]),
     "per_file": st.sampled_from([True, False, 0, 1, None, "yes"]),
-    "complexity": st.sampled_from([lexical.ComplexityConfig(), lexical.ComplexityConfig(2, 2),
-                                   None, 7, {"word_bomb_min_group": 3}]),
+    "concept_bomb_token_threshold": st.sampled_from([7, 2, 9, 2.5, float("nan"), True, "7",
+                                                     None, 1]),
+    "word_bomb_min_group": st.sampled_from([5, 2, 3, 2.5, float("nan"), True, "7", None, 1]),
     "health_weights": st.sampled_from([
         None, {"activity": 1.0}, {"activity": 1}, {"activity": 0.5, "reuse": 0.5},
         {"activity": -1.0}, {"activity": 2.0, "reuse": -1.0}, {"activity": float("nan")},
@@ -399,7 +406,8 @@ class TestRuleConfig:
                             prefix_map_path="p.tsv", lexicon_overrides={"colloquial_map": "c"},
                             reference_paths=("r.obo",), metadata_path="m.txt",
                             health_weights={"activity": 1.0},
-                            complexity=lexical.ComplexityConfig(9, 4), per_file=True)
+                            concept_bomb_token_threshold=9, word_bomb_min_group=4,
+                            per_file=True)
         for value in (config, RuleConfig()):
             twin = copied(value)
             assert twin == value
@@ -814,7 +822,7 @@ class TestCheckRegistry:
             prefixes = build_prefix_map(config)
             unit = merge_vocabularies([parse_input(path, fmt)[0] for path, fmt in inputs],
                                       prefixes.entries)
-            ctx = CheckContext(unit, build_lexicons(config), prefixes, config.complexity)
+            ctx = CheckContext(unit, build_lexicons(config), prefixes, config)
             for rule_ids, scope, run in CHECKS:
                 subjects = [unit] if scope == VOCABULARY else unit.terms
                 emitted = {f.rule_id for subject in subjects for f in run(subject, ctx)}

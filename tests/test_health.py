@@ -38,8 +38,7 @@ class TestMonthsBefore:
     def test_clamped_arithmetic(self, day, months, expected):
         assert months_before(day, months) == expected
 
-    @given(st.dates(min_value=dt.date(2000, 1, 1), max_value=dt.date(2100, 1, 1)),
-           st.integers(min_value=0, max_value=48))
+    @given(st.dates(), st.integers(min_value=0, max_value=48))
     def test_result_day_never_exceeds_source_day(self, day, months):
         out = months_before(day, months)
         assert out.day <= day.day
@@ -76,6 +75,14 @@ class TestSubscores:
         assert r.subscores["activity"] == 0.5
         r = assess_health(meta(last_release=dt.date(2024, 8, 1)))
         assert r.subscores["activity"] == 0.5
+
+    # No release can precede the first day a date can hold, so a window that
+    # reaches back past it covers every release.
+    @pytest.mark.parametrize("as_of, activity", [
+        (dt.date(1, 6, 1), 1.0), (dt.date(2, 6, 1), 0.5)])
+    def test_activity_window_reaching_before_year_one(self, as_of, activity):
+        r = assess_health(meta(as_of=as_of, last_release=dt.date(1, 1, 1)))
+        assert r.subscores["activity"] == activity
 
     def test_activity_old_or_absent(self):
         assert assess_health(meta(last_release=dt.date(2024, 7, 31))).subscores["activity"] == 0.0

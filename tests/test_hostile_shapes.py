@@ -11,9 +11,9 @@ from typing import Callable, NamedTuple
 
 import pytest
 
-from vocab_lint.engine import CHECKS, VOCABULARY, CheckContext
+from vocab_lint.engine import CHECKS, VOCABULARY, CheckContext, RuleConfig
 from vocab_lint.identity import default_prefix_map
-from vocab_lint.lexical import ComplexityConfig, default_lexicons
+from vocab_lint.lexical import default_lexicons
 from vocab_lint.model import Definition, Iri, Synonym, Term, build_vocabulary
 from vocab_lint.reuse import build_index, suggest_terms
 
@@ -142,7 +142,7 @@ def test_every_check_has_a_shape():
 def test_worst_shape_runs_within_its_bound(rule_ids, shape):
     (scope, run), = ((scope, run) for ids, scope, run in CHECKS if ids == rule_ids)
     unit = build_vocabulary(shape.build(shape.size), {"EX": "https://example.org/EX_"})
-    ctx = CheckContext(unit, default_lexicons(), default_prefix_map(), ComplexityConfig())
+    ctx = CheckContext(unit, default_lexicons(), default_prefix_map(), RuleConfig())
     started = time.perf_counter()
     findings = [f for subject in ([unit] if scope == VOCABULARY else unit.terms)
                 for f in run(subject, ctx)]

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vocab_lint.lexical import (
-    ComplexityConfig,
     LexiconError,
     Lexicons,
     apply_lexicon_overrides,
@@ -27,7 +26,7 @@ from vocab_lint.model import Iri, Term, build_vocabulary
 from test_model import EVERY_COPY
 
 LEX = default_lexicons()
-CFG = ComplexityConfig()
+THRESHOLD, MIN_GROUP = 7, 5  # RuleConfig's defaults
 
 
 def term(label, iri=None, parents=(), synonyms=(), obsolete=False):
@@ -184,32 +183,24 @@ class TestTimeline:
 
 class TestConceptBomb:
     def test_token_threshold(self):
-        assert check_concept_bomb(term("one two three four five six seven"), CFG, LEX)
-        assert check_concept_bomb(term("one two three four five six"), CFG, LEX) == []
+        assert check_concept_bomb(term("one two three four five six seven"), THRESHOLD, LEX)
+        assert check_concept_bomb(term("one two three four five six"), THRESHOLD, LEX) == []
 
     def test_digit_plus_timeline(self):
-        f, = check_concept_bomb(term("last 6 months"), CFG, LEX)
+        f, = check_concept_bomb(term("last 6 months"), THRESHOLD, LEX)
         assert "relative-time" in f.message
 
     def test_digit_alone_passes(self):
-        assert check_concept_bomb(term("6 months"), CFG, LEX) == []
+        assert check_concept_bomb(term("6 months"), THRESHOLD, LEX) == []
 
     def test_custom_threshold(self):
-        cfg = ComplexityConfig(concept_bomb_token_threshold=3)
-        assert check_concept_bomb(term("alpha beta gamma"), cfg, LEX)
-
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            ComplexityConfig(concept_bomb_token_threshold=1)
-        with pytest.raises(ValueError):
-            ComplexityConfig(word_bomb_min_group=1)
-        ComplexityConfig(concept_bomb_token_threshold=2, word_bomb_min_group=2)
+        assert check_concept_bomb(term("alpha beta gamma"), 3, LEX)
 
     @given(st.integers(min_value=0, max_value=5))
     def test_monotone_in_added_tokens(self, extra):
         base = "one two three four five six seven"
         label = base + "".join(f" w{i}" for i in range(extra))
-        assert len(check_concept_bomb(term(label), CFG, LEX)) == 1
+        assert len(check_concept_bomb(term(label), THRESHOLD, LEX)) == 1
 
 
 def vocab(*terms_):
@@ -221,7 +212,7 @@ class TestWordBombs:
         v = vocab(term("red farm", "EX:1"), term("blue farm", "EX:2"),
                   term("green farm", "EX:3"), term("red and blue farm", "EX:4"),
                   term("old farm", "EX:5"))
-        f, = detect_word_bombs(v, CFG)
+        f, = detect_word_bombs(v, MIN_GROUP)
         assert f.rule_id == "C-WORD-BOMB" and f.subject_label == "farm"
         assert len(f.subject_iris) == 5
 
@@ -229,32 +220,32 @@ class TestWordBombs:
         v = vocab(term("kiosk", "EX:0"), term("alpha kiosk", "EX:1"),
                   term("beta kiosk", "EX:2"), term("gamma kiosk", "EX:3"),
                   term("delta kiosk", "EX:4"), term("epsilon kiosk", "EX:5"))
-        f, = detect_word_bombs(v, CFG)
+        f, = detect_word_bombs(v, MIN_GROUP)
         assert f.subject_label == "kiosk"
 
     def test_shared_head_alone_not_enough(self):
         v = vocab(term("alpha kiosk", "EX:1"), term("beta kiosk", "EX:2"),
                   term("gamma kiosk", "EX:3"), term("delta kiosk", "EX:4"),
                   term("epsilon kiosk", "EX:5"))
-        assert detect_word_bombs(v, CFG) == []
+        assert detect_word_bombs(v, MIN_GROUP) == []
 
     def test_below_min_group(self):
         v = vocab(term("kiosk", "EX:0"), term("alpha kiosk", "EX:1"),
                   term("beta and gamma kiosk", "EX:2"))
-        assert detect_word_bombs(v, CFG) == []
+        assert detect_word_bombs(v, MIN_GROUP) == []
 
     def test_obsolete_members_ignored(self):
         v = vocab(term("kiosk", "EX:0"), term("alpha kiosk", "EX:1"),
                   term("beta kiosk", "EX:2"), term("gamma kiosk", "EX:3"),
                   term("delta kiosk", "EX:4"),
                   term("epsilon kiosk", "EX:5", obsolete=True))
-        assert detect_word_bombs(v, CFG) == []
+        assert detect_word_bombs(v, MIN_GROUP) == []
 
     def test_member_labels_listed_sorted(self):
         v = vocab(term("kiosk", "EX:0"), term("alpha kiosk", "EX:1"),
                   term("beta kiosk", "EX:2"), term("gamma kiosk", "EX:3"),
                   term("delta kiosk", "EX:4"), term("epsilon kiosk", "EX:5"))
-        f, = detect_word_bombs(v, CFG)
+        f, = detect_word_bombs(v, MIN_GROUP)
         assert "alpha kiosk; beta kiosk; delta kiosk" in f.message
 
 

@@ -13,9 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vocab_lint.catalog import ERROR, INFO, WARNING
-from vocab_lint.engine import CHECKS, PHRASING, TERM, CheckContext
+from vocab_lint.engine import CHECKS, PHRASING, TERM, CheckContext, RuleConfig
 from vocab_lint.identity import DEFAULT_PREFIXES, PrefixMap, default_prefix_map, load_prefix_map
-from vocab_lint.lexical import ComplexityConfig, default_lexicons
+from vocab_lint.lexical import default_lexicons
 from vocab_lint.model import (
     Definition,
     Iri,
@@ -157,7 +157,7 @@ def timeline(term, ctx):
 
 def concept_bomb(term, ctx):
     tokens = _tokens(term.label)
-    threshold = ctx.complexity.concept_bomb_token_threshold
+    threshold = ctx.config.concept_bomb_token_threshold
     temporal = any(tok.isdigit() for tok in tokens) and bool(_timeline_phrases(tokens, ctx))
     if len(tokens) >= threshold:
         reason = f"{len(tokens)} tokens >= threshold {threshold}"
@@ -342,7 +342,7 @@ TRIGGERS += [Term(label="cough", iri=Iri("HP:0000002"), synonyms=(Synonym("Tummy
 @example(TRIGGERS, PREFIX_MAPS[0], 7)
 def test_each_term_check_equals_its_oracle(terms, prefixes, threshold):
     unit = Vocabulary(tuple(terms), dict(prefixes.entries))
-    ctx = CheckContext(unit, LEX, prefixes, ComplexityConfig(threshold))
+    ctx = CheckContext(unit, LEX, prefixes, RuleConfig(concept_bomb_token_threshold=threshold))
     for rule_ids, scope, run in CHECKS:
         if scope not in (PHRASING, TERM):
             continue
